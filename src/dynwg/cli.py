@@ -150,7 +150,6 @@ def verify_satake_rank1(cfg: RunConfig) -> list[dict]:
 
 def verify_cocycle(cfg: RunConfig) -> list[dict]:
     t, hw = _need_algebra_hw(cfg)
-    rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)  # warm once
     w0 = rootdata.longest_element(t)
     words = [list(w) for w in rootdata.all_reduced_words(t, w0, cap=cfg.word_cap)]
     V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)

@@ -27,9 +27,10 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b; also exact on int matrices, whose product is then an int matrix."""
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0
-    out = zeros(n, cols)
+    out = [[0] * cols for _ in range(n)]
     for i in range(n):
         arow = a[i]
         orow = out[i]
@@ -47,16 +48,8 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
 
 
 def is_zero_matrix(a: Matrix) -> bool:

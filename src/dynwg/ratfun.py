@@ -764,16 +764,16 @@ class RatFun:
         return RatFun._over_forms(num, [(f, 1) for f in den_forms])
 
     @staticmethod
-    def _over_forms(num: Polynomial, pairs) -> "RatFun":
+    def _over_forms(num: Polynomial, pairs, candidates=None) -> "RatFun":
         """num / prod(f^m for (f, m) in pairs), for nonzero forms f in any
-        scaling, reduced by trial division by every form."""
+        scaling, reduced by trial division as in `_make`."""
         den: dict[DegreeOneForm, int] = {}
         for f, m in pairs:
             s, canon = f.canonical()
             if s != 1:
                 num = num.scale(1 / s**m)
             den[canon] = den.get(canon, 0) + m
-        return RatFun._make(num, den)
+        return RatFun._make(num, den, candidates)
 
     @staticmethod
     def zero(nx: int) -> "RatFun":
@@ -930,7 +930,10 @@ class RatFun:
         return Fraction(num, den)
 
     def substitute(self, images: list[DegreeOneForm]) -> "RatFun":
-        """Apply x_i -> images[i] (degree-one images); h maps to itself."""
+        """Apply x_i -> images[i] (degree-one images); h maps to itself.
+
+        An invertible substitution is a ring automorphism, which keeps num
+        coprime to every denominator form: then no trial division is needed."""
         num = self.num.substitute(images)
         pairs = []
         for f, m in self.den:
@@ -938,7 +941,7 @@ class RatFun:
             if g.is_zero():
                 raise PoleCollapseError(f"substitution annihilates denominator factor {f}")
             pairs.append((g, m))
-        return RatFun._over_forms(num, pairs)
+        return RatFun._over_forms(num, pairs, () if _is_automorphism(images) else None)
 
     # -- io
 
@@ -963,6 +966,23 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self.format()!r})"
+
+
+def _is_automorphism(images: list[DegreeOneForm]) -> bool:
+    """Whether x_i -> images[i], h -> h is invertible, i.e. the images'
+    x-coefficients form a square matrix of full rank (by integer elimination)."""
+    n = len(images)
+    rows = [img._scaled[1][:-1] for img in images]
+    if any(len(row) != n for row in rows):
+        return False
+    for col in range(n):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            return False
+        p = pivot[col]
+        rows = [[p * a - row[col] * b for a, b in zip(row, pivot)]
+                for row in rows if row is not pivot]
+    return True
 
 
 def eq_by_evaluation(a: RatFun, b: RatFun, rng, trials: int = 3, bound: int = 10**6) -> bool:

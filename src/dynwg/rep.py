@@ -20,13 +20,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import linalg
 from .linalg import Matrix, Vector
 from .rootdata import (
-    CorootVector,
     LieType,
+    RootDataError,
     Weight,
     cartan_matrix,
     dominant_representative,
@@ -254,39 +254,22 @@ class Irrep:
             blk = linalg.zeros(self.weight_dim(target), self.weight_dim(nu))
         return blk
 
-    def generator_map(self, kind: str, i: int) -> "BlockLinearMap":
-        alpha = simple_root(self.type, i)
-        if kind == "e":
-            shift = alpha.coords
-            blocks = {nu: self.e_block(i, nu) for nu in self.basis}
-        elif kind == "f":
-            shift = tuple(-c for c in alpha.coords)
-            blocks = {nu: self.f_block(i, nu) for nu in self.basis}
-        elif kind == "h":
-            shift = (0,) * self.type.rank
-            blocks = {
-                nu: linalg.mat_scale(linalg.identity(self.weight_dim(nu)), Fraction(nu[i - 1]))
-                for nu in self.basis
-            }
-        else:
-            raise RepError(f"unknown generator kind {kind!r}")
-        return BlockLinearMap(self, shift, blocks)
-
     def apply_generator(self, kind: str, i: int, vector: Vector) -> Vector:
         if len(vector) != self.dim:
             raise RepError("vector has wrong dimension")
-        gmap = self.generator_map(kind, i)
+        if kind not in ("e", "f", "h"):
+            raise RepError(f"unknown generator kind {kind!r}")
+        alpha = simple_root(self.type, i)
         idx = self.global_index()
         out = [Fraction(0)] * self.dim
         for nu in self.weight_order:
-            dnu = self.weight_dim(nu)
-            seg = [vector[idx[(nu, k)]] for k in range(dnu)]
-            if not any(seg):
-                continue
-            target = Weight(tuple(a + b for a, b in zip(nu.coords, gmap.shift)))
-            if target not in self.basis:
-                continue
-            img = linalg.mat_vec(gmap.blocks[nu], seg)
+            seg = [vector[idx[(nu, k)]] for k in range(self.weight_dim(nu))]
+            if kind == "h":
+                target, img = nu, [nu[i - 1] * x for x in seg]
+            elif kind == "e":
+                target, img = weight_add(nu, alpha), linalg.mat_vec(self.e_block(i, nu), seg)
+            else:
+                target, img = weight_sub(nu, alpha), linalg.mat_vec(self.f_block(i, nu), seg)
             for k, val in enumerate(img):
                 out[idx[(target, k)]] += val
         return out
@@ -317,92 +300,92 @@ def _level(t: LieType, hw: Weight, nu: Weight) -> int:
     return int(lv)
 
 
-@dataclass
-class BlockLinearMap:
-    """A weight-homogeneous linear map, stored per weight block."""
+# A weight-homogeneous operator as its nonzero blocks, nu -> (target, M), where
+# M is an integer matrix V_nu -> V_target.
+SparseMap = dict[Weight, tuple[Weight, list[list[int]]]]
 
-    irrep: Irrep
-    shift: tuple[int, ...]
-    blocks: dict[Weight, Matrix]
 
-    def _target(self, nu: Weight) -> Weight:
-        return Weight(tuple(a + b for a, b in zip(nu.coords, self.shift)))
+def _int_generators(V: Irrep, blocks, sign: int) -> dict[int, tuple[int, SparseMap]]:
+    """i -> (D, D * g_i) for the e (sign +1) or f (sign -1) generators, where
+    D is the lcm of the denominators of g_i's entries."""
+    out = {}
+    for i in range(1, V.type.rank + 1):
+        shift = Weight(tuple(sign * c for c in simple_root(V.type, i).coords))
+        mats = {nu: b for (j, nu), b in blocks.items() if j == i and any(any(r) for r in b)}
+        d = lcm(*(x.denominator for blk in mats.values() for row in blk for x in row))
+        out[i] = (d, {
+            nu: (weight_add(nu, shift),
+                 [[x.numerator * (d // x.denominator) for x in row] for row in blk])
+            for nu, blk in mats.items()
+        })
+    return out
 
-    def block(self, nu: Weight) -> Matrix:
-        blk = self.blocks.get(nu)
-        if blk is None:
-            blk = linalg.zeros(self.irrep.weight_dim(self._target(nu)), self.irrep.weight_dim(nu))
-        return blk
 
-    def compose(self, other: "BlockLinearMap") -> "BlockLinearMap":
-        """self after other."""
-        shift = tuple(a + b for a, b in zip(self.shift, other.shift))
-        blocks = {}
-        for nu in self.irrep.basis:
-            mid = other._target(nu)
-            b_in = other.block(nu)
-            if mid in self.irrep.basis:
-                blocks[nu] = linalg.mat_mul(self.block(mid), b_in)
-            else:
-                tgt = Weight(tuple(a + b for a, b in zip(nu.coords, shift)))
-                blocks[nu] = linalg.zeros(self.irrep.weight_dim(tgt), self.irrep.weight_dim(nu))
-        return BlockLinearMap(self.irrep, shift, blocks)
+def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
+    """a after b."""
+    out = {}
+    for nu, (mid, mb) in b.items():
+        hit = a.get(mid)
+        if hit is not None:
+            out[nu] = (hit[0], linalg.mat_mul(hit[1], mb))
+    return out
 
-    def sub(self, other: "BlockLinearMap") -> "BlockLinearMap":
-        if self.shift != other.shift:
-            raise RepError("cannot subtract maps of different weight shifts")
-        return BlockLinearMap(
-            self.irrep,
-            self.shift,
-            {nu: linalg.mat_sub(self.block(nu), other.block(nu)) for nu in self.irrep.basis},
-        )
 
-    def scale(self, c: Fraction) -> "BlockLinearMap":
-        return BlockLinearMap(
-            self.irrep, self.shift, {nu: linalg.mat_scale(b, c) for nu, b in self.blocks.items()}
-        )
+def _commutator(a: SparseMap, b: SparseMap) -> SparseMap:
+    """[a, b] = ab - ba, nonzero blocks only."""
+    out = _compose(a, b)
+    for nu, (target, m) in _compose(b, a).items():
+        left = out[nu][1] if nu in out else [[0] * len(row) for row in m]
+        out[nu] = (target, [[x - y for x, y in zip(rl, rm)] for rl, rm in zip(left, m)])
+    return {nu: blk for nu, blk in out.items() if any(any(row) for row in blk[1])}
 
-    def commutator(self, other: "BlockLinearMap") -> "BlockLinearMap":
-        return self.compose(other).sub(other.compose(self))
 
-    def is_zero(self) -> bool:
-        return all(linalg.is_zero_matrix(b) for b in self.blocks.values())
-
-    def equals(self, other: "BlockLinearMap") -> bool:
-        return self.shift == other.shift and self.sub(other).is_zero()
+def _is_scalar(m: list[list[int]], s: int) -> bool:
+    return all(x == (s if r == c else 0) for r, row in enumerate(m) for c, x in enumerate(row))
 
 
 def check_chevalley_serre(V: Irrep) -> list[str]:
     """Verify the defining relations on the generator matrices exactly.
 
     Returns a list of human-readable failure descriptions (empty = all good).
+    Each e_i and f_i is scaled to an integer operator and kept as its nonzero
+    weight blocks; h_i is the scalar nu_i on V_nu, so [h_i, X] = c*X holds
+    iff target_i - nu_i = c on every nonzero block X: V_nu -> V_target.
     """
     t = V.type
     a = cartan_matrix(t)
     failures = []
-    E = {i: V.generator_map("e", i) for i in range(1, t.rank + 1)}
-    F = {i: V.generator_map("f", i) for i in range(1, t.rank + 1)}
-    H = {i: V.generator_map("h", i) for i in range(1, t.rank + 1)}
+    E = _int_generators(V, V.e_blocks, +1)
+    F = _int_generators(V, V.f_blocks, -1)
+
+    def h_relation_holds(gen: SparseMap, i: int, c: int) -> bool:
+        return all(target[i - 1] - nu[i - 1] == c for nu, (target, _) in gen.items())
+
     for i in E:
         for j in E:
-            comm = E[i].commutator(F[j])
+            comm = _commutator(E[i][1], F[j][1])
             if i == j:
-                if not comm.equals(H[i]):
+                # comm is D_e * D_f * [e_i, f_i], and must be D_e * D_f * nu_i on V_nu
+                d = E[i][0] * F[i][0]
+                if not all(
+                    _is_scalar(comm[nu][1], d * nu[i - 1]) if nu in comm else nu[i - 1] == 0
+                    for nu in V.basis
+                ):
                     failures.append(f"[e_{i}, f_{i}] != h_{i}")
-            elif not comm.is_zero():
+            elif comm:
                 failures.append(f"[e_{i}, f_{j}] != 0")
-            aij = Fraction(a[i - 1][j - 1])
-            if not H[i].commutator(E[j]).equals(E[j].scale(aij)):
+            aij = a[i - 1][j - 1]
+            if not h_relation_holds(E[j][1], i, aij):
                 failures.append(f"[h_{i}, e_{j}] != <alpha_{j},coroot_{i}> e_{j}")
-            if not H[i].commutator(F[j]).equals(F[j].scale(-aij)):
+            if not h_relation_holds(F[j][1], i, -aij):
                 failures.append(f"[h_{i}, f_{j}] != -<alpha_{j},coroot_{i}> f_{j}")
             if i != j:
-                n = 1 - a[i - 1][j - 1]
+                n = 1 - aij
                 for kind, gens in (("e", E), ("f", F)):
-                    cur = gens[j]
+                    cur = gens[j][1]
                     for _ in range(n):
-                        cur = gens[i].commutator(cur)
-                    if not cur.is_zero():
+                        cur = _commutator(gens[i][1], cur)
+                    if cur:
                         failures.append(f"Serre relation ad({kind}_{i})^{n}({kind}_{j}) != 0")
     return failures
 
@@ -783,10 +766,9 @@ def irrep_from_json(obj: dict) -> Irrep:
 
 
 def save_irrep(V: Irrep, cache_dir: str):
+    """Write V's cache entry, atomically replacing any entry already there."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, cache_filename(V.type, V.hw))
-    if os.path.exists(path):
-        return
     lock = path + ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -803,6 +785,9 @@ def save_irrep(V: Irrep, cache_dir: str):
 
 
 def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
+    """The cached V(hw), or None if there is none.  An entry that is not JSON,
+    does not decode, or holds another type, highest weight or format version
+    counts as missing, so that build_irrep rebuilds and replaces it."""
     path = os.path.join(cache_dir, cache_filename(t, hw))
     if not os.path.exists(path):
         return None
@@ -812,8 +797,15 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
         if not os.path.exists(lock):
             break
         time.sleep(0.1)
-    with open(path) as fh:
-        return irrep_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        want = {"version": CACHE_VERSION, "type": str(t), "hw": list(hw.coords)}
+        if not isinstance(obj, dict) or any(obj.get(k) != v for k, v in want.items()):
+            return None
+        return irrep_from_json(obj)
+    except (ValueError, KeyError, TypeError, IndexError, RepError, RootDataError):
+        return None
 
 
 def list_cached_irreps(cache_dir: str) -> list[str]:

@@ -191,12 +191,6 @@ def reflect_coroot(t: LieType, j: int, gamma: CorootVector) -> CorootVector:
     return CorootVector(tuple(coords))
 
 
-def act_coroot(t: LieType, word: WeylWord, gamma: CorootVector) -> CorootVector:
-    for i in reversed(word):
-        gamma = reflect_coroot(t, i, gamma)
-    return gamma
-
-
 def simple_coroot(t: LieType, i: int) -> CorootVector:
     _check_index(t, i)
     return CorootVector.make(tuple(1 if j == i - 1 else 0 for j in range(t.rank)))

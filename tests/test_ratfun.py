@@ -135,6 +135,17 @@ def test_substitute_homomorphism_by_hand():
     assert a.substitute(img) == rf("(x1-h)/(-x1-h)", 1)
 
 
+def test_substitute_cancels_only_when_not_invertible():
+    a = rf("(x1+h)/(x2+h)")
+    # x1, x2 -> x2 is singular: numerator and denominator collapse together
+    collapsed = a.substitute([DegreeOneForm.make([0, 1]), DegreeOneForm.make([0, 1])])
+    assert collapsed == rf("1") and collapsed.den == ()
+    # the swap x1 <-> x2, scaled, is invertible and keeps the quotient reduced
+    swapped = a.substitute([DegreeOneForm.make([0, 2]), DegreeOneForm.make([3, 0])])
+    assert swapped == rf("(2*x2+h)/(3*x1+h)")
+    assert [m for _, m in swapped.den] == [1]
+
+
 def test_substitute_pole_collapse():
     a = rf("1/x1", 1)
     with pytest.raises(PoleCollapseError):

@@ -1,23 +1,31 @@
+import dataclasses
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from dynwg import linalg
 from dynwg.rep import (
     DimensionCapError,
     RepError,
     build_irrep,
+    cache_filename,
     check_chevalley_serre,
     dominant_weights_up_to_dim,
     freudenthal_multiplicity,
     irrep_from_json,
     irrep_to_json,
     sl2_strings,
+    weight_add,
+    weight_sub,
     weyl_dimension,
 )
-from dynwg.rootdata import LieType, Weight, weyl_orbit
+from dynwg.rootdata import LieType, Weight, cartan_matrix, simple_root, weyl_orbit
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
+A3 = LieType.parse("A3")
 B2 = LieType.parse("B2")
 G2 = LieType.parse("G2")
 
@@ -105,8 +113,104 @@ def test_weight_multiset_weyl_invariant():
 
 
 def test_chevalley_serre_relations():
-    for t, hw in ((A2, Weight((1, 1))), (B2, Weight((0, 1))), (G2, Weight((0, 1)))):
+    for t, hw in ((A2, Weight((1, 1))), (B2, Weight((0, 1))), (G2, Weight((0, 1))),
+                  (G2, Weight((1, 0))), (B2, Weight((1, 1)))):
         assert check_chevalley_serre(build_irrep(t, hw)) == []
+
+
+def _dense_generator(V, kind: str, i: int):
+    """The full dim x dim matrix of e_i, f_i or h_i in the basis of global_index."""
+    idx = V.global_index()
+    m = linalg.zeros(V.dim, V.dim)
+    alpha = simple_root(V.type, i)
+    for nu in V.weight_order:
+        if kind == "h":
+            for k in range(V.weight_dim(nu)):
+                m[idx[(nu, k)]][idx[(nu, k)]] = F(nu[i - 1])
+            continue
+        target = weight_add(nu, alpha) if kind == "e" else weight_sub(nu, alpha)
+        if target not in V.basis:
+            continue
+        blk = V.e_block(i, nu) if kind == "e" else V.f_block(i, nu)
+        for r, row in enumerate(blk):
+            for c, x in enumerate(row):
+                m[idx[(target, r)]][idx[(nu, c)]] = x
+    return m
+
+
+def _dense_chevalley_serre(V) -> list[str]:
+    """Reference for check_chevalley_serre: the same relations, in the same
+    order, on dense matrices of the whole representation."""
+    a = cartan_matrix(V.type)
+    gens = range(1, V.type.rank + 1)
+    E = {i: _dense_generator(V, "e", i) for i in gens}
+    Fm = {i: _dense_generator(V, "f", i) for i in gens}
+    H = {i: _dense_generator(V, "h", i) for i in gens}
+    zero = linalg.zeros(V.dim, V.dim)
+
+    def bracket(x, y):
+        xy, yx = linalg.mat_mul(x, y), linalg.mat_mul(y, x)
+        return [[p - q if q else p for p, q in zip(r, s)] for r, s in zip(xy, yx)]
+
+    def times(c, x):
+        return [[c * v if v else v for v in row] for row in x]
+
+    failures = []
+    for i in gens:
+        for j in gens:
+            comm = bracket(E[i], Fm[j])
+            if i == j:
+                if comm != H[i]:
+                    failures.append(f"[e_{i}, f_{i}] != h_{i}")
+            elif comm != zero:
+                failures.append(f"[e_{i}, f_{j}] != 0")
+            aij = a[i - 1][j - 1]
+            if bracket(H[i], E[j]) != times(aij, E[j]):
+                failures.append(f"[h_{i}, e_{j}] != <alpha_{j},coroot_{i}> e_{j}")
+            if bracket(H[i], Fm[j]) != times(-aij, Fm[j]):
+                failures.append(f"[h_{i}, f_{j}] != -<alpha_{j},coroot_{i}> f_{j}")
+            if i != j:
+                n = 1 - aij
+                for kind, gen in (("e", E), ("f", Fm)):
+                    cur = gen[j]
+                    for _ in range(n):
+                        cur = bracket(gen[i], cur)
+                    if cur != zero:
+                        failures.append(f"Serre relation ad({kind}_{i})^{n}({kind}_{j}) != 0")
+    return failures
+
+
+def _corrupted_copies(V, rng):
+    """Copies of V with one entry of an e- or f-block changed by +1, by +1/3,
+    or set to 0 (a nonzero entry)."""
+    for kind in ("e_blocks", "f_blocks"):
+        blocks = getattr(V, kind)
+        cells = [(key, r, c) for key in sorted(blocks, key=lambda k: (k[0], k[1].coords))
+                 for r, row in enumerate(blocks[key]) for c in range(len(row))]
+        nonzero = [(key, r, c) for key, r, c in cells if blocks[key][r][c]]
+        for change, pool in ((lambda x: x + 1, cells), (lambda x: x + F(1, 3), cells),
+                             (lambda x: F(0), nonzero)):
+            key, r, c = rng.choice(pool)
+            copy = {k: [list(row) for row in blk] for k, blk in blocks.items()}
+            copy[key][r][c] = change(copy[key][r][c])
+            yield dataclasses.replace(V, **{kind: copy})
+
+
+DIFFERENTIAL_IRREPS = (
+    (A1, (3,)), (A2, (1, 1)), (A2, (2, 1)), (A3, (1, 0, 1)), (A3, (3, 1, 0)),
+    (B2, (0, 1)), (B2, (1, 1)), (B2, (2, 0)), (G2, (0, 1)), (G2, (1, 0)),
+)
+
+
+@pytest.mark.parametrize("t,hw", DIFFERENTIAL_IRREPS, ids=str)
+def test_chevalley_serre_matches_dense_oracle(t, hw):
+    V = build_irrep(t, Weight(hw))
+    assert check_chevalley_serre(V) == _dense_chevalley_serre(V) == []
+    rng = random.Random(f"{t}:{hw}")
+    for bad in _corrupted_copies(V, rng):
+        expected = _dense_chevalley_serre(bad)
+        assert expected
+        assert check_chevalley_serre(bad) == expected
 
 
 def test_apply_generator():
@@ -215,3 +319,37 @@ def test_dominant_weight_enumeration():
     assert Weight((1, 1)) in hws and Weight((0, 0)) in hws
     assert all(weyl_dimension(A2, h) <= 10 for h in hws)
     assert Weight((2, 1)) not in hws  # dim 15
+
+
+def _fault_other_irrep(text):
+    obj = json.loads(text)
+    other = irrep_to_json(build_irrep(A2, Weight((0, 1))))
+    assert other["dim"] == obj["dim"]  # V(0,1) would pass the dimension check
+    return json.dumps(other)
+
+
+def _fault_other_version(text):
+    return json.dumps(dict(json.loads(text), version=0))
+
+
+CACHE_FAULTS = {
+    "other-irrep": _fault_other_irrep,
+    "other-version": _fault_other_version,
+    "truncated": lambda text: text[: len(text) // 2],
+    "undecodable": lambda text: "\udcff" + text,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
+def test_invalid_cache_entry_is_rebuilt_and_replaced(tmp_path, fault):
+    hw = Weight((1, 0))
+    good = build_irrep(A2, hw)
+    path = tmp_path / cache_filename(A2, hw)
+    text = json.dumps(irrep_to_json(good), sort_keys=True)
+    bad = CACHE_FAULTS[fault](text)
+    path.write_bytes(bad.encode("utf-8", "surrogateescape"))
+    V = build_irrep(A2, hw, cache_dir=str(tmp_path))
+    assert V.hw == hw and V.basis == good.basis
+    assert V.e_blocks == good.e_blocks and V.f_blocks == good.f_blocks
+    assert path.read_text() == text  # the entry was replaced by the rebuilt irrep
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
