@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import random
-import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,6 +59,24 @@ def _structural_checks(block: dynweyl.OperatorBlock, rng: random.Random) -> list
     return problems
 
 
+# The irrep of the last cocycle or levi suite, keyed by the whole request
+# (type, hw, cache_dir).  The suite fills it before its cases start, so its
+# cases, and the pool workers forked after that, take V from here instead of
+# building it or reading the cache once per case.
+_irrep_memo: tuple[tuple, rep.Irrep] | None = None
+
+
+def _suite_irrep(t: LieType, hw: Weight, dim_cap: int, cache_dir: str | None) -> rep.Irrep:
+    global _irrep_memo
+    key = (t, hw, cache_dir)
+    if _irrep_memo is not None and _irrep_memo[0] == key:
+        rep.check_dim_cap(hw, _irrep_memo[1].dim, dim_cap)
+    else:
+        _irrep_memo = None  # let the old irrep go before the next one is built
+        _irrep_memo = (key, rep.build_irrep(t, hw, dim_cap=dim_cap, cache_dir=cache_dir))
+    return _irrep_memo[1]
+
+
 # ---------------------------------------------------------------------------
 # verification case workers (top-level for the process pool)
 
@@ -76,9 +93,8 @@ def _rank1_case(args) -> dict:
 
 
 def _cocycle_case(args) -> dict:
-    algebra, hw_coords, mu_coords, words, cache_dir, seed = args
-    t = LieType.parse(algebra)
-    V = rep.build_irrep(t, Weight.make(hw_coords), cache_dir=cache_dir)
+    algebra, hw_coords, mu_coords, words, dim_cap, cache_dir, seed = args
+    V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"cocycle:{algebra}:{hw_coords}:{mu_coords}"
     problems = []
@@ -95,9 +111,8 @@ def _cocycle_case(args) -> dict:
 
 
 def _levi_case(args) -> dict:
-    algebra, hw_coords, i, mu_coords, cache_dir, seed = args
-    t = LieType.parse(algebra)
-    V = rep.build_irrep(t, Weight.make(hw_coords), cache_dir=cache_dir)
+    algebra, hw_coords, i, mu_coords, dim_cap, cache_dir, seed = args
+    V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"levi:{algebra}:{hw_coords}:i={i}:{mu_coords}"
     report = geomsatake.levi_restriction_check(V, i, mu)
@@ -152,9 +167,9 @@ def verify_cocycle(cfg: RunConfig) -> list[dict]:
     t, hw = _need_algebra_hw(cfg)
     w0 = rootdata.longest_element(t)
     words = [list(w) for w in rootdata.all_reduced_words(t, w0, cap=cfg.word_cap)]
-    V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)
+    V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
     case_args = [
-        (str(t), list(hw.coords), list(nu.coords), words, cfg.cache_dir, cfg.seed)
+        (str(t), list(hw.coords), list(nu.coords), words, cfg.dim_cap, cfg.cache_dir, cfg.seed)
         for nu in V.weights()
         if nu.is_dominant()
     ]
@@ -163,9 +178,9 @@ def verify_cocycle(cfg: RunConfig) -> list[dict]:
 
 def verify_levi(cfg: RunConfig) -> list[dict]:
     t, hw = _need_algebra_hw(cfg)
-    V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)
+    V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
     case_args = [
-        (str(t), list(hw.coords), i, list(nu.coords), cfg.cache_dir, cfg.seed)
+        (str(t), list(hw.coords), i, list(nu.coords), cfg.dim_cap, cfg.cache_dir, cfg.seed)
         for i in range(1, t.rank + 1)
         for nu in V.weights()
         if nu.is_dominant()

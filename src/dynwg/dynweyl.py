@@ -134,7 +134,7 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     target = simple_reflection(t, i, nu)
     dim = V.weight_dim(nu)
     alpha = simple_root(t, i)
-    p_inv = linalg.invert(dec.change_of_basis)
+    p_inv = dec.inverse
     coeffs: list[RatFun] = []
     out_cols: list[list[Fraction]] = []
     for comp in dec.components:

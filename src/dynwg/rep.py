@@ -607,6 +607,12 @@ class _IrrepBuilder:
         )
 
 
+def check_dim_cap(hw: Weight, dim: int, dim_cap: int):
+    """Raise DimensionCapError if V(hw), of dimension dim, exceeds dim_cap."""
+    if dim > dim_cap:
+        raise DimensionCapError(f"dim V({hw}) = {dim} exceeds the cap {dim_cap}")
+
+
 def build_irrep(
     t: LieType,
     hw: Weight,
@@ -616,11 +622,7 @@ def build_irrep(
     """Construct (or load from cache) the irreducible representation V(hw)."""
     if not hw.is_dominant():
         raise RepError(f"highest weight {hw} is not dominant")
-    predicted = weyl_dimension(t, hw)
-    if predicted > dim_cap:
-        raise DimensionCapError(
-            f"dim V({hw}) = {predicted} exceeds the cap {dim_cap}"
-        )
+    check_dim_cap(hw, weyl_dimension(t, hw), dim_cap)
     if cache_dir is not None:
         cached = load_cached_irrep(t, hw, cache_dir)
         if cached is not None:
@@ -656,6 +658,7 @@ class StringDecomposition:
     weight: Weight
     components: list[StringComponent]
     change_of_basis: Matrix  # columns of all injections, invertible on V_nu
+    inverse: Matrix  # of change_of_basis
 
 
 def divided_f_power(V: Irrep, i: int, nu: Weight, k: int, vec: Vector) -> Vector:
@@ -692,8 +695,8 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
     if len(cols) != dim_nu:
         raise RepError("sl(2)-string decomposition does not fill the weight space")
     change = linalg.transpose(cols)
-    linalg.invert(change)  # raises if the assembled basis is singular
-    return StringDecomposition(index=i, weight=nu, components=components, change_of_basis=change)
+    return StringDecomposition(index=i, weight=nu, components=components, change_of_basis=change,
+                               inverse=linalg.invert(change))  # raises if singular
 
 
 # ---------------------------------------------------------------------------
@@ -765,14 +768,67 @@ def irrep_from_json(obj: dict) -> Irrep:
     return V
 
 
+# A lock without a readable pid (its writer has not written it yet, or the
+# lock predates pids in locks) is trusted while it is younger than this.
+LOCK_GRACE_S = 5.0
+
+
+def _pid_alive(pid: int) -> bool:
+    if os.name != "posix":
+        return True  # no safe probe: os.kill(pid, 0) would end the process
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # alive, owned by another user
+    return True
+
+
+def _lock_free(lock: str) -> bool:
+    """True once no live writer holds `lock`.  A lock whose writer has died
+    (its pid is gone, or it holds no pid and is older than LOCK_GRACE_S) is
+    broken here, so a killed writer cannot block its entry for good."""
+    try:
+        with open(lock) as fh:
+            text = fh.read()
+        try:
+            alive = _pid_alive(int(text))
+        except ValueError:
+            alive = time.time() - os.path.getmtime(lock) < LOCK_GRACE_S
+        if not alive:
+            os.unlink(lock)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False  # a lock this process cannot read or remove stays in force
+    return not alive
+
+
+def _take_lock(lock: str) -> int | None:
+    """Create `lock` holding this process's pid and return its descriptor,
+    or None while a live writer holds it."""
+    for _ in range(2):  # the second try follows the breaking of a dead writer's lock
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if not _lock_free(lock):
+                return None
+            continue
+        os.write(fd, str(os.getpid()).encode())
+        return fd
+    return None
+
+
 def save_irrep(V: Irrep, cache_dir: str):
     """Write V's cache entry, atomically replacing any entry already there."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, cache_filename(V.type, V.hw))
     lock = path + ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
+    fd = _take_lock(lock)
+    if fd is None:
         return  # another writer is at work; readers keep using fresh builds
     try:
         tmp = path + ".tmp"
@@ -794,7 +850,7 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
     # wait out an in-flight writer's rename
     lock = path + ".lock"
     for _ in range(50):
-        if not os.path.exists(lock):
+        if _lock_free(lock):
             break
         time.sleep(0.1)
     try:

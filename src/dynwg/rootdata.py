@@ -315,44 +315,33 @@ def word_length(t: LieType, word: WeylWord) -> int:
     return len(canonical_word(t, word))
 
 
-@lru_cache(maxsize=None)
-def _braid_orders(t: LieType) -> dict:
-    a = cartan_matrix(t)
-    orders = {}
-    m_table = {0: 2, 1: 3, 2: 4, 3: 6}
-    for i in range(1, t.rank + 1):
-        for j in range(1, t.rank + 1):
-            if i != j:
-                orders[(i, j)] = m_table[a[i - 1][j - 1] * a[j - 1][i - 1]]
-    return orders
-
-
 def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylWord]:
-    """All reduced words of the same element via braid-move closure,
-    lexicographic order, truncated to cap."""
+    """The first cap reduced words, in lexicographic order, of the element
+    the word represents.
+
+    Depth-first by first letter: i starts a reduced word of w iff i is a left
+    descent of w, that is <w(rho), alphacheck_i> < 0, and the rest is then a
+    reduced word of s_i w.  Every branch ends in a reduced word, so the search
+    stops after cap words, whatever the number of reduced words of w."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not is_reduced(t, word):
         raise RootDataError(f"word {list(word)} is not reduced")
-    orders = _braid_orders(t)
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for pos in range(len(w)):
-                for (i, j), m in orders.items():
-                    if pos + m > len(w):
-                        continue
-                    pattern = tuple(i if k % 2 == 0 else j for k in range(m))
-                    if w[pos:pos + m] == pattern:
-                        repl = tuple(j if k % 2 == 0 else i for k in range(m))
-                        w2 = w[:pos] + repl + w[pos + m:]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
-        frontier = nxt
-    return sorted(seen)[:cap]
+    words: list[WeylWord] = []
+    prefix: list[int] = []
+
+    def extend(w_rho: Weight):
+        if w_rho.is_dominant():  # w(rho) = rho: w is the identity
+            words.append(tuple(prefix))
+            return
+        for i in range(1, t.rank + 1):
+            if w_rho[i - 1] < 0 and len(words) < cap:
+                prefix.append(i)
+                extend(simple_reflection(t, i, w_rho))
+                prefix.pop()
+
+    extend(act(t, word, rho(t)))
+    return words
 
 
 def weyl_orbit(t: LieType, mu: Weight) -> set[Weight]:

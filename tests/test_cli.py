@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dynwg import cli, geomsatake
+from dynwg import cli, geomsatake, rep
 from dynwg.ratfun import parse_ratfun
 
 
@@ -139,3 +139,63 @@ def test_rep_info(capsys, cache_args):
 def test_bad_caps_rejected(capsys, cache_args):
     code, _, err = run(capsys, "verify", "satake-rank1", "--dim-cap", "0", *cache_args)
     assert code == 2
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The (type, hw, cache_dir) of every rep.build_irrep call, with an empty
+    suite irrep memo to start from."""
+    monkeypatch.setattr(cli, "_irrep_memo", None)
+    calls = []
+    original = rep.build_irrep
+
+    def counted(t, hw, dim_cap=500, cache_dir=None):
+        calls.append((str(t), hw.coords, cache_dir))
+        return original(t, hw, dim_cap=dim_cap, cache_dir=cache_dir)
+
+    monkeypatch.setattr(rep, "build_irrep", counted)
+    return calls
+
+
+def test_suite_builds_its_irrep_once(capsys, tmp_path, builds):
+    code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "1,1",
+                       "--no-cache", "--jobs", "1")
+    assert code == 0 and "2/2 cases pass" in out
+    assert builds == [("B2", (1, 1), None)]
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
+                       "--cache-dir", str(tmp_path), "--jobs", "1")
+    assert code == 0 and "6/6 cases pass" in out
+    assert builds[1:] == [("A2", (2, 1), str(tmp_path))]
+
+
+def test_suites_share_an_irrep_only_for_the_same_request(capsys, tmp_path, builds):
+    first, second = tmp_path / "first", tmp_path / "second"
+    suite = ["verify", "levi", "--algebra", "A2", "--jobs", "1"]
+    run(capsys, *suite, "--hw", "1,0", "--cache-dir", str(first))
+    run(capsys, *suite, "--hw", "1,0", "--cache-dir", str(first))
+    run(capsys, *suite, "--hw", "0,1", "--cache-dir", str(first))
+    run(capsys, *suite, "--hw", "0,1", "--cache-dir", str(second))
+    assert builds == [("A2", (1, 0), str(first)), ("A2", (0, 1), str(first)),
+                      ("A2", (0, 1), str(second))]
+    assert [p.name for p in second.iterdir()] == ["A2__0_1.v1.json"]
+    # a held irrep still answers to the dimension cap
+    code, _, err = run(capsys, *suite, "--hw", "0,1", "--cache-dir", str(second),
+                       "--dim-cap", "2")
+    assert code == 2 and "exceeds the cap 2" in err
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "levi"])
+def test_pool_output_matches_serial(capsys, tmp_path, suite):
+    args = ["verify", suite, "--algebra", "A2", "--hw", "1,1", "--format", "json",
+            "--seed", "5", "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run(capsys, *args, "--jobs", "1")
+    code2, out2, _ = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2 and json.loads(out1)["ok"] is True
+
+
+def test_case_without_held_irrep_builds_under_the_suite_cap(builds):
+    # dim V(501) = 502 exceeds build_irrep's default cap of 500; a case that
+    # finds no held irrep (a spawned pool worker) builds under the suite's cap
+    case = cli._cocycle_case(("A1", [501], [501], [[1]], 502, None, 0))
+    assert case["ok"] and builds == [("A1", (501,), None)]

@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from dynwg.rep import (
     freudenthal_multiplicity,
     irrep_from_json,
     irrep_to_json,
+    load_cached_irrep,
     sl2_strings,
     weight_add,
     weight_sub,
@@ -353,3 +358,44 @@ def test_invalid_cache_entry_is_rebuilt_and_replaced(tmp_path, fault):
     assert V.e_blocks == good.e_blocks and V.f_blocks == good.f_blocks
     assert path.read_text() == text  # the entry was replaced by the rebuilt irrep
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def _exited_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    return int(child.stdout)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="pids are probed with os.kill")
+def test_stale_lock_of_dead_writer_is_broken(tmp_path):
+    hw = Weight((1, 1))
+    path = tmp_path / cache_filename(A2, hw)
+    lock = tmp_path / (path.name + ".lock")
+    V = build_irrep(A2, hw, cache_dir=str(tmp_path))
+    lock.write_text(str(_exited_pid()))
+    start = time.perf_counter()
+    W = load_cached_irrep(A2, hw, str(tmp_path))
+    assert time.perf_counter() - start < 1.0  # no wait for the dead writer
+    assert W is not None and W.e_blocks == V.e_blocks and not lock.exists()
+    # a dead writer's lock no longer keeps the entry from being written
+    path.unlink()
+    lock.write_text(str(_exited_pid()))
+    build_irrep(A2, hw, cache_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    # an old lock without a pid is broken too
+    path.unlink()
+    lock.write_text("")
+    old = time.time() - 60
+    os.utime(lock, (old, old))
+    build_irrep(A2, hw, cache_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_live_writer_lock_is_kept(tmp_path):
+    hw = Weight((1, 0))
+    path = tmp_path / cache_filename(A2, hw)
+    lock = tmp_path / (path.name + ".lock")
+    lock.write_text(str(os.getpid()))
+    build_irrep(A2, hw, cache_dir=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [lock.name]

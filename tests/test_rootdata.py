@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,58 @@ def test_all_reduced_words():
     # A3 longest element famously has 16 reduced words
     assert len(all_reduced_words(A3, longest_element(A3))) == 16
     assert len(all_reduced_words(A3, longest_element(A3), cap=5)) == 5
+
+
+def braid_closure_words(t, word):
+    """Oracle: every reduced word of the element, by closing {word} under braid
+    moves (Matsumoto), sorted."""
+    a = cartan_matrix(t)
+    m_table = {0: 2, 1: 3, 2: 4, 3: 6}
+    moves = []
+    for i in range(1, t.rank + 1):
+        for j in range(1, t.rank + 1):
+            if i != j:
+                m = m_table[a[i - 1][j - 1] * a[j - 1][i - 1]]
+                moves.append((tuple(i if k % 2 == 0 else j for k in range(m)),
+                              tuple(j if k % 2 == 0 else i for k in range(m))))
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for pos in range(len(w)):
+                for pattern, repl in moves:
+                    if w[pos:pos + len(pattern)] == pattern:
+                        w2 = w[:pos] + repl + w[pos + len(pattern):]
+                        if w2 not in seen:
+                            seen.add(w2)
+                            nxt.append(w2)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_all_reduced_words_matches_braid_closure(name):
+    t = LieType.parse(name)
+    rng = random.Random(name)
+    elements = [longest_element(t), ()] + [
+        canonical_word(t, tuple(rng.randint(1, t.rank) for _ in range(rng.randint(1, 12))))
+        for _ in range(4)
+    ]
+    for word in elements:
+        expected = braid_closure_words(t, word)
+        for cap in (1, 2, 7, 32, len(expected), len(expected) + 5):
+            assert all_reduced_words(t, word, cap=cap) == expected[:cap], (word, cap)
+
+
+def test_all_reduced_words_stops_at_cap():
+    # A5's longest element has 292,864 reduced words
+    t = LieType.parse("A5")
+    start = time.perf_counter()
+    words = all_reduced_words(t, longest_element(t), cap=32)
+    assert time.perf_counter() - start < 2.0
+    assert len(words) == 32 and words == sorted(words)
+    assert all(is_reduced(t, w) and act(t, w, rho(t)) == act(t, words[0], rho(t)) for w in words)
 
 
 def test_positive_coroots_counts():
