@@ -117,8 +117,7 @@ def _levi_case(args) -> dict:
     key = f"levi:{algebra}:{hw_coords}:i={i}:{mu_coords}"
     report = geomsatake.levi_restriction_check(V, i, mu)
     problems = [] if report.ok else ["stringwise geometric/dynamical mismatch"]
-    block = dynweyl.word_operator_block(V, (i,), mu)
-    problems.extend(_structural_checks(block, _case_rng(seed, key)))
+    problems.extend(_structural_checks(report.block, _case_rng(seed, key)))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "strings": [[c.m, c.k] for c in report.cases]}
 
@@ -367,7 +366,7 @@ def _config_from_args(args) -> RunConfig:
     if args.no_cache:
         cache_dir = None
     else:
-        cache_dir = args.cache_dir or os.environ.get("DYNWG_CACHE") or rep.default_cache_dir()
+        cache_dir = args.cache_dir or rep.default_cache_dir()
     return RunConfig(
         algebra=algebra,
         hw=hw,

@@ -13,13 +13,12 @@ from fractions import Fraction
 
 from . import linalg
 from .ratfun import DegreeOneForm, PoleError, RatFun
-from .rep import Irrep, divided_f_power, sl2_strings, weight_add
+from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings, weight_add
 from .rootdata import (
     Weight,
     WeylWord,
     canonical_word,
     crossing_coroots,
-    is_reduced,
     pairing,
     positive_coroots,
     simple_reflection,
@@ -120,37 +119,46 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
 
 
-def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
-    """Block of A_{s_i}: V_nu -> V_{s_i nu} with dynamical variable xi.
+def string_images(
+    V: Irrep, dec: StringDecomposition, xi: DegreeOneForm
+) -> list[tuple[RatFun, linalg.Vector]]:
+    """Where A_{s_i} sends each column of dec.change_of_basis, in order.
 
-    Each sl(2)-string component (m, k) is sent through f_i^(k) u -> c(m,k,xi)
-    f_i^(m-k) u; the result is expressed in the standard weight-space bases.
+    The column f_i^(k) u of a string component (m, k) goes to
+    c(m,k,xi) f_i^(m-k) u; each pair is (c(m,k,xi), f_i^(m-k) u), the vector
+    in the basis of V_{s_i nu}.
     """
-    if nu[i - 1] < 0:
-        raise DynWeylError(f"<{nu}, coroot {i}> < 0: outside the dominant regime")
-    t = V.type
-    nx = t.rank
-    dec = sl2_strings(V, i, nu)
-    target = simple_reflection(t, i, nu)
-    dim = V.weight_dim(nu)
-    alpha = simple_root(t, i)
-    p_inv = dec.inverse
-    coeffs: list[RatFun] = []
-    out_cols: list[list[Fraction]] = []
+    i = dec.index
+    alpha = simple_root(V.type, i)
+    out = []
     for comp in dec.components:
         c = rank1_coefficient(comp.m, comp.k, xi)
-        w = nu
+        w = dec.weight
         for _ in range(comp.k):
             w = weight_add(w, alpha)
         for u in comp.primitives:
-            coeffs.append(c)
-            out_cols.append(divided_f_power(V, i, w, comp.m - comp.k, u))
-    matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(V.weight_dim(target))]
-    for col_t in range(dim):
-        c = coeffs[col_t]
-        for r in range(V.weight_dim(target)):
+            out.append((c, divided_f_power(V, i, w, comp.m - comp.k, u)))
+    return out
+
+
+def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
+    """Block of A_{s_i}: V_nu -> V_{s_i nu} with dynamical variable xi.
+
+    The string images of the columns of the change of basis, brought back to
+    the standard basis of V_nu by its inverse.
+    """
+    if nu[i - 1] < 0:
+        raise DynWeylError(f"<{nu}, coroot {i}> < 0: outside the dominant regime")
+    nx = V.type.rank
+    dec = sl2_strings(V, i, nu)
+    target = simple_reflection(V.type, i, nu)
+    dim = V.weight_dim(nu)
+    rows = V.weight_dim(target)
+    matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
+    for (c, image), p_row in zip(string_images(V, dec, xi), dec.inverse):
+        for r in range(rows):
             for col in range(dim):
-                s = out_cols[col_t][r] * p_inv[col_t][col]
+                s = image[r] * p_row[col]
                 if s:
                     matrix[r][col] = matrix[r][col] + c.scale(s)
     return OperatorBlock(V=V, word=(i,), source=nu, target=target, matrix=matrix)
@@ -195,13 +203,14 @@ def dynamical_operator(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     return word_operator_block(V, canonical_word(V.type, tuple(word)), mu)
 
 
+def rho_shift_images(nx: int) -> list[DegreeOneForm]:
+    """The images of the rho-shift x_i -> -x_i - h, for RatFun.substitute."""
+    return [DegreeOneForm.make([-1 if j == i else 0 for j in range(nx)], -1) for i in range(nx)]
+
+
 def rho_shift(b: OperatorBlock) -> OperatorBlock:
     """Substitute x_i -> -x_i - h in every entry."""
-    nx = b.nx
-    images = [
-        DegreeOneForm.make([-1 if j == i else 0 for j in range(nx)], -1) for i in range(nx)
-    ]
-    return b.substitute(images)
+    return b.substitute(rho_shift_images(b.nx))
 
 
 def classical_limit(b: OperatorBlock, rng) -> linalg.Matrix:

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynweyl import rank1_coefficient, simple_reflection_block
+from .dynweyl import (
+    OperatorBlock,
+    rank1_coefficient,
+    rho_shift_images,
+    string_images,
+    word_operator_block,
+)
 from .ratfun import DegreeOneForm, RatFun
 from .rep import Irrep, sl2_strings
 from .rootdata import Weight
@@ -36,16 +42,6 @@ class TorusWeightMultiset:
 
     def product(self) -> RatFun:
         return RatFun.from_factors(1, self.weights, [], self.nx)
-
-    def to_json(self) -> dict:
-        return {"weights": [w.to_json() for w in self.weights]}
-
-
-@dataclass
-class TransitionScalar:
-    value: RatFun
-    lam: int
-    mu: int
 
 
 def _check_rank1_pair(lam: int, mu: int):
@@ -80,19 +76,11 @@ def generic_transition(a: TorusWeightMultiset, b: TorusWeightMultiset) -> RatFun
     return RatFun.from_factors(1, b.weights, a.weights, a.nx)
 
 
-def hyperbolic_transition(lam: int, mu: int) -> TransitionScalar:
+def hyperbolic_transition(lam: int, mu: int) -> RatFun:
     """The e-to-s chamber transition scalar on the rank-1 slice."""
     e_side = costalk_weights(lam, mu, "e")
     s_side = costalk_weights(lam, mu, "s")
-    return TransitionScalar(value=generic_transition(e_side, s_side), lam=lam, mu=mu)
-
-
-def _rho_shift_scalar(f: RatFun) -> RatFun:
-    nx = f.nx
-    images = [
-        DegreeOneForm.make([-1 if j == i else 0 for j in range(nx)], -1) for i in range(nx)
-    ]
-    return f.substitute(images)
+    return generic_transition(e_side, s_side)
 
 
 @dataclass
@@ -118,10 +106,10 @@ def verify_main_theorem_rank1(lam: int, mu: int) -> MainTheoremReport:
 
     Both sides are computed independently; a mismatch is reported, not raised.
     """
-    geometric = hyperbolic_transition(lam, mu).value
+    geometric = hyperbolic_transition(lam, mu)
     xi = DegreeOneForm.make([1], 0)
     dyn = rank1_coefficient(lam, (lam - mu) // 2, xi)
-    shifted = _rho_shift_scalar(dyn)
+    shifted = dyn.substitute(rho_shift_images(1))
     return MainTheoremReport(
         lam=lam, mu=mu, geometric=geometric, dynamical_shifted=shifted, equal=geometric == shifted
     )
@@ -152,6 +140,7 @@ class LeviReport:
     index: int
     mu: Weight
     cases: list[LeviCase]
+    block: OperatorBlock  # A_{s_i} on V_mu, as word_operator_block(V, (i,), mu)
     block_consistent: bool
     ok: bool
 
@@ -179,31 +168,35 @@ class LeviReport:
 def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
     """String-wise rank-1 comparison of the simple-reflection operator.
 
-    For each sl(2)-string (m, k) through V_mu, the rank-1 geometric transition
-    at (m, m-2k), with x replaced by <x, coroot_i>, must agree with the
-    rho-shifted dynamical coefficient; the assembled block must likewise match
-    the stringwise-diagonal operator under the change of basis.
+    mu must be dominant.  For each sl(2)-string (m, k) through V_mu, the
+    rank-1 geometric transition at (m, m-2k), with x replaced by
+    <x, coroot_i>, must agree with the rho-shifted dynamical coefficient; the
+    block of A_{s_i} must likewise send each column f_i^(k) u of the change
+    of basis to its string image c(m,k,x_i) f_i^(m-k) u.
     """
-    if mu[i - 1] < 0:
-        raise GeomSatakeError(f"<{mu}, coroot {i}> < 0")
+    if not mu.is_dominant():
+        raise GeomSatakeError(f"source weight {mu} is not dominant")
     t = V.type
     nx = t.rank
     xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(nx)], 0)
+    shift = rho_shift_images(nx)
     dec = sl2_strings(V, i, mu)
     cases = []
     for comp in dec.components:
-        geo1 = hyperbolic_transition(comp.m, comp.m - 2 * comp.k).value
-        geo = geo1.substitute([xi])
-        dyn = _rho_shift_scalar(rank1_coefficient(comp.m, comp.k, xi))
+        geo = hyperbolic_transition(comp.m, comp.m - 2 * comp.k).substitute([xi])
+        dyn = rank1_coefficient(comp.m, comp.k, xi).substitute(shift)
         cases.append(
             LeviCase(
                 m=comp.m, k=comp.k, geometric=geo, dynamical_shifted=dyn, equal=geo == dyn
             )
         )
-    # cross-check: the assembled dynamical block is stringwise diagonal, with
-    # the per-string coefficients on the diagonal in the string-adapted basis
-    block = simple_reflection_block(V, i, mu, xi)
-    block_consistent = _block_matches_strings(V, i, mu, block, dec)
+    # for one letter the crossing coroot is coroot_i, so the block's variable is xi
+    block = word_operator_block(V, (i,), mu)
+    cob = dec.change_of_basis
+    block_consistent = all(
+        _apply(block, [row[col] for row in cob]) == [c.scale(x) for x in image]
+        for col, (c, image) in enumerate(string_images(V, dec, xi))
+    )
     ok = block_consistent and all(c.equal for c in cases)
     return LeviReport(
         algebra=str(t),
@@ -211,35 +204,19 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
         index=i,
         mu=mu,
         cases=cases,
+        block=block,
         block_consistent=block_consistent,
         ok=ok,
     )
 
 
-def _block_matches_strings(V, i, mu, block, dec) -> bool:
-    from .dynweyl import _rmat_mul
-    from .rep import divided_f_power, weight_add
-    from .rootdata import simple_root
-
-    nx = V.type.rank
-    alpha = simple_root(V.type, i)
-    coeffs = []
-    out_cols = []
-    for comp in dec.components:
-        c = rank1_coefficient(comp.m, comp.k, DegreeOneForm.make(
-            [1 if j == i - 1 else 0 for j in range(nx)], 0))
-        w = mu
-        for _ in range(comp.k):
-            w = weight_add(w, alpha)
-        for u in comp.primitives:
-            coeffs.append(c)
-            out_cols.append(divided_f_power(V, i, w, comp.m - comp.k, u))
-    # block * (in-basis columns) must equal coefficient-scaled out-columns
-    cob = dec.change_of_basis
-    in_cols = [[RatFun.const(cob[r][c], nx) for c in range(len(coeffs))] for r in range(len(cob))]
-    lhs = _rmat_mul(block.matrix, in_cols, nx)
-    for col in range(len(coeffs)):
-        for r in range(len(lhs)):
-            if lhs[r][col] != coeffs[col].scale(out_cols[col][r]):
-                return False
-    return True
+def _apply(block: OperatorBlock, vector) -> list[RatFun]:
+    """block.matrix times a vector of Fractions."""
+    out = []
+    for row in block.matrix:
+        acc = RatFun.zero(block.nx)
+        for e, x in zip(row, vector):
+            if x:
+                acc = acc + e.scale(x)
+        out.append(acc)
+    return out

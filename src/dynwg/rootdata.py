@@ -283,10 +283,6 @@ def two_rho_check(t: LieType) -> CorootVector:
     return CorootVector(tuple(total))
 
 
-def is_dominant(mu: Weight) -> bool:
-    return mu.is_dominant()
-
-
 @lru_cache(maxsize=None)
 def longest_element(t: LieType) -> WeylWord:
     """Canonical (lexicographically smallest) reduced word of w0."""

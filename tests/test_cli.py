@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from dynwg import cli, geomsatake, rep
-from dynwg.ratfun import parse_ratfun
+from dynwg import cli, dynweyl, geomsatake, rep
+from dynwg.ratfun import RatFun, parse_ratfun
 
 
 def run(capsys, *args):
@@ -199,3 +199,35 @@ def test_case_without_held_irrep_builds_under_the_suite_cap(builds):
     # finds no held irrep (a spawned pool worker) builds under the suite's cap
     case = cli._cocycle_case(("A1", [501], [501], [[1]], 502, None, 0))
     assert case["ok"] and builds == [("A1", (501,), None)]
+
+
+def test_verify_levi_fails_on_a_corrupted_block(capsys, cache_args, monkeypatch):
+    original = geomsatake.word_operator_block
+
+    def corrupted(V, word, mu):
+        block = original(V, word, mu)
+        block.matrix[0][0] = block.matrix[0][0] + RatFun.one(block.nx)
+        return block
+
+    monkeypatch.setattr(geomsatake, "word_operator_block", corrupted)
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "1,1", *cache_args)
+    assert code == 1 and "FAIL" in out
+    assert "stringwise geometric/dynamical mismatch" in out
+
+
+def test_levi_builds_one_block_per_case(capsys, monkeypatch):
+    calls = {"simple_reflection_block": 0, "word_operator_block": 0}
+    for name in calls:
+        original = getattr(dynweyl, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (cli, dynweyl, geomsatake):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
+                       "--no-cache", "--jobs", "1")
+    assert code == 0 and "6/6 cases pass" in out
+    assert calls == {"simple_reflection_block": 6, "word_operator_block": 6}

@@ -1,5 +1,6 @@
 import pytest
 
+from dynwg import geomsatake
 from dynwg.geomsatake import (
     GeomSatakeError,
     TorusWeightMultiset,
@@ -10,7 +11,7 @@ from dynwg.geomsatake import (
     rank1_sweep,
     verify_main_theorem_rank1,
 )
-from dynwg.ratfun import DegreeOneForm, parse_ratfun
+from dynwg.ratfun import DegreeOneForm, RatFun, parse_ratfun
 from dynwg.rep import build_irrep
 from dynwg.rootdata import LieType, Weight
 
@@ -52,9 +53,9 @@ def test_costalk_weights_errors():
 
 
 def test_hyperbolic_transition_known():
-    assert hyperbolic_transition(2, 0).value == rf1("(x1-h)/(-x1-h)")
-    assert hyperbolic_transition(4, 2).value == rf1("(x1-h)/(-x1-3*h)")
-    assert hyperbolic_transition(5, 5).value == rf1("1")
+    assert hyperbolic_transition(2, 0) == rf1("(x1-h)/(-x1-h)")
+    assert hyperbolic_transition(4, 2) == rf1("(x1-h)/(-x1-3*h)")
+    assert hyperbolic_transition(5, 5) == rf1("1")
 
 
 def test_generic_transition():
@@ -119,3 +120,32 @@ def test_levi_errors_and_json():
         levi_restriction_check(V, 1, Weight((-1, 2)))
     obj = levi_restriction_check(V, 2, Weight((1, 1))).to_json()
     assert obj["ok"] is True and obj["algebra"] == "A2"
+
+
+def test_levi_rejects_non_dominant_mu():
+    # <mu, coroot_2> = 2 >= 0, but mu = alpha_2 is not dominant
+    V = build_irrep(A2, Weight((1, 1)))
+    with pytest.raises(GeomSatakeError, match="not dominant"):
+        levi_restriction_check(V, 2, Weight((-1, 2)))
+
+
+def test_levi_report_carries_the_single_letter_block():
+    V = build_irrep(B2, Weight((1, 1)))
+    r = levi_restriction_check(V, 2, Weight((1, 1)))
+    assert r.block.word == (2,) and r.block.source == Weight((1, 1))
+    assert r.block.equals(geomsatake.word_operator_block(V, (2,), Weight((1, 1))))
+
+
+def test_levi_corrupted_block_is_inconsistent(monkeypatch):
+    original = geomsatake.word_operator_block
+
+    def corrupted(V, word, mu):
+        block = original(V, word, mu)
+        block.matrix[0][0] = block.matrix[0][0] + RatFun.one(block.nx)
+        return block
+
+    monkeypatch.setattr(geomsatake, "word_operator_block", corrupted)
+    V = build_irrep(A2, Weight((1, 1)))
+    r = levi_restriction_check(V, 1, Weight((0, 0)))
+    assert all(c.equal for c in r.cases)
+    assert r.block_consistent is False and r.ok is False
