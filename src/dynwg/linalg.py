@@ -1,7 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fractions.  Everything here is small
-(weight-space dimensions), so plain Gauss-Jordan is fine.
+Matrices are lists of row lists of Fractions or ints (a Cartan matrix, an
+integer weight block).  invert and nullspace return Fractions; mat_mul keeps
+int matrices int.  Everything here is small (weight-space dimensions), so
+plain Gauss-Jordan is fine.
 """
 
 from __future__ import annotations

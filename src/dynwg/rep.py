@@ -8,8 +8,19 @@ an echelon sweep in a fixed monomial order picks the quotient basis.  The form
 is positive definite on the irreducible quotient, so Gram rank equals the
 weight-space dimension.
 
+On raw f-monomials the form takes integer values (Kostant's Z-form), so the
+Gram entries are ints.  The sweep grows the determinant and the integer
+adjugate of the chosen Gram block by bordering (one Schur complement per
+pick, with exact integer division as in Bareiss's elimination).  Candidate
+coordinates and raw e-blocks are kept as ints when integral, as Fractions
+otherwise.  The final rescale to divided powers makes one Fraction per stored
+generator entry.
+
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
-implemented without reference to the constructed matrices.
+implemented without reference to the constructed matrices.  Both run on
+ints: an integer root frame (D, adj, L, dl) per type, with D * A^-1 = adj and
+L * d = dl, gives root coordinates, the positive-cone test and the invariant
+inner product scaled to integers.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .rootdata import (
     Weight,
     cartan_matrix,
     dominant_representative,
-    pairing,
     positive_coroots,
     positive_roots_in_simple_basis,
     rho,
@@ -38,6 +48,7 @@ from .rootdata import (
 )
 
 Word = tuple[int, ...]  # f_{i1} f_{i2} ... f_{ik} v, leftmost applied last
+Coords = tuple[int, ...]  # the coordinates of a Weight
 
 
 class RepError(Exception):
@@ -64,15 +75,18 @@ def weyl_dimension(t: LieType, lam: Weight) -> int:
     """dim V(lam) by the Weyl dimension formula."""
     if not lam.is_dominant():
         raise RepError(f"highest weight {lam} is not dominant")
-    lam_rho = weight_add(lam, rho(t))
-    num = Fraction(1)
-    den = Fraction(1)
+    return _weyl_dimension(t, lam)
+
+
+@lru_cache(maxsize=None)
+def _weyl_dimension(t: LieType, lam: Weight) -> int:
+    num = den = 1
     for g in positive_coroots(t):
-        num *= pairing(lam_rho, g)
-        den *= pairing(rho(t), g)
-    d = num / den
-    assert d.denominator == 1
-    return int(d)
+        num *= sum(int(c) * (m + 1) for c, m in zip(g.coords, lam.coords))
+        den *= sum(int(c) for c in g.coords)
+    d, r = divmod(num, den)
+    assert not r
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -95,25 +109,48 @@ def _symmetrizers(t: LieType) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(t: LieType) -> Matrix:
-    a = [[Fraction(x) for x in row] for row in cartan_matrix(t)]
-    return linalg.invert(a)
+    return linalg.invert(cartan_matrix(t))
 
 
-def _root_coords(t: LieType, mu: Weight) -> Vector:
-    """Simple-root coordinates of a vector given in fundamental coordinates."""
-    return linalg.mat_vec(_cartan_inverse(t), [Fraction(c) for c in mu.coords])
+@lru_cache(maxsize=None)
+def _root_frame(t: LieType) -> tuple[int, tuple[Coords, ...], int, Coords]:
+    """(D, adj, L, dl), all integers, with D * A^-1 = adj and L * d = dl.
 
-
-def _ip(t: LieType, mu: Weight, nu: Weight) -> Fraction:
-    """W-invariant inner product in fundamental coordinates."""
+    adj maps fundamental coordinates to D times simple-root coordinates, and
+    the W-invariant inner product is (mu, nu) = sum_j (adj nu)_j dl_j mu_j / (D L).
+    """
+    inv = _cartan_inverse(t)
+    D = lcm(*(x.denominator for row in inv for x in row))
     d = _symmetrizers(t)
-    c = _root_coords(t, nu)
-    return sum((c[j] * d[j] * mu.coords[j] for j in range(t.rank)), Fraction(0))
+    L = lcm(*(x.denominator for x in d))
+    return (D, tuple(tuple(int(x * D) for x in row) for row in inv),
+            L, tuple(int(x * L) for x in d))
 
 
-def _in_positive_root_cone(t: LieType, mu: Weight) -> bool:
-    c = _root_coords(t, mu)
-    return all(x >= 0 and x.denominator == 1 for x in c)
+def _scaled_root_coords(t: LieType, coords: Coords) -> list[int]:
+    """D times the simple-root coordinates of a vector in fundamental coordinates."""
+    return [sum(a * c for a, c in zip(row, coords)) for row in _root_frame(t)[1]]
+
+
+def _scaled_norm(t: LieType, coords: Coords) -> int:
+    """D * L * (mu, mu)."""
+    dl = _root_frame(t)[3]
+    return sum(c * w * m for c, w, m in zip(_scaled_root_coords(t, coords), dl, coords))
+
+
+@lru_cache(maxsize=None)
+def _freudenthal_roots(t: LieType) -> tuple[tuple[Coords, Coords, Coords], ...]:
+    """Per positive root alpha: alpha in fundamental coordinates, D * c_alpha,
+    and the vector c_alpha * dl, whose dot product with nu is L * (alpha, nu)."""
+    a = cartan_matrix(t)
+    D, _, _, dl = _root_frame(t)
+    r = range(t.rank)
+    return tuple(
+        (tuple(sum(a[i][j] * c[j] for j in r) for i in r),
+         tuple(D * x for x in c),
+         tuple(x * w for x, w in zip(c, dl)))
+        for c in positive_roots_in_simple_basis(t)
+    )
 
 
 def freudenthal_multiplicity(t: LieType, lam: Weight, mu: Weight) -> int:
@@ -125,38 +162,36 @@ def freudenthal_multiplicity(t: LieType, lam: Weight, mu: Weight) -> int:
 
 @lru_cache(maxsize=None)
 def _freudenthal(t: LieType, lam: Weight, mu: Weight) -> int:
+    """m_mu = 2 sum_{alpha > 0, k >= 1} m_{mu + k alpha} (alpha, mu + k alpha)
+    / (|lam + rho|^2 - |mu + rho|^2), on integers: the numerator is scaled by
+    L and the denominator by D L."""
     if mu == lam:
         return 1
-    if not _in_positive_root_cone(t, weight_sub(lam, mu)):
-        return 0
-    d = _symmetrizers(t)
-    a = cartan_matrix(t)
-    total = Fraction(0)
-    for c_alpha in positive_roots_in_simple_basis(t):
-        alpha = Weight(
-            tuple(sum(a[i][j] * c_alpha[j] for j in range(t.rank)) for i in range(t.rank))
-        )
-        k = 1
+    D = _root_frame(t)[0]
+    gap = _scaled_root_coords(t, weight_sub(lam, mu).coords)
+    if any(x < 0 or x % D for x in gap):
+        return 0  # lam - mu is not a sum of positive roots
+    total = 0
+    for alpha, d_alpha, w in _freudenthal_roots(t):
+        nu = mu.coords
+        rest = gap
         while True:
-            nu = weight_add(mu, Weight(tuple(k * x for x in alpha.coords)))
-            if not _in_positive_root_cone(t, weight_sub(lam, nu)):
+            # lam - (mu + k alpha) stays in the root lattice; only its sign can fail
+            nu = tuple(x + y for x, y in zip(nu, alpha))
+            rest = [x - y for x, y in zip(rest, d_alpha)]
+            if any(x < 0 for x in rest):
                 break
-            m = _freudenthal(t, lam, dominant_representative(t, nu))
+            m = _freudenthal(t, lam, dominant_representative(t, Weight(nu)))
             if m:
-                ip = sum(
-                    (Fraction(c_alpha[j]) * d[j] * nu.coords[j] for j in range(t.rank)),
-                    Fraction(0),
-                )
-                total += 2 * m * ip
-            k += 1
-    lam_rho = weight_add(lam, rho(t))
-    mu_rho = weight_add(mu, rho(t))
-    denom = _ip(t, lam_rho, lam_rho) - _ip(t, mu_rho, mu_rho)
-    if not denom:
-        return 0
-    mult = total / denom
-    assert mult.denominator == 1 and mult >= 0
-    return int(mult)
+                total += m * sum(x * y for x, y in zip(w, nu))
+    denom = (_scaled_norm(t, weight_add(lam, rho(t)).coords)
+             - _scaled_norm(t, weight_add(mu, rho(t)).coords))
+    if denom <= 0:
+        # (lam - mu, lam + mu + 2 rho) > 0 for a dominant mu below lam
+        raise RepError(f"Freudenthal denominator {denom} at {mu} in V({lam})")
+    mult, rem = divmod(2 * total * D, denom)
+    assert not rem and mult >= 0
+    return mult
 
 
 def dominant_weights_up_to_dim(t: LieType, dim_cap: int) -> list[Weight]:
@@ -282,28 +317,27 @@ class Irrep:
         return v
 
 
-def _run_normalizer(word: Word) -> Fraction:
-    """1 / product of factorials of the run lengths of the word."""
-    denom = 1
+def _run_factorials(word: Word) -> int:
+    """Product of the factorials of the run lengths of the word."""
+    out = 1
     run = 0
     prev = None
     for letter in word:
         run = run + 1 if letter == prev else 1
         prev = letter
-        denom *= run
-    return Fraction(1, denom)
+        out *= run
+    return out
 
 
 def _level(t: LieType, hw: Weight, nu: Weight) -> int:
-    c = _root_coords(t, weight_sub(hw, nu))
-    lv = sum(c, Fraction(0))
-    assert lv.denominator == 1
-    return int(lv)
+    lv, rem = divmod(sum(_scaled_root_coords(t, weight_sub(hw, nu).coords)), _root_frame(t)[0])
+    assert not rem
+    return lv
 
 
 # A weight-homogeneous operator as its nonzero blocks, nu -> (target, M), where
-# M is an integer matrix V_nu -> V_target.
-SparseMap = dict[Weight, tuple[Weight, list[list[int]]]]
+# nu and target are weight coordinates and M is an integer matrix V_nu -> V_target.
+SparseMap = dict[Coords, tuple[Coords, list[list[int]]]]
 
 
 def _int_generators(V: Irrep, blocks, sign: int) -> dict[int, tuple[int, SparseMap]]:
@@ -311,11 +345,11 @@ def _int_generators(V: Irrep, blocks, sign: int) -> dict[int, tuple[int, SparseM
     D is the lcm of the denominators of g_i's entries."""
     out = {}
     for i in range(1, V.type.rank + 1):
-        shift = Weight(tuple(sign * c for c in simple_root(V.type, i).coords))
-        mats = {nu: b for (j, nu), b in blocks.items() if j == i and any(any(r) for r in b)}
+        shift = [sign * c for c in simple_root(V.type, i).coords]
+        mats = {nu.coords: b for (j, nu), b in blocks.items() if j == i and any(any(r) for r in b)}
         d = lcm(*(x.denominator for blk in mats.values() for row in blk for x in row))
         out[i] = (d, {
-            nu: (weight_add(nu, shift),
+            nu: (tuple(x + y for x, y in zip(nu, shift)),
                  [[x.numerator * (d // x.denominator) for x in row] for row in blk])
             for nu, blk in mats.items()
         })
@@ -370,7 +404,7 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
                 d = E[i][0] * F[i][0]
                 if not all(
                     _is_scalar(comm[nu][1], d * nu[i - 1]) if nu in comm else nu[i - 1] == 0
-                    for nu in V.basis
+                    for nu in (w.coords for w in V.basis)
                 ):
                     failures.append(f"[e_{i}, f_{i}] != h_{i}")
             elif comm:
@@ -390,79 +424,60 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
 # construction
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class _IrrepBuilder:
+    """Builds V(hw) on raw f-monomials.  Gram entries are ints; candidate
+    coordinates and raw e-blocks are ints when integral, Fractions otherwise."""
+
     def __init__(self, t: LieType, hw: Weight):
         self.t = t
         self.hw = hw
-        self.a = cartan_matrix(t)
         self.alphas = [simple_root(t, i) for i in range(1, t.rank + 1)]
-        # per-weight state
-        self.basis: dict[Weight, list[Word]] = {}
-        self.gram_inv: dict[Weight, Matrix] = {}
-        self.cands: dict[Weight, list[Word]] = {}
-        self.cand_index: dict[Weight, dict[Word, int]] = {}
-        self.cand_gram: dict[Weight, Matrix] = {}
-        self.cand_coords: dict[Weight, list[Vector]] = {}
-        self.chosen_idx: dict[Weight, list[int]] = {}
-        self.eblocks: dict[tuple[int, Weight], Matrix] = {}
+        # per-weight state, kept for the weights with a nonzero weight space
+        self.basis: dict[Weight, list[Word]] = {hw: [()]}
+        self.cand_index: dict[Weight, dict[Word, int]] = {hw: {(): 0}}
+        self.cand_gram: dict[Weight, Matrix] = {hw: [[1]]}
+        self.cand_coords: dict[Weight, list[Vector]] = {hw: [[1]]}
+        self.eblocks: dict[tuple[int, Weight], Matrix] = {(i, hw): [] for i in range(1, t.rank + 1)}
 
     def build(self) -> Irrep:
-        t, hw = self.t, self.hw
-        top: Word = ()
-        self.basis[hw] = [top]
-        self.gram_inv[hw] = [[Fraction(1)]]
-        self.cands[hw] = [top]
-        self.cand_index[hw] = {top: 0}
-        self.cand_gram[hw] = [[Fraction(1)]]
-        self.cand_coords[hw] = [[Fraction(1)]]
-        self.chosen_idx[hw] = [0]
-        for i in range(1, t.rank + 1):
-            self.eblocks[(i, hw)] = []
-        prev_weights = [hw]
-        while prev_weights:
-            level_weights = self._process_level(prev_weights)
-            prev_weights = level_weights
+        weights = [self.hw]
+        while weights:
+            weights = self._process_level(weights)
         return self._assemble()
 
-    def _word_weight(self, parent: Weight, letter: int) -> Weight:
-        return weight_sub(parent, self.alphas[letter - 1])
-
     def _process_level(self, prev_weights: list[Weight]) -> list[Weight]:
-        t = self.t
         # gather candidates grouped by weight, remembering (letter, parent, parent basis idx)
         groups: dict[Weight, list[tuple[Word, int, Weight, int]]] = {}
         for tau in prev_weights:
             for bidx, b in enumerate(self.basis[tau]):
-                for j in range(1, t.rank + 1):
-                    nu = self._word_weight(tau, j)
-                    groups.setdefault(nu, []).append(((j,) + b, j, tau, bidx))
+                for j, alpha in enumerate(self.alphas, 1):
+                    groups.setdefault(weight_sub(tau, alpha), []).append(((j,) + b, j, tau, bidx))
         new_weights = []
         for nu in sorted(groups, key=lambda w: w.coords):
             cands = sorted(groups[nu], key=lambda c: c[0])
-            words = [c[0] for c in cands]
-            gram = self._candidate_gram(cands)
-            chosen = self._select(nu, words, gram)
-            if chosen:
+            if self._select(nu, [c[0] for c in cands], self._candidate_gram(cands)):
                 new_weights.append(nu)
-        # candidate coordinates in the chosen basis (needed one level down)
-        for nu in groups:
-            self._candidate_coords(nu)
         # e-blocks of the new basis vectors
         for nu in new_weights:
             self._compute_eblocks(nu)
         return new_weights
 
-    def _shap(self, c1, c2) -> Fraction:
+    def _shap(self, c1, c2) -> int:
         """Contravariant form of two candidates via the previous level's data."""
         w1, i, tau1, b1 = c1
         w2, j, tau2, b2 = c2
-        total = Fraction(0)
+        total = 0
         if i == j and tau1 == tau2:
             # <wt(b'), coroot_i> S(b, b')
             gram_prev = self.cand_gram[tau1]
             idx = self.cand_index[tau1]
             bw1, bw2 = self.basis[tau1][b1], self.basis[tau1][b2]
-            total += Fraction(tau2[i - 1]) * gram_prev[idx[bw1]][idx[bw2]]
+            total += tau2[i - 1] * gram_prev[idx[bw1]][idx[bw2]]
         sigma = weight_add(tau2, self.alphas[i - 1])
         eb = self.eblocks.get((i, tau2))
         if eb and sigma in self.basis:
@@ -474,11 +489,12 @@ class _IrrepBuilder:
                 gamma = eb[k][b2]
                 if gamma:
                     total += gamma * gram_prev[row][prev_cands[(j,) + bk]]
-        return total
+        assert total.denominator == 1  # the form is integral on f-monomials
+        return total.numerator
 
     def _candidate_gram(self, cands) -> Matrix:
         n = len(cands)
-        g = linalg.zeros(n, n)
+        g = [[0] * n for _ in range(n)]
         for p in range(n):
             for q in range(p, n):
                 v = self._shap(cands[p], cands[q])
@@ -487,50 +503,45 @@ class _IrrepBuilder:
         return g
 
     def _select(self, nu: Weight, words: list[Word], gram: Matrix) -> list[int]:
+        """Pick candidates in order while the chosen Gram block G stays
+        nonsingular, keeping det G and the integer adjugate adj G = det G * G^-1.
+        Bordering G by a column v and a diagonal entry g gives, with w = adj G v,
+        det' = det G * (g - v.G^-1 v) = det G * g - v.w, the Schur complement
+        scaled by det G > 0, and adj' = [[(det' adj G + w w^T) / det G, -w],
+        [-w^T, det G]], where the division is exact."""
         chosen: list[int] = []
-        g_inv: Matrix = []
+        adj: list[list[int]] = []
+        det = 1
         for c in range(len(words)):
             v = [gram[k][c] for k in chosen]
-            if chosen:
-                sol = linalg.mat_vec(g_inv, v)
-                schur = gram[c][c] - sum(a * b for a, b in zip(v, sol))
-            else:
-                schur = gram[c][c]
-            if schur:
-                if schur < 0:
+            w = [sum(x * y for x, y in zip(row, v)) for row in adj]
+            schur_det = det * gram[c][c] - sum(x * y for x, y in zip(v, w))
+            if schur_det:
+                if schur_det < 0:
                     raise RepError("contravariant form is not positive definite")
                 chosen.append(c)
-                g_inv = linalg.invert([[gram[a][b] for b in chosen] for a in chosen])
-        self.cands[nu] = words
-        self.cand_index[nu] = {w: k for k, w in enumerate(words)}
-        self.cand_gram[nu] = gram
-        self.chosen_idx[nu] = chosen
+                adj = [[(schur_det * a + x * y) // det for a, y in zip(row, w)] + [-x]
+                       for row, x in zip(adj, w)]
+                adj.append([-y for y in w] + [det])
+                det = schur_det
         if chosen:
             self.basis[nu] = [words[c] for c in chosen]
-            self.gram_inv[nu] = g_inv
+            self.cand_index[nu] = {w: k for k, w in enumerate(words)}
+            self.cand_gram[nu] = gram
+            # candidate coordinates in the chosen basis (needed one level down)
+            self.cand_coords[nu] = [
+                [_exact(Fraction(sum(x * gram[k][c] for x, k in zip(row, chosen)), det))
+                 for row in adj]
+                for c in range(len(words))
+            ]
         return chosen
 
-    def _candidate_coords(self, nu: Weight):
-        words = self.cands[nu]
-        chosen = self.chosen_idx[nu]
-        if not chosen:
-            self.cand_coords[nu] = [[] for _ in words]
-            return
-        g_inv = self.gram_inv[nu]
-        gram = self.cand_gram[nu]
-        coords = []
-        for c in range(len(words)):
-            rhs = [gram[k][c] for k in chosen]
-            coords.append(linalg.mat_vec(g_inv, rhs))
-        self.cand_coords[nu] = coords
-
     def _compute_eblocks(self, nu: Weight):
-        t = self.t
-        for i in range(1, t.rank + 1):
-            sigma = weight_add(nu, self.alphas[i - 1])
+        for i, alpha in enumerate(self.alphas, 1):
+            sigma = weight_add(nu, alpha)
             rows = len(self.basis.get(sigma, ()))
             cols = len(self.basis[nu])
-            blk = linalg.zeros(rows, cols)
+            blk = [[0] * cols for _ in range(rows)]
             if rows:
                 sig_basis_pos = {w: k for k, w in enumerate(self.basis[sigma])}
                 for col, word in enumerate(self.basis[nu]):
@@ -538,8 +549,8 @@ class _IrrepBuilder:
                     tau2 = weight_add(nu, self.alphas[j - 1])  # weight of b'
                     if i == j:
                         # delta term: sigma == tau2, b' is a basis word there
-                        blk[sig_basis_pos[bprime]][col] += Fraction(tau2[i - 1])
-                    upper = weight_add(tau2, self.alphas[i - 1])
+                        blk[sig_basis_pos[bprime]][col] += tau2[i - 1]
+                    upper = weight_add(tau2, alpha)
                     eb = self.eblocks.get((i, tau2))
                     if eb and upper in self.basis:
                         bidx = self.basis[tau2].index(bprime)
@@ -551,56 +562,34 @@ class _IrrepBuilder:
                                 vec = ccoords[cidx[(j,) + bk]]
                                 for r in range(rows):
                                     blk[r][col] += gamma * vec[r]
-            self.eblocks[(i, nu)] = blk
+            self.eblocks[(i, nu)] = [[_exact(x) for x in row] for row in blk]
 
     def _assemble(self) -> Irrep:
         # The echelon pivoting picks raw f-monomials; rescale each basis word
         # by its run-length factorials so that repeated letters act as divided
         # powers (f_i^k v becomes f_i^k/k! v).  This is the normalization in
         # which the rank-1 reflection coefficients appear verbatim as matrix
-        # entries.
-        t = self.t
-        sigma = {nu: [_run_normalizer(w) for w in words] for nu, words in self.basis.items()}
-        f_blocks: dict[tuple[int, Weight], Matrix] = {}
+        # entries.  An entry x of a block V_nu -> V_target becomes
+        # x * ft / fs, where fs and ft are the run-length factorial products of
+        # the source and target words: one Fraction per stored entry.
+        fact = {nu: [_run_factorials(w) for w in words] for nu, words in self.basis.items()}
+
+        def rescale(blk, nu, target):
+            return [[Fraction(x.numerator * ft, x.denominator * fs) for x, fs in zip(row, fact[nu])]
+                    for row, ft in zip(blk, fact[target])]
+
+        e_blocks = {(i, nu): rescale(blk, nu, weight_add(nu, self.alphas[i - 1]))
+                    for (i, nu), blk in self.eblocks.items() if blk}
+        f_blocks = {}
         for nu, words in self.basis.items():
-            for i in range(1, t.rank + 1):
-                target = weight_sub(nu, self.alphas[i - 1])
-                rows = len(self.basis.get(target, ()))
-                blk = linalg.zeros(rows, len(words))
-                if rows:
-                    cidx = self.cand_index[target]
-                    ccoords = self.cand_coords[target]
-                    for col, b in enumerate(words):
-                        vec = ccoords[cidx[(i,) + b]]
-                        for r in range(rows):
-                            blk[r][col] = vec[r]
-                f_blocks[(i, nu)] = blk
-        alphas = self.alphas
-
-        def rescale(blocks, direction):
-            out = {}
-            for (i, nu), blk in blocks.items():
-                if not blk:
-                    continue
-                target = (
-                    weight_add(nu, alphas[i - 1])
-                    if direction > 0
-                    else weight_sub(nu, alphas[i - 1])
-                )
-                s_src, s_tgt = sigma[nu], sigma[target]
-                out[(i, nu)] = [
-                    [blk[r][c] * s_src[c] / s_tgt[r] for c in range(len(s_src))]
-                    for r in range(len(s_tgt))
-                ]
-            return out
-
-        return Irrep(
-            type=t,
-            hw=self.hw,
-            basis=self.basis,
-            e_blocks=rescale(self.eblocks, +1),
-            f_blocks=rescale(f_blocks, -1),
-        )
+            for i, alpha in enumerate(self.alphas, 1):
+                target = weight_sub(nu, alpha)
+                if target in self.basis:
+                    cidx, ccoords = self.cand_index[target], self.cand_coords[target]
+                    cols = [ccoords[cidx[(i,) + b]] for b in words]
+                    f_blocks[(i, nu)] = rescale(linalg.transpose(cols), nu, target)
+        return Irrep(type=self.t, hw=self.hw, basis=self.basis, e_blocks=e_blocks,
+                     f_blocks=f_blocks)
 
 
 def check_dim_cap(hw: Weight, dim: int, dim_cap: int):

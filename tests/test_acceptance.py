@@ -111,20 +111,29 @@ def test_acceptance_5_representation_integrity():
     start = time.monotonic()
     ok = True
     count = 0
+    cpu = {"build": 0.0, "Freudenthal": 0.0, "Serre": 0.0}  # CPU seconds per phase
     for name in ("A1", "A2", "A3", "B2", "G2"):
         t = LieType.parse(name)
         for hw in dominant_weights_up_to_dim(t, 200):
+            c0 = time.process_time()
             V = build_irrep(t, hw)  # cold: no cache directory
+            c1 = time.process_time()
             ok = ok and V.dim == weyl_dimension(t, hw)
             ok = ok and all(
                 V.weight_dim(nu) == freudenthal_multiplicity(t, hw, nu)
                 for nu in V.weights()
             )
+            c2 = time.process_time()
             ok = ok and not check_chevalley_serre(V)
+            c3 = time.process_time()
+            for phase, dt in zip(cpu, (c1 - c0, c2 - c1, c3 - c2)):
+                cpu[phase] += dt
             count += 1
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
-    report(5, f"representation integrity, {count} irreps dim<=200, {elapsed:.2f}s", ok)
+    phases = ", ".join(f"{phase} {dt:.1f}s" for phase, dt in cpu.items())
+    report(5, f"representation integrity, {count} irreps dim<=200, {elapsed:.2f}s "
+              f"(CPU by phase: {phases})", ok)
 
 
 def test_acceptance_6_structural_invariants(warm_cache):

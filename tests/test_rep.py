@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynwg import linalg
+from dynwg import linalg, rep
 from dynwg.rep import (
     DimensionCapError,
     RepError,
@@ -26,7 +27,18 @@ from dynwg.rep import (
     weight_sub,
     weyl_dimension,
 )
-from dynwg.rootdata import LieType, Weight, cartan_matrix, simple_root, weyl_orbit
+from dynwg.rootdata import (
+    LieType,
+    Weight,
+    cartan_matrix,
+    dominant_representative,
+    pairing,
+    positive_coroots,
+    positive_roots_in_simple_basis,
+    rho,
+    simple_root,
+    weyl_orbit,
+)
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -83,6 +95,125 @@ def test_freudenthal_sums_to_dimension():
         assert total == weyl_dimension(t, hw)
 
 
+def test_weyl_dimension_memo_keeps_rejecting_non_dominant():
+    assert weyl_dimension(A2, Weight((2, 1))) == 15
+    for _ in range(2):  # a cached dominant weight of the type lets nothing through
+        with pytest.raises(RepError):
+            weyl_dimension(A2, Weight((2, -1)))
+    assert type(weyl_dimension(A2, Weight((2, 1)))) is int
+
+
+def _fraction_weyl_dimension(t, lam):
+    lam_rho = weight_add(lam, rho(t))
+    num = den = F(1)
+    for g in positive_coroots(t):
+        num *= pairing(lam_rho, g)
+        den *= pairing(rho(t), g)
+    return num / den
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "G2"])
+def test_weyl_dimension_matches_fraction_product(name):
+    t = LieType.parse(name)
+    for coords in ((0,) * t.rank, (2,) + (0,) * (t.rank - 1), (1,) * t.rank,
+                   (0,) * (t.rank - 1) + (3,)):
+        assert weyl_dimension(t, Weight(coords)) == _fraction_weyl_dimension(t, Weight(coords))
+
+
+# Reference for rep's integer Freudenthal recursion: the same recursion on
+# Fractions, with root coordinates from the inverse Cartan matrix.
+
+
+def _oracle_symmetrizers(t):
+    a = cartan_matrix(t)
+    d = [None] * t.rank
+    d[0] = F(1)
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(t.rank):
+            if i != j and a[i][j] and d[j] is None:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                frontier.append(j)
+    return d
+
+
+def _oracle_root_coords(t, mu):
+    inv = linalg.invert([[F(x) for x in row] for row in cartan_matrix(t)])
+    return linalg.mat_vec(inv, [F(c) for c in mu.coords])
+
+
+def _oracle_ip(t, mu, nu):
+    d = _oracle_symmetrizers(t)
+    c = _oracle_root_coords(t, nu)
+    return sum((c[j] * d[j] * mu.coords[j] for j in range(t.rank)), F(0))
+
+
+def _oracle_in_positive_root_cone(t, mu):
+    return all(x >= 0 and x.denominator == 1 for x in _oracle_root_coords(t, mu))
+
+
+def _oracle_freudenthal(t, lam, mu, memo):
+    if mu == lam:
+        return 1
+    if (lam, mu) in memo:
+        return memo[(lam, mu)]
+    if not _oracle_in_positive_root_cone(t, weight_sub(lam, mu)):
+        return 0
+    d = _oracle_symmetrizers(t)
+    a = cartan_matrix(t)
+    total = F(0)
+    for c_alpha in positive_roots_in_simple_basis(t):
+        alpha = Weight(
+            tuple(sum(a[i][j] * c_alpha[j] for j in range(t.rank)) for i in range(t.rank))
+        )
+        k = 1
+        while True:
+            nu = weight_add(mu, Weight(tuple(k * x for x in alpha.coords)))
+            if not _oracle_in_positive_root_cone(t, weight_sub(lam, nu)):
+                break
+            m = _oracle_freudenthal(t, lam, dominant_representative(t, nu), memo)
+            if m:
+                ip = sum((F(c_alpha[j]) * d[j] * nu.coords[j] for j in range(t.rank)), F(0))
+                total += 2 * m * ip
+            k += 1
+    lam_rho = weight_add(lam, rho(t))
+    mu_rho = weight_add(mu, rho(t))
+    mult = total / (_oracle_ip(t, lam_rho, lam_rho) - _oracle_ip(t, mu_rho, mu_rho))
+    assert mult.denominator == 1 and mult >= 0
+    memo[(lam, mu)] = int(mult)
+    return int(mult)
+
+
+# The rep-integrity pool (A2, A3, B2, G2 up to dim 100), and rank 3 and 4 types
+# whose symmetrizers are fractional.
+FREUDENTHAL_POOLS = (("A2", 100), ("A3", 100), ("B2", 100), ("G2", 100),
+                     ("B3", 40), ("C3", 40), ("D4", 40))
+
+
+@pytest.mark.parametrize("name,cap", FREUDENTHAL_POOLS, ids=str)
+def test_freudenthal_matches_fraction_oracle(name, cap):
+    t = LieType.parse(name)
+    for lam in dominant_weights_up_to_dim(t, cap):
+        memo = {}
+        for nu in build_irrep(t, lam).weights():
+            expected = _oracle_freudenthal(t, lam, dominant_representative(t, nu), memo)
+            assert freudenthal_multiplicity(t, lam, nu) == expected, (name, lam, nu)
+
+
+def test_freudenthal_zero_denominator_raises():
+    # lam = 0, mu = -2 = -alpha in A1: |lam + rho|^2 = |mu + rho|^2
+    with pytest.raises(RepError):
+        rep._freudenthal(A1, Weight((0,)), Weight((-2,)))
+
+
+def test_freudenthal_is_zero_off_the_root_lattice():
+    # lam - mu is a nonnegative but not an integral combination of simple roots
+    assert rep._freudenthal(A1, Weight((0,)), Weight((-3,))) == 0
+    assert freudenthal_multiplicity(A2, Weight((1, 1)), Weight((1, 0))) == 0
+    assert freudenthal_multiplicity(B2, Weight((2, 0)), Weight((0, 1))) == 0
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -108,6 +239,37 @@ def test_multiplicities_match_oracle():
         assert V.dim == weyl_dimension(t, hw)
         for nu in V.weights():
             assert V.weight_dim(nu) == freudenthal_multiplicity(t, hw, nu)
+
+
+# sha256 over the canonical irrep_to_json and the Freudenthal multiplicities
+# of GOLDEN_IRREPS, pinned from a build whose arithmetic ran on Fractions
+# throughout: the integer builder and oracle must reproduce it byte for byte.
+GOLDEN_IRREPS = (("A2", (1, 1)), ("A2", (2, 1)), ("A3", (1, 0, 1)), ("A3", (1, 1, 0)),
+                 ("B2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 0)), ("G2", (0, 2)),
+                 ("B3", (1, 0, 0)), ("B3", (0, 0, 1)), ("B3", (0, 1, 0)))
+GOLDEN_SHA256 = "92536c4be08ad4e509c9ef618029f16b182c59f3f37824cb8ec39424a98ec351"
+
+
+def _entries(V):
+    return [x for blocks in (V.e_blocks, V.f_blocks) for blk in blocks.values()
+            for row in blk for x in row]
+
+
+def test_golden_output_and_fraction_entries():
+    digest = hashlib.sha256()
+    for name, hw in GOLDEN_IRREPS:
+        t, lam = LieType.parse(name), Weight(hw)
+        V = build_irrep(t, lam)
+        obj = irrep_to_json(V)
+        digest.update(json.dumps(obj, sort_keys=True).encode())
+        digest.update(json.dumps([freudenthal_multiplicity(t, lam, nu)
+                                  for nu in V.weight_order]).encode())
+        # fresh and cache-loaded irreps hold the same values of the same type
+        W = irrep_from_json(obj)
+        assert W.e_blocks == V.e_blocks and W.f_blocks == V.f_blocks
+        for U in (V, W):
+            assert {type(x) for x in _entries(U)} == {F}
+    assert digest.hexdigest() == GOLDEN_SHA256
 
 
 def test_weight_multiset_weyl_invariant():
