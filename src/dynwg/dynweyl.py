@@ -3,7 +3,9 @@
 Higher-rank operators are assembled from the rank-1 closed form: along a
 reduced word, the t-th simple reflection acts through the sl(2)-string
 decomposition of the current weight space, with the dynamical variable twisted
-to the pairing of x against the t-th crossing coroot.
+to the pairing of x against the t-th crossing coroot.  The blocks are
+multiplied fraction-free, as Polynomial matrices over one common denominator
+D, and each entry is reduced once, at the end (see word_operator_block).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .ratfun import DegreeOneForm, PoleError, RatFun
-from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings, weight_add
+from .ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
+from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
 from .rootdata import (
     Weight,
     WeylWord,
@@ -31,22 +33,7 @@ class DynWeylError(Exception):
 
 
 RatMatrix = list[list[RatFun]]
-
-
-def _rmat_mul(a: RatMatrix, b: RatMatrix, nx: int) -> RatMatrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = [[RatFun.zero(nx) for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for t in range(inner):
-            e = a[r][t]
-            if e.is_zero():
-                continue
-            for c in range(cols):
-                if not b[t][c].is_zero():
-                    out[r][c] = out[r][c] + e * b[t][c]
-    return out
+PolyMatrix = list[list[Polynomial]]
 
 
 def _rmat_identity(n: int, nx: int) -> RatMatrix:
@@ -119,6 +106,24 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
 
 
+def _string_parts(V: Irrep, i: int, nu: Weight) -> list[tuple]:
+    """(m, k, images, M) per string component (m, k) of V_nu: images are the
+    f_i^(m-k) u of its primitives u, and M = sum_u image_u (x) (row u of
+    dec.inverse), so that A_{s_i} = sum c(m,k,xi) M.  None of it depends on
+    xi, so it is kept on V, once per (i, nu)."""
+    parts = V.string_parts.get((i, nu))
+    if parts is None:
+        dec = sl2_strings(V, i, nu)
+        alpha, inverse, parts = simple_root(V.type, i), iter(dec.inverse), []
+        for comp in dec.components:
+            w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
+            images = [divided_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]
+            rows = [next(inverse) for _ in images]
+            parts.append((comp.m, comp.k, images, linalg.mat_mul(linalg.transpose(images), rows)))
+        V.string_parts[(i, nu)] = parts
+    return parts
+
+
 def string_images(
     V: Irrep, dec: StringDecomposition, xi: DegreeOneForm
 ) -> list[tuple[RatFun, linalg.Vector]]:
@@ -126,18 +131,12 @@ def string_images(
 
     The column f_i^(k) u of a string component (m, k) goes to
     c(m,k,xi) f_i^(m-k) u; each pair is (c(m,k,xi), f_i^(m-k) u), the vector
-    in the basis of V_{s_i nu}.
+    in the basis of V_{s_i nu}, read from the string data kept on V.
     """
-    i = dec.index
-    alpha = simple_root(V.type, i)
     out = []
-    for comp in dec.components:
-        c = rank1_coefficient(comp.m, comp.k, xi)
-        w = dec.weight
-        for _ in range(comp.k):
-            w = weight_add(w, alpha)
-        for u in comp.primitives:
-            out.append((c, divided_f_power(V, i, w, comp.m - comp.k, u)))
+    for m, k, images, _ in _string_parts(V, dec.index, dec.weight):
+        c = rank1_coefficient(m, k, xi)
+        out.extend((c, image) for image in images)
     return out
 
 
@@ -150,18 +149,39 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     if nu[i - 1] < 0:
         raise DynWeylError(f"<{nu}, coroot {i}> < 0: outside the dominant regime")
     nx = V.type.rank
-    dec = sl2_strings(V, i, nu)
     target = simple_reflection(V.type, i, nu)
-    dim = V.weight_dim(nu)
-    rows = V.weight_dim(target)
-    matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
-    for (c, image), p_row in zip(string_images(V, dec, xi), dec.inverse):
-        for r in range(rows):
-            for col in range(dim):
-                s = image[r] * p_row[col]
+    matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
+              for _ in range(V.weight_dim(target))]
+    for m, k, _, part in _string_parts(V, i, nu):
+        c = rank1_coefficient(m, k, xi)
+        for row, part_row in zip(matrix, part):
+            for col, s in enumerate(part_row):
                 if s:
-                    matrix[r][col] = matrix[r][col] + c.scale(s)
+                    row[col] = row[col] + c.scale(s)
     return OperatorBlock(V=V, word=(i,), source=nu, target=target, matrix=matrix)
+
+
+def _over_common_denominator(matrix: RatMatrix) -> tuple[PolyMatrix, dict]:
+    """(P, D) with matrix == P / prod(f^D[f]): D is the lcm of the entries'
+    denominators and P a Polynomial matrix."""
+    den: dict[DegreeOneForm, int] = {}
+    for row in matrix:
+        for e in row:
+            for f, m in e.den:
+                den[f] = max(den.get(f, 0), m)
+    num = [[e.num for e in row] for row in matrix]
+    for num_row, row in zip(num, matrix):
+        for c, e in enumerate(row):
+            own = dict(e.den)
+            for f, m in den.items():
+                if m > own.get(f, 0):
+                    num_row[c] *= f.to_polynomial() ** (m - own.get(f, 0))
+    return num, den
+
+
+def _pmat_mul(a: PolyMatrix, b: PolyMatrix, nx: int) -> PolyMatrix:
+    zero = Polynomial.zero(nx)
+    return [[sum((e * g for e, g in zip(a_row, col)), zero) for col in zip(*b)] for a_row in a]
 
 
 def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
@@ -175,6 +195,11 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     longer words the shift is what makes the composition independent of the
     choice of reduced word (the sl(2) adjoint block already distinguishes the
     shifted action from the naive one).
+
+    Longer words multiply each block's Polynomial matrix over its common
+    denominator D_t with no division, and reduce each entry P/D, D = prod D_t,
+    once, by trial division by the forms of D.  D is squarefree in practice:
+    the forms of D_t are xi_t + c*h, and the gamma_t are distinct.
     """
     word = tuple(word)
     t = V.type
@@ -184,16 +209,26 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
         raise DynWeylError(f"{mu} is not a weight of V({V.hw})")
     gammas = crossing_coroots(t, word)  # raises on a non-reduced word
     nx = t.rank
-    cur = mu
-    matrix = _rmat_identity(V.weight_dim(mu), nx)
+    cur, num, den = mu, None, {}
     for step, letter in enumerate(reversed(word)):
         gamma = gammas[step]
         p = Fraction(cur[letter - 1])
         assert p == pairing(mu, gamma) and p >= 0, "negative intermediate pairing"
         xi = DegreeOneForm.make(gamma.coords, gamma.height() - 1)
         blk = simple_reflection_block(V, letter, cur, xi)
-        matrix = _rmat_mul(blk.matrix, matrix, nx)
         cur = simple_reflection(t, letter, cur)
+        if len(word) == 1:
+            return blk
+        blk_num, blk_den = _over_common_denominator(blk.matrix)
+        num = blk_num if num is None else _pmat_mul(blk_num, num, nx)
+        for f, m in blk_den.items():
+            den[f] = den.get(f, 0) + m
+    if num is None:
+        return OperatorBlock(V=V, word=word, source=mu, target=mu,
+                             matrix=_rmat_identity(V.weight_dim(mu), nx))
+    # RatFun.__mul__ trial-divides the numerator by exactly the forms of D
+    over_d = RatFun.from_factors(1, [], [f for f, m in den.items() for _ in range(m)], nx)
+    matrix = [[RatFun(p, ()) * over_d for p in row] for row in num]
     return OperatorBlock(V=V, word=word, source=mu, target=cur, matrix=matrix)
 
 

@@ -201,16 +201,16 @@ def pairing(mu: Weight, gamma: CorootVector) -> Fraction:
     return sum((c * m for c, m in zip(gamma.coords, mu.coords)), Fraction(0))
 
 
-def crossing_coroots(t: LieType, word: WeylWord) -> list[CorootVector]:
+def crossing_coroots(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
     """gamma_t = s_{i_1}...s_{i_{t-1}}(alphacheck_{i_t}) for the stored word
     (i_l, ..., i_1); all positive and distinct iff the word is reduced."""
-    gammas = _crossing_coroots_raw(t, word)
-    if len(set(gammas)) != len(gammas) or not all(g.is_positive() for g in gammas):
+    if not is_reduced(t, word):
         raise RootDataError(f"word {list(word)} is not reduced")
-    return gammas
+    return _crossing_coroots_raw(t, tuple(word))
 
 
-def _crossing_coroots_raw(t: LieType, word: WeylWord) -> list[CorootVector]:
+@lru_cache(maxsize=None)
+def _crossing_coroots_raw(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
     applied = tuple(reversed(word))  # i_1 first
     gammas = []
     for idx, letter in enumerate(applied):
@@ -218,13 +218,13 @@ def _crossing_coroots_raw(t: LieType, word: WeylWord) -> list[CorootVector]:
         for j in reversed(applied[:idx]):
             g = reflect_coroot(t, j, g)
         gammas.append(g)
-    return gammas
+    return tuple(gammas)
 
 
 def is_reduced(t: LieType, word: WeylWord) -> bool:
     for i in word:
         _check_index(t, i)
-    gammas = _crossing_coroots_raw(t, word)
+    gammas = _crossing_coroots_raw(t, tuple(word))
     return len(set(gammas)) == len(gammas) and all(g.is_positive() for g in gammas)
 
 

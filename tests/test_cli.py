@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from dynwg import cli, dynweyl, geomsatake, rep
-from dynwg.ratfun import RatFun, parse_ratfun
+from dynwg.ratfun import DegreeOneForm, RatFun, parse_ratfun
 
 
 def run(capsys, *args):
@@ -231,3 +232,64 @@ def test_levi_builds_one_block_per_case(capsys, monkeypatch):
                        "--no-cache", "--jobs", "1")
     assert code == 0 and "6/6 cases pass" in out
     assert calls == {"simple_reflection_block": 6, "word_operator_block": 6}
+
+
+def test_cocycle_checks_a_disagreeing_block(monkeypatch):
+    original = dynweyl.word_operator_block
+    bad = RatFun.from_factors(1, [], [DegreeOneForm.make([1, 0], 5)], 2)  # 1/(x1+5h)
+
+    def corrupted(V, word, mu):
+        block = original(V, word, mu)
+        if word == (2, 1, 2):
+            block.matrix[0][0] = block.matrix[0][0] + bad
+        return block
+
+    monkeypatch.setattr(dynweyl, "word_operator_block", corrupted)
+    case = cli._cocycle_case(("A2", [1, 1], [0, 0], [[1, 2, 1], [2, 1, 2]], 500, None, 0))
+    assert not case["ok"]
+    assert "word [2, 1, 2] disagrees with word [1, 2, 1]" in case["problems"]
+    assert "denominator factor outside <x,coroot> - m*h" in case["problems"]
+
+
+def test_cocycle_checks_each_distinct_block_once(capsys, monkeypatch):
+    calls = {"classical_limit": [], "denominators_are_local": []}
+    for name, seen in calls.items():
+        original = getattr(dynweyl, name)
+
+        def counted(block, *args, _seen=seen, _original=original):
+            _seen.append(block.source)
+            return _original(block, *args)
+
+        monkeypatch.setattr(dynweyl, name, counted)
+    code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "A2", "--hw", "1,1",
+                       "--no-cache", "--jobs", "1")
+    assert code == 0 and "2/2 cases pass" in out
+    # two cases, (1,1) and (0,0), with two agreeing words each
+    for seen in calls.values():
+        assert sorted(mu.coords for mu in seen) == [(0, 0), (1, 1)]
+
+
+# sha256 over the text and JSON output of these commands, computed with the
+# reduce-every-step composition (the oracle of tests/test_dynweyl.py) in
+# src/, so that it pins the output of any composition to that one
+GOLDEN_COMMANDS = [
+    ["verify", "cocycle", "--algebra", "G2", "--hw", "1,1"],
+    ["verify", "cocycle", "--algebra", "B2", "--hw", "2,2"],
+    ["verify", "cocycle", "--algebra", "A3", "--hw", "1,0,1"],
+    ["op", "--algebra", "B2", "--hw", "2,2", "--mu", "0,0", "--word", "1,2,1,2"],
+    ["op", "--algebra", "G2", "--hw", "1,1", "--mu", "0,0", "--word", "1,2,1,2,1,2"],
+    ["op", "--algebra", "A3", "--hw", "1,0,1", "--mu", "0,0,0", "--word", "1,2,1,3,2,1"],
+    ["verify", "levi", "--algebra", "A2", "--hw", "2,1"],
+]
+GOLDEN_SHA256 = "42e5f29cfb51ac442ee038d927a725b9064683371f61acef14355a1efd18f705"
+
+
+def test_golden_cli_output(capsys):
+    digest = hashlib.sha256()
+    for command in GOLDEN_COMMANDS:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *command, "--format", fmt, "--seed", "7",
+                                 "--no-cache", "--jobs", "1")
+            assert code == 0 and not err
+            digest.update(f"{command} {fmt}\n{out}".encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -15,8 +15,17 @@ from dynwg.dynweyl import (
     word_operator_block,
 )
 from dynwg.ratfun import DegreeOneForm, RatFun, parse_ratfun
-from dynwg.rep import build_irrep, sl2_strings
-from dynwg.rootdata import LieType, Weight, act, all_reduced_words, longest_element
+from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add
+from dynwg.rootdata import (
+    LieType,
+    Weight,
+    act,
+    all_reduced_words,
+    crossing_coroots,
+    longest_element,
+    simple_reflection,
+    simple_root,
+)
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -184,6 +193,89 @@ def test_dynamical_operator_canonicalizes():
     assert a.equals(b)
     e = dynamical_operator(V, (1, 1), Weight((1, 1)))  # the identity element
     assert e.matrix == [[RatFun.one(2)]]
+
+
+# ---------------------------------------------------------------------------
+# differential oracle for the composition: every entry reduced after every
+# product, from blocks assembled one primitive at a time
+
+
+def _rmat_mul(a, b, nx):
+    rows = len(a)
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    out = [[RatFun.zero(nx) for _ in range(cols)] for _ in range(rows)]
+    for r in range(rows):
+        for t in range(inner):
+            e = a[r][t]
+            if e.is_zero():
+                continue
+            for c in range(cols):
+                if not b[t][c].is_zero():
+                    out[r][c] = out[r][c] + e * b[t][c]
+    return out
+
+
+def _oracle_simple_block(V, i, nu, xi):
+    """sum over primitives u of c(m,k,xi) f_i^(m-k) u (x) (row u of the
+    inverse), with no string data kept between calls."""
+    nx = V.type.rank
+    dec = sl2_strings(V, i, nu)
+    rows, dim = V.weight_dim(simple_reflection(V.type, i, nu)), V.weight_dim(nu)
+    matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
+    p_rows = iter(dec.inverse)
+    for comp in dec.components:
+        c = rank1_coefficient(comp.m, comp.k, xi)
+        w = nu
+        for _ in range(comp.k):
+            w = weight_add(w, simple_root(V.type, i))
+        for u in comp.primitives:
+            image, p_row = divided_f_power(V, i, w, comp.m - comp.k, u), next(p_rows)
+            for r in range(rows):
+                for col in range(dim):
+                    s = image[r] * p_row[col]
+                    if s:
+                        matrix[r][col] = matrix[r][col] + c.scale(s)
+    return matrix
+
+
+def _oracle_word_block(V, word, mu):
+    nx = V.type.rank
+    matrix = [[RatFun.one(nx) if r == c else RatFun.zero(nx) for c in range(V.weight_dim(mu))]
+              for r in range(V.weight_dim(mu))]
+    cur = mu
+    for gamma, letter in zip(crossing_coroots(V.type, word), reversed(word)):
+        xi = DegreeOneForm.make(gamma.coords, gamma.height() - 1)
+        matrix = _rmat_mul(_oracle_simple_block(V, letter, cur, xi), matrix, nx)
+        cur = simple_reflection(V.type, letter, cur)
+    return cur, matrix
+
+
+ORACLE_IRREPS = [
+    ("A2", (1, 1)), ("A2", (2, 1)), ("A2", (1, 2)), ("A3", (1, 0, 1)), ("A3", (0, 1, 1)),
+    ("B2", (2, 2)), ("B2", (1, 1)), ("G2", (1, 1)), ("G2", (2, 0)), ("B3", (1, 0, 1)),
+    ("C3", (0, 1, 0)), ("D4", (0, 1, 0, 0)),
+]
+
+
+def test_word_block_matches_reduce_every_step_oracle():
+    # several irreps of one type share weights (i, nu): a string memo that
+    # outlived or crossed its irrep would give another irrep's block
+    compared = 0
+    for algebra, hw in ORACLE_IRREPS:
+        t = LieType.parse(algebra)
+        V = build_irrep(t, Weight(hw))
+        words = all_reduced_words(t, longest_element(t), cap=4)
+        words += [(i,) for i in range(1, t.rank + 1)] + [words[0][-2:]]
+        for mu in [w for w in V.weights() if w.is_dominant()]:
+            for word in words:
+                blk = word_operator_block(V, word, mu)
+                target, matrix = _oracle_word_block(V, word, mu)
+                oracle = OperatorBlock(V=V, word=word, source=mu, target=target, matrix=matrix)
+                assert blk.equals(oracle), (algebra, hw, mu, word)
+                assert blk.to_json() == oracle.to_json(), (algebra, hw, mu, word)
+                compared += 1
+    assert compared == 232
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_crossing_coroots_by_hand():
     # stored (1,2): s2 acts first, so gamma_1 = coroot_2,
     # gamma_2 = s2(coroot_1) = coroot_1 + coroot_2
     gammas = crossing_coroots(A2, (1, 2))
-    assert gammas == [CorootVector.make((0, 1)), CorootVector.make((1, 1))]
+    assert gammas == (CorootVector.make((0, 1)), CorootVector.make((1, 1)))
 
 
 def test_reducedness():
@@ -80,6 +80,17 @@ def test_reducedness():
     assert not is_reduced(A2, (1, 2, 1, 2))  # braid-equivalent to s2, length 4 > 1
     with pytest.raises(RootDataError):
         crossing_coroots(A2, (2, 2))
+
+
+def test_crossing_coroots_memo_keeps_rejecting_non_reduced():
+    assert not is_reduced(A2, (2, 2))  # fills the memo for (A2, (2, 2))
+    for _ in range(2):
+        with pytest.raises(RootDataError):
+            crossing_coroots(A2, (2, 2))
+    gammas = crossing_coroots(A2, [1, 2])
+    assert isinstance(gammas, tuple) and gammas is crossing_coroots(A2, (1, 2))
+    with pytest.raises(RootDataError):
+        crossing_coroots(A2, (1, 3))  # no simple root 3
 
 
 def test_longest_element_lengths():
