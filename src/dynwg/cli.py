@@ -156,12 +156,7 @@ def _run_cases(worker, case_args, jobs: int) -> list[dict]:
 
 
 def verify_satake_rank1(cfg: RunConfig) -> list[dict]:
-    pairs = [
-        (lam, mu)
-        for lam in range(cfg.lambda_max + 1)
-        for mu in range(lam % 2, lam + 1, 2)
-    ]
-    return _run_cases(_rank1_case, pairs, cfg.jobs)
+    return _run_cases(_rank1_case, geomsatake.rank1_pairs(cfg.lambda_max), cfg.jobs)
 
 
 def verify_cocycle(cfg: RunConfig) -> list[dict]:

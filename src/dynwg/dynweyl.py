@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
@@ -94,10 +95,14 @@ class OperatorBlock:
         return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
 def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     """The closed-form sl(2) coefficient on the string component (m, k):
 
         (-1)^k * prod_{j=1..k} (xi + (j+1)h) / (xi + (j-m+k)h)
+
+    Computed once per (m, k, xi) per process; RatFun is immutable, so the
+    callers share the result.
     """
     if k < 0 or m - 2 * k < 0:
         raise DynWeylError(f"string component (m={m}, k={k}) outside the dominant regime")
@@ -106,13 +111,14 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
 
 
-def _string_parts(V: Irrep, i: int, nu: Weight) -> list[tuple]:
-    """(m, k, images, M) per string component (m, k) of V_nu: images are the
+def string_data(V: Irrep, i: int, nu: Weight) -> tuple[StringDecomposition, list[tuple]]:
+    """(dec, parts) for (i, nu): dec = sl2_strings(V, i, nu), and per string
+    component (m, k) of V_nu the tuple (m, k, images, M): images are the
     f_i^(m-k) u of its primitives u, and M = sum_u image_u (x) (row u of
     dec.inverse), so that A_{s_i} = sum c(m,k,xi) M.  None of it depends on
     xi, so it is kept on V, once per (i, nu)."""
-    parts = V.string_parts.get((i, nu))
-    if parts is None:
+    entry = V.string_parts.get((i, nu))
+    if entry is None:
         dec = sl2_strings(V, i, nu)
         alpha, inverse, parts = simple_root(V.type, i), iter(dec.inverse), []
         for comp in dec.components:
@@ -120,8 +126,8 @@ def _string_parts(V: Irrep, i: int, nu: Weight) -> list[tuple]:
             images = [divided_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]
             rows = [next(inverse) for _ in images]
             parts.append((comp.m, comp.k, images, linalg.mat_mul(linalg.transpose(images), rows)))
-        V.string_parts[(i, nu)] = parts
-    return parts
+        entry = V.string_parts[(i, nu)] = (dec, parts)
+    return entry
 
 
 def string_images(
@@ -134,7 +140,7 @@ def string_images(
     in the basis of V_{s_i nu}, read from the string data kept on V.
     """
     out = []
-    for m, k, images, _ in _string_parts(V, dec.index, dec.weight):
+    for m, k, images, _ in string_data(V, dec.index, dec.weight)[1]:
         c = rank1_coefficient(m, k, xi)
         out.extend((c, image) for image in images)
     return out
@@ -152,7 +158,7 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     target = simple_reflection(V.type, i, nu)
     matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
               for _ in range(V.weight_dim(target))]
-    for m, k, _, part in _string_parts(V, i, nu):
+    for m, k, _, part in string_data(V, i, nu)[1]:
         c = rank1_coefficient(m, k, xi)
         for row, part_row in zip(matrix, part):
             for col, s in enumerate(part_row):

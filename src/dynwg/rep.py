@@ -236,7 +236,8 @@ class Irrep:
     e_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu+alpha_i}
     f_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu-alpha_i}
     weight_order: list[Weight] = field(default_factory=list)
-    # (i, nu) -> dynweyl's xi-free string data, kept as long as this irrep
+    # (i, nu) -> dynweyl.string_data: the sl(2)-string decomposition and its
+    # xi-free parts, kept as long as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -234,6 +234,61 @@ def test_levi_builds_one_block_per_case(capsys, monkeypatch):
     assert calls == {"simple_reflection_block": 6, "word_operator_block": 6}
 
 
+def test_levi_decomposes_each_weight_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_irrep_memo", None)  # no string data held from earlier runs
+    original = rep.sl2_strings
+    calls = []
+
+    def counted(V, i, nu):
+        calls.append((i, nu))
+        return original(V, i, nu)
+
+    for module in (cli, dynweyl, geomsatake, rep):
+        if getattr(module, "sl2_strings", None) is original:
+            monkeypatch.setattr(module, "sl2_strings", counted)
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
+                       "--no-cache", "--jobs", "1")
+    assert code == 0 and "6/6 cases pass" in out
+    assert len(calls) == len(set(calls)) == 6  # one per (i, mu)
+
+
+@pytest.fixture()
+def fresh_rank1_memos():
+    """Empty rank-1 memos before and after a test, so that no entry made
+    under a mutation, or before it, is seen by another test."""
+    memos = (dynweyl.rank1_coefficient, geomsatake._string_comparison)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def _sign_flipped(original):
+    # the closed form with (-1)^(k+1) in place of (-1)^k
+    return lambda m, k, xi: original(m, k, xi).scale(-1)
+
+
+def _chambers_swapped(original):
+    # the s-to-e transition in place of the e-to-s one
+    return lambda lam, mu: geomsatake.generic_transition(
+        geomsatake.costalk_weights(lam, mu, "s"), geomsatake.costalk_weights(lam, mu, "e"))
+
+
+@pytest.mark.parametrize("name, mutate", [("rank1_coefficient", _sign_flipped),
+                                          ("hyperbolic_transition", _chambers_swapped)])
+def test_rank1_mutations_fail_levi_and_satake(capsys, cache_args, monkeypatch,
+                                              fresh_rank1_memos, name, mutate):
+    original = getattr(geomsatake, name)
+    for module in (dynweyl, geomsatake):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutate(original))
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "1,1", *cache_args)
+    assert code == 1 and "stringwise geometric/dynamical mismatch" in out
+    code, out, _ = run(capsys, "verify", "satake-rank1", "--lambda-max", "2", *cache_args)
+    assert code == 1 and "FAIL  lambda=2,mu=0" in out
+
+
 def test_cocycle_checks_a_disagreeing_block(monkeypatch):
     original = dynweyl.word_operator_block
     bad = RatFun.from_factors(1, [], [DegreeOneForm.make([1, 0], 5)], 2)  # 1/(x1+5h)

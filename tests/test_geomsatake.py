@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dynwg import geomsatake
@@ -8,6 +10,7 @@ from dynwg.geomsatake import (
     generic_transition,
     hyperbolic_transition,
     levi_restriction_check,
+    rank1_pairs,
     rank1_sweep,
     verify_main_theorem_rank1,
 )
@@ -86,6 +89,8 @@ def test_rank1_sweep():
     reports = rank1_sweep(8)
     assert len(reports) == 25
     assert all(r.equal for r in reports)
+    assert [(r.lam, r.mu) for r in reports] == rank1_pairs(8)
+    assert rank1_pairs(2) == [(0, 0), (1, 1), (2, 0), (2, 2)]
 
 
 def test_report_json_schema():
@@ -134,6 +139,15 @@ def test_levi_report_carries_the_single_letter_block():
     r = levi_restriction_check(V, 2, Weight((1, 1)))
     assert r.block.word == (2,) and r.block.source == Weight((1, 1))
     assert r.block.equals(geomsatake.word_operator_block(V, (2,), Weight((1, 1))))
+
+
+def test_levi_cases_are_shared_and_frozen():
+    V = build_irrep(A2, Weight((1, 1)))
+    first = levi_restriction_check(V, 1, Weight((0, 0))).cases
+    second = levi_restriction_check(V, 1, Weight((0, 0))).cases
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].equal = False
 
 
 def test_levi_corrupted_block_is_inconsistent(monkeypatch):
