@@ -1,12 +1,11 @@
 """dynwg: exact dynamical Weyl group operators for semisimple Lie algebras,
-with rank-1 geometric transition verification."""
+with rank-1 geometric transition verification.  The public API is __all__,
+listed with a reason for each name in the README's "Library API" section."""
 
 from .dynweyl import (
     OperatorBlock,
     classical_limit,
-    dynamical_operator,
     rank1_coefficient,
-    rho_shift,
     simple_reflection_block,
     word_operator_block,
 )
@@ -17,7 +16,7 @@ from .geomsatake import (
     levi_restriction_check,
     verify_main_theorem_rank1,
 )
-from .ratfun import DegreeOneForm, Polynomial, RatFun, parse_ratfun
+from .ratfun import DegreeOneForm, Polynomial, RatFun
 from .rep import (
     Irrep,
     build_irrep,
@@ -25,7 +24,7 @@ from .rep import (
     sl2_strings,
     weyl_dimension,
 )
-from .rootdata import LieType, Weight, act, canonical_word, crossing_coroots, is_reduced
+from .rootdata import LieType, Weight, act, crossing_coroots, is_reduced
 
 __version__ = "0.1.0"
 
@@ -39,19 +38,15 @@ __all__ = [
     "Weight",
     "act",
     "build_irrep",
-    "canonical_word",
     "classical_limit",
     "costalk_weights",
     "crossing_coroots",
-    "dynamical_operator",
     "freudenthal_multiplicity",
     "generic_transition",
     "hyperbolic_transition",
     "is_reduced",
     "levi_restriction_check",
-    "parse_ratfun",
     "rank1_coefficient",
-    "rho_shift",
     "simple_reflection_block",
     "sl2_strings",
     "verify_main_theorem_rank1",

@@ -20,7 +20,6 @@ from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
 from .rootdata import (
     Weight,
     WeylWord,
-    canonical_word,
     crossing_coroots,
     pairing,
     positive_coroots,
@@ -60,15 +59,6 @@ class OperatorBlock:
             return False
         return all(
             a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
-        )
-
-    def substitute(self, images: list[DegreeOneForm]) -> "OperatorBlock":
-        return OperatorBlock(
-            V=self.V,
-            word=self.word,
-            source=self.source,
-            target=self.target,
-            matrix=[[e.substitute(images) for e in row] for row in self.matrix],
         )
 
     def to_json(self) -> dict:
@@ -238,20 +228,9 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     return OperatorBlock(V=V, word=word, source=mu, target=cur, matrix=matrix)
 
 
-def dynamical_operator(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
-    """A_w on V_mu for the Weyl element given by any word (not necessarily
-    reduced): computed on the canonical reduced word."""
-    return word_operator_block(V, canonical_word(V.type, tuple(word)), mu)
-
-
 def rho_shift_images(nx: int) -> list[DegreeOneForm]:
     """The images of the rho-shift x_i -> -x_i - h, for RatFun.substitute."""
     return [DegreeOneForm.make([-1 if j == i else 0 for j in range(nx)], -1) for i in range(nx)]
-
-
-def rho_shift(b: OperatorBlock) -> OperatorBlock:
-    """Substitute x_i -> -x_i - h in every entry."""
-    return b.substitute(rho_shift_images(b.nx))
 
 
 def classical_limit(b: OperatorBlock, rng) -> linalg.Matrix:

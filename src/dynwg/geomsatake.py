@@ -94,15 +94,6 @@ class MainTheoremReport:
     dynamical_shifted: RatFun
     equal: bool
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "mu": self.mu,
-            "geometric": self.geometric.to_json(),
-            "dynamical_shifted": self.dynamical_shifted.to_json(),
-            "equal": self.equal,
-        }
-
 
 def verify_main_theorem_rank1(lam: int, mu: int) -> MainTheoremReport:
     """Compare the geometric transition with the shifted dynamical coefficient.
@@ -121,11 +112,6 @@ def verify_main_theorem_rank1(lam: int, mu: int) -> MainTheoremReport:
 def rank1_pairs(lambda_max: int) -> list[tuple[int, int]]:
     """All valid (lambda, mu) pairs up to lambda_max, by lambda, then mu."""
     return [(lam, mu) for lam in range(lambda_max + 1) for mu in range(lam % 2, lam + 1, 2)]
-
-
-def rank1_sweep(lambda_max: int) -> list[MainTheoremReport]:
-    """The rank-1 comparison on every pair of rank1_pairs(lambda_max)."""
-    return [verify_main_theorem_rank1(lam, mu) for lam, mu in rank1_pairs(lambda_max)]
 
 
 @dataclass(frozen=True)
@@ -158,26 +144,6 @@ class LeviReport:
     block: OperatorBlock  # A_{s_i} on V_mu, as word_operator_block(V, (i,), mu)
     block_consistent: bool
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "hw": list(self.hw.coords),
-            "i": self.index,
-            "mu": list(self.mu.coords),
-            "cases": [
-                {
-                    "m": c.m,
-                    "k": c.k,
-                    "geometric": c.geometric.to_json(),
-                    "dynamical_shifted": c.dynamical_shifted.to_json(),
-                    "equal": c.equal,
-                }
-                for c in self.cases
-            ],
-            "block_consistent": self.block_consistent,
-            "ok": self.ok,
-        }
 
 
 def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:

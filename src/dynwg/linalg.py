@@ -50,14 +50,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def invert(a: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan; raises ValueError on singular input."""
     n = len(a)
@@ -74,11 +66,6 @@ def invert(a: Matrix) -> Matrix:
                 c = aug[r][col]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def solve(a: Matrix, rhs: Vector) -> Vector:
-    """Solve a x = rhs for square invertible a."""
-    return mat_vec(invert(a), rhs)
 
 
 def nullspace(a: Matrix, cols: int) -> list[Vector]:

@@ -17,7 +17,6 @@ simple coroots), h is the loop-rotation equivariant parameter.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -37,12 +36,6 @@ class PoleCollapseError(RatFunError):
 
 class NotInvertibleError(RatFunError):
     """Numerator is not a constant times a product of degree-one forms."""
-
-
-class ParseError(RatFunError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 def _frac(x) -> Fraction:
@@ -144,18 +137,11 @@ class DegreeOneForm:
     def shift_h(self, c) -> "DegreeOneForm":
         return DegreeOneForm(self.xcoeffs, self.hcoeff + _frac(c))
 
-    def scale(self, c) -> "DegreeOneForm":
-        c = _frac(c)
-        return DegreeOneForm(tuple(c * a for a in self.xcoeffs), c * self.hcoeff)
-
     @_cached
     def _scaled(self) -> tuple[int, tuple[int, ...]]:
         """(d, ints) with coeffs[i] == ints[i] / d, d the lcm of their denominators."""
         d = lcm(*(c.denominator for c in self.coeffs))
         return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
-
-    def evaluate(self, point) -> Fraction:
-        return self.to_polynomial().evaluate(point)
 
     def substitute(self, images: "list[DegreeOneForm]") -> "DegreeOneForm":
         """Apply x_i -> images[i]; h maps to itself."""
@@ -211,9 +197,6 @@ class DegreeOneForm:
         others = tuple((_unit_key(nx, i), c) for i, c in entries[1:])
         return s, _unit_key(nx, pivot), _W * (nx - pivot), cp, others
 
-    def sort_key(self):
-        return tuple(self.coeffs)
-
     def to_polynomial(self) -> "Polynomial":
         return self._polynomial
 
@@ -229,10 +212,6 @@ class DegreeOneForm:
 
     def to_json(self):
         return {"x": [str(c) for c in self.xcoeffs], "h": str(self.hcoeff)}
-
-    @staticmethod
-    def from_json(obj) -> "DegreeOneForm":
-        return DegreeOneForm.make([Fraction(c) for c in obj["x"]], Fraction(obj["h"]))
 
     def __str__(self) -> str:
         return _format_poly(self.to_polynomial())
@@ -430,12 +409,6 @@ class Polynomial:
 
     # -- evaluation / substitution
 
-    def evaluate(self, point) -> Fraction:
-        if len(point) != self.nx + 1:
-            raise ValueError("point has wrong length")
-        num, den = self._value([_frac(p) for p in point])
-        return Fraction(num, den)
-
     def _value(self, pt: list[Fraction]) -> tuple[int, int]:
         """(num, den) ints with value num/den, den > 0, at a point of Fractions."""
         if not self.coeffs:
@@ -561,17 +534,6 @@ class Polynomial:
             {"coeff": str(c), "powers": {names[i]: k for i, k in enumerate(e) if k}}
             for e, c in items
         ]
-
-    @staticmethod
-    def from_json(obj, nx: int) -> "Polynomial":
-        terms = {}
-        for item in obj:
-            e = [0] * (nx + 1)
-            for name, k in item["powers"].items():
-                idx = nx if name == "h" else int(name[1:]) - 1
-                e[idx] = int(k)
-            terms[tuple(e)] = Fraction(item["coeff"])
-        return Polynomial(nx, terms)
 
     def __str__(self) -> str:
         return _format_poly(self)
@@ -713,8 +675,9 @@ def _divide_out(num: Polynomial, form: DegreeOneForm, mult: int) -> tuple[Polyno
 
 
 def _sorted_den(den: dict[DegreeOneForm, int]) -> tuple[tuple[DegreeOneForm, int], ...]:
-    """Forms in sort_key() order; canonical forms have integral coefficients,
-    so their _scaled ints (faster to compare) give the same order."""
+    """Forms in increasing lexicographic order of their coefficient tuples
+    (x1..xr, then h).  Canonical forms have integral coefficients, so their
+    _scaled ints, which are faster to compare, give that order."""
     if len(den) <= 1:
         return tuple(den.items())
     return tuple(sorted(den.items(), key=lambda fm: fm[0]._scaled[1]))
@@ -794,10 +757,6 @@ class RatFun:
     @staticmethod
     def hvar(nx: int) -> "RatFun":
         return RatFun(Polynomial.hvar(nx), ())
-
-    @staticmethod
-    def from_form(f: DegreeOneForm) -> "RatFun":
-        return RatFun(f.to_polynomial(), ())
 
     # -- basics
 
@@ -951,13 +910,6 @@ class RatFun:
             "den": [{"form": f.to_json(), "mult": m} for f, m in self.den],
         }
 
-    @staticmethod
-    def from_json(obj, nx: int) -> "RatFun":
-        pairs = [(DegreeOneForm.from_json(d["form"]), int(d["mult"])) for d in obj["den"]]
-        if any(f.nx != nx or f.is_zero() or m < 1 for f, m in pairs):
-            raise ValueError("denominator needs nonzero forms in nx variables, multiplicities >= 1")
-        return RatFun._over_forms(Polynomial.from_json(obj["num"], nx), pairs)
-
     def format(self) -> str:
         return format_ratfun(self)
 
@@ -985,16 +937,21 @@ def _is_automorphism(images: list[DegreeOneForm]) -> bool:
     return True
 
 
-def eq_by_evaluation(a: RatFun, b: RatFun, rng, trials: int = 3, bound: int = 10**6) -> bool:
+EVAL_TRIALS = 3  # sample points per comparison
+EVAL_BOUND = 10**6  # bound on the numerators of their coordinates
+
+
+def eq_by_evaluation(a: RatFun, b: RatFun, rng) -> bool:
     """Probabilistic equality: compare values at random non-pole rational points."""
     a._check(b)
     done = 0
     attempts = 0
-    while done < trials:
+    while done < EVAL_TRIALS:
         attempts += 1
-        if attempts > 100 * trials:
+        if attempts > 100 * EVAL_TRIALS:
             raise RatFunError("could not find enough non-pole sample points")
-        point = [Fraction(rng.randint(-bound, bound), rng.randint(1, 997)) for _ in range(a.nx + 1)]
+        point = [Fraction(rng.randint(-EVAL_BOUND, EVAL_BOUND), rng.randint(1, 997))
+                 for _ in range(a.nx + 1)]
         try:
             va, vb = a.evaluate(point), b.evaluate(point)
         except PoleError:
@@ -1006,9 +963,7 @@ def eq_by_evaluation(a: RatFun, b: RatFun, rng, trials: int = 3, bound: int = 10
 
 
 # ---------------------------------------------------------------------------
-# text format and parser
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(x\d+)|(h)|([()+\-*/^]))")
+# text format
 
 
 def _format_monomial(e: tuple[int, ...], c: Fraction, nx: int) -> str:
@@ -1038,7 +993,8 @@ def _format_poly(p: Polynomial) -> str:
 
 
 def format_ratfun(a: RatFun) -> str:
-    """Render in the parse grammar; parse(format(a)) == a."""
+    """Render as text: rationals, x1..xr, h, + - * / ^ and parentheses.
+    The test helper tests/ratfun_text.py reads it back to a."""
     num = _format_poly(a.num)
     if not a.den:
         return num
@@ -1047,118 +1003,3 @@ def format_ratfun(a: RatFun) -> str:
         fs = f"({_format_poly(f.to_polynomial())})"
         factors.append(f"{fs}^{m}" if m > 1 else fs)
     return f"({num})/({'*'.join(factors)})"
-
-
-class _Parser:
-    def __init__(self, text: str, nx: int):
-        self.text = text
-        self.nx = nx
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
-        self.idx = 0
-
-    def _tokenize(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
-            if not m:
-                if self.text[pos:].strip():
-                    raise ParseError(f"unexpected character {self.text[pos:].strip()[0]!r}", pos)
-                break
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("var", m.group(2), m.start(2)))
-            elif m.group(3):
-                self.tokens.append(("h", "h", m.start(3)))
-            else:
-                self.tokens.append(("op", m.group(4), m.start(4)))
-            pos = m.end()
-
-    def _peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else ("eof", "", len(self.text))
-
-    def _next(self):
-        tok = self._peek()
-        self.idx += 1
-        return tok
-
-    def parse(self) -> RatFun:
-        if not self.tokens:
-            raise ParseError("empty input", 0)
-        out = self._expr()
-        kind, val, pos = self._peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected token {val!r}", pos)
-        return out
-
-    def _expr(self) -> RatFun:
-        left = self._term()
-        while True:
-            kind, val, _ = self._peek()
-            if kind == "op" and val in "+-":
-                self._next()
-                right = self._term()
-                left = left + right if val == "+" else left - right
-            else:
-                return left
-
-    def _term(self) -> RatFun:
-        left = self._factor()
-        while True:
-            kind, val, pos = self._peek()
-            if kind == "op" and val in "*/":
-                self._next()
-                right = self._factor()
-                if val == "*":
-                    left = left * right
-                else:
-                    try:
-                        left = left / right
-                    except NotInvertibleError as exc:
-                        raise ParseError(str(exc), pos) from exc
-            else:
-                return left
-
-    def _factor(self) -> RatFun:
-        kind, val, pos = self._peek()
-        if kind == "op" and val == "-":
-            self._next()
-            return -self._factor()
-        return self._power()
-
-    def _power(self) -> RatFun:
-        base = self._atom()
-        kind, val, pos = self._peek()
-        if kind == "op" and val == "^":
-            self._next()
-            ekind, eval_, epos = self._next()
-            if ekind != "int":
-                raise ParseError("exponent must be a non-negative integer", epos)
-            base = base ** int(eval_)
-        return base
-
-    def _atom(self) -> RatFun:
-        kind, val, pos = self._next()
-        if kind == "int":
-            return RatFun.const(int(val), self.nx)
-        if kind == "var":
-            i = int(val[1:]) - 1
-            if not 0 <= i < self.nx:
-                raise ParseError(f"variable {val} out of range (nx={self.nx})", pos)
-            return RatFun.var(i, self.nx)
-        if kind == "h":
-            return RatFun.hvar(self.nx)
-        if kind == "op" and val == "(":
-            out = self._expr()
-            kind2, val2, pos2 = self._next()
-            if not (kind2 == "op" and val2 == ")"):
-                raise ParseError("expected ')'", pos2)
-            return out
-        raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def parse_ratfun(text: str, nx: int) -> RatFun:
-    """Parse the text grammar: rationals, x1..xr, h, + - * / ^, parentheses."""
-    return _Parser(text, nx).parse()

@@ -256,15 +256,6 @@ class Irrep:
     def weights(self) -> list[Weight]:
         return list(self.weight_order)
 
-    def global_index(self) -> dict[tuple[Weight, int], int]:
-        idx = {}
-        n = 0
-        for w in self.weight_order:
-            for k in range(len(self.basis[w])):
-                idx[(w, k)] = n
-                n += 1
-        return idx
-
     def basis_labels(self, nu: Weight) -> list[str]:
         """Divided-power monomial labels, e.g. f1^(2)*f2*v."""
         labels = []
@@ -292,32 +283,6 @@ class Irrep:
         if blk is None:
             blk = linalg.zeros(self.weight_dim(target), self.weight_dim(nu))
         return blk
-
-    def apply_generator(self, kind: str, i: int, vector: Vector) -> Vector:
-        if len(vector) != self.dim:
-            raise RepError("vector has wrong dimension")
-        if kind not in ("e", "f", "h"):
-            raise RepError(f"unknown generator kind {kind!r}")
-        alpha = simple_root(self.type, i)
-        idx = self.global_index()
-        out = [Fraction(0)] * self.dim
-        for nu in self.weight_order:
-            seg = [vector[idx[(nu, k)]] for k in range(self.weight_dim(nu))]
-            if kind == "h":
-                target, img = nu, [nu[i - 1] * x for x in seg]
-            elif kind == "e":
-                target, img = weight_add(nu, alpha), linalg.mat_vec(self.e_block(i, nu), seg)
-            else:
-                target, img = weight_sub(nu, alpha), linalg.mat_vec(self.f_block(i, nu), seg)
-            for k, val in enumerate(img):
-                out[idx[(target, k)]] += val
-        return out
-
-    def highest_weight_vector(self) -> Vector:
-        idx = self.global_index()
-        v = [Fraction(0)] * self.dim
-        v[idx[(self.hw, 0)]] = Fraction(1)
-        return v
 
 
 def _run_factorials(word: Word) -> int:
@@ -637,7 +602,6 @@ class StringComponent:
     m: int
     k: int
     primitives: list[Vector]
-    injection: Matrix  # columns: f_i^(k) of each primitive, in the basis of V_nu
 
 
 @dataclass
@@ -645,7 +609,7 @@ class StringDecomposition:
     index: int
     weight: Weight
     components: list[StringComponent]
-    change_of_basis: Matrix  # columns of all injections, invertible on V_nu
+    change_of_basis: Matrix  # columns f_i^(k) u of every primitive u, invertible on V_nu
     inverse: Matrix  # of change_of_basis
 
 
@@ -674,10 +638,8 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
         m = nu[i - 1] + 2 * k
         kernel = linalg.nullspace(V.e_block(i, w), V.weight_dim(w))
         if kernel and k <= m:
-            injections = [divided_f_power(V, i, w, k, u) for u in kernel]
-            inj_matrix = linalg.transpose(injections)
-            components.append(StringComponent(m=m, k=k, primitives=kernel, injection=inj_matrix))
-            cols.extend(injections)
+            components.append(StringComponent(m=m, k=k, primitives=kernel))
+            cols.extend(divided_f_power(V, i, w, k, u) for u in kernel)
         k += 1
         w = weight_add(w, alpha)
     if len(cols) != dim_nu:
@@ -711,6 +673,8 @@ def _matrix_to_triplets(m: Matrix):
 def _triplets_to_matrix(tr, rows: int, cols: int) -> Matrix:
     m = linalg.zeros(rows, cols)
     for r, c, v in tr:
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise RepError(f"corrupt cache entry: index ({r}, {c}) outside a {rows}x{cols} block")
         m[r][c] = Fraction(v)
     return m
 

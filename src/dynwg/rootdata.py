@@ -274,41 +274,17 @@ def rho(t: LieType) -> Weight:
     return Weight((1,) * t.rank)
 
 
-def two_rho_check(t: LieType) -> CorootVector:
-    """Sum of all positive coroots."""
-    total = [Fraction(0)] * t.rank
-    for g in positive_coroots(t):
-        for i, c in enumerate(g.coords):
-            total[i] += c
-    return CorootVector(tuple(total))
-
-
 @lru_cache(maxsize=None)
 def longest_element(t: LieType) -> WeylWord:
-    """Canonical (lexicographically smallest) reduced word of w0."""
-    return canonical_word_from_image(t, Weight(tuple(-1 for _ in range(t.rank))))
-
-
-def canonical_word_from_image(t: LieType, w_rho: Weight) -> WeylWord:
-    """Reconstruct the lex-smallest reduced word of w from w(rho)."""
+    """Lex-smallest reduced word of w0, read off w0(rho) = -rho: each letter is
+    the first left descent i, <w(rho), alphacheck_i> < 0, of the remaining w."""
     letters = []
-    cur = w_rho
+    cur = Weight((-1,) * t.rank)
     while not cur.is_dominant():
         i = next(k + 1 for k, c in enumerate(cur.coords) if c < 0)
         letters.append(i)
         cur = simple_reflection(t, i, cur)
-    if cur != rho(t):
-        raise RootDataError("image is not in the orbit of rho")
     return tuple(letters)
-
-
-def canonical_word(t: LieType, word: WeylWord) -> WeylWord:
-    """Lex-smallest reduced word of the element the word represents."""
-    return canonical_word_from_image(t, act(t, word, rho(t)))
-
-
-def word_length(t: LieType, word: WeylWord) -> int:
-    return len(canonical_word(t, word))
 
 
 def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylWord]:
@@ -338,22 +314,6 @@ def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylW
 
     extend(act(t, word, rho(t)))
     return words
-
-
-def weyl_orbit(t: LieType, mu: Weight) -> set[Weight]:
-    """Full W-orbit of a weight (small ranks only)."""
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for i in range(1, t.rank + 1):
-                m2 = simple_reflection(t, i, nu)
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
-    return seen
 
 
 def dominant_representative(t: LieType, mu: Weight) -> Weight:

@@ -19,9 +19,10 @@ from dynwg.dynweyl import (
 from dynwg.geomsatake import (
     costalk_weights,
     levi_restriction_check,
-    rank1_sweep,
+    rank1_pairs,
+    verify_main_theorem_rank1,
 )
-from dynwg.ratfun import DegreeOneForm, RatFun, eq_by_evaluation, parse_ratfun
+from dynwg.ratfun import DegreeOneForm, RatFun, eq_by_evaluation
 from dynwg.rep import (
     build_irrep,
     check_chevalley_serre,
@@ -30,6 +31,7 @@ from dynwg.rep import (
     weyl_dimension,
 )
 from dynwg.rootdata import LieType, Weight, act, all_reduced_words, longest_element
+from ratfun_text import parse_ratfun
 
 SEED = 20250826
 
@@ -51,7 +53,7 @@ def report(n, label, ok):
 
 def test_acceptance_1_rank1_main_theorem_sweep():
     start = time.monotonic()
-    reports = rank1_sweep(8)
+    reports = [verify_main_theorem_rank1(lam, mu) for lam, mu in rank1_pairs(8)]
     elapsed = time.monotonic() - start
     ok = all(r.equal for r in reports) and len(reports) == 25 and elapsed < 1.0
     report(1, f"rank-1 main theorem sweep, lambda<=8, {elapsed:.2f}s", ok)

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from dynwg import cli, dynweyl, geomsatake, rep
-from dynwg.ratfun import DegreeOneForm, RatFun, parse_ratfun
+from dynwg.ratfun import DegreeOneForm, RatFun
+from ratfun_text import parse_ratfun
 
 
 def run(capsys, *args):

@@ -37,8 +37,8 @@ from dynwg.rootdata import (
     positive_roots_in_simple_basis,
     rho,
     simple_root,
-    weyl_orbit,
 )
+from test_rootdata import weyl_orbit
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -285,9 +285,16 @@ def test_chevalley_serre_relations():
         assert check_chevalley_serre(build_irrep(t, hw)) == []
 
 
+def _global_index(V) -> dict:
+    """(weight, k) -> position of the k-th basis vector of V_weight in the
+    whole of V, the weights taken in V.weight_order."""
+    pairs = [(nu, k) for nu in V.weight_order for k in range(V.weight_dim(nu))]
+    return {pair: n for n, pair in enumerate(pairs)}
+
+
 def _dense_generator(V, kind: str, i: int):
-    """The full dim x dim matrix of e_i, f_i or h_i in the basis of global_index."""
-    idx = V.global_index()
+    """The full dim x dim matrix of e_i, f_i or h_i in the basis of _global_index."""
+    idx = _global_index(V)
     m = linalg.zeros(V.dim, V.dim)
     alpha = simple_root(V.type, i)
     for nu in V.weight_order:
@@ -378,20 +385,6 @@ def test_chevalley_serre_matches_dense_oracle(t, hw):
         expected = _dense_chevalley_serre(bad)
         assert expected
         assert check_chevalley_serre(bad) == expected
-
-
-def test_apply_generator():
-    V = build_irrep(A2, Weight((1, 1)))
-    v = V.highest_weight_vector()
-    assert V.apply_generator("h", 1, v) == v  # eigenvalue <hw, coroot_1> = 1
-    assert not any(V.apply_generator("e", 1, v))
-    w12 = V.apply_generator("f", 1, V.apply_generator("f", 2, v))
-    w21 = V.apply_generator("f", 2, V.apply_generator("f", 1, v))
-    # f1 f2 v and f2 f1 v are independent vectors of weight zero
-    assert any(w12) and any(w21)
-    assert any(w12[i] * w21[j] != w12[j] * w21[i] for i in range(V.dim) for j in range(V.dim))
-    with pytest.raises(RepError):
-        V.apply_generator("e", 1, [F(0)] * (V.dim + 1))
 
 
 def test_errors():
@@ -499,7 +492,15 @@ def _fault_other_version(text):
     return json.dumps(dict(json.loads(text), version=0))
 
 
+def _fault_negative_index(text):
+    # a row index of -1 would wrap around to the block's last row
+    obj = json.loads(text)
+    obj["generators"]["e"][0]["entries"][0][0] = -1
+    return json.dumps(obj)
+
+
 CACHE_FAULTS = {
+    "negative-index": _fault_negative_index,
     "other-irrep": _fault_other_irrep,
     "other-version": _fault_other_version,
     "truncated": lambda text: text[: len(text) // 2],
