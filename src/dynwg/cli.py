@@ -2,7 +2,8 @@
 manage the representation cache.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
-All randomized cross-checks are seeded and the seed is echoed in reports.
+Every check is an exact identity and none draws random numbers; --seed is
+accepted and echoed in reports only.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,11 +41,7 @@ class RunConfig:
     jobs: int = 1
 
 
-def _case_rng(seed: int, key: str) -> random.Random:
-    return random.Random(f"{seed}:{key}")
-
-
-def _structural_checks(block: dynweyl.OperatorBlock, rng: random.Random) -> list[str]:
+def _structural_checks(block: dynweyl.OperatorBlock) -> list[str]:
     problems = []
     expected = rootdata.act(block.V.type, block.word, block.source)
     if block.target != expected:
@@ -53,7 +49,7 @@ def _structural_checks(block: dynweyl.OperatorBlock, rng: random.Random) -> list
     if not dynweyl.denominators_are_local(block):
         problems.append("denominator factor outside <x,coroot> - m*h")
     try:
-        dynweyl.classical_limit(block, rng)
+        dynweyl.classical_limit(block)
     except dynweyl.DynWeylError as exc:
         problems.append(f"h=0 specialization: {exc}")
     return problems
@@ -93,7 +89,7 @@ def _rank1_case(args) -> dict:
 
 
 def _cocycle_case(args) -> dict:
-    algebra, hw_coords, mu_coords, words, dim_cap, cache_dir, seed = args
+    algebra, hw_coords, mu_coords, words, dim_cap, cache_dir = args
     V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"cocycle:{algebra}:{hw_coords}:{mu_coords}"
@@ -104,22 +100,22 @@ def _cocycle_case(args) -> dict:
         if reference is None:
             reference = block
         elif block.equals(reference):
-            continue  # same element, entries and rng stream: the reference's problems
+            continue  # same element and entries: the reference's problems
         else:
             problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
-        problems.extend(_structural_checks(block, _case_rng(seed, key)))
+        problems.extend(_structural_checks(block))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "words_checked": len(words)}
 
 
 def _levi_case(args) -> dict:
-    algebra, hw_coords, i, mu_coords, dim_cap, cache_dir, seed = args
+    algebra, hw_coords, i, mu_coords, dim_cap, cache_dir = args
     V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"levi:{algebra}:{hw_coords}:i={i}:{mu_coords}"
     report = geomsatake.levi_restriction_check(V, i, mu)
     problems = [] if report.ok else ["stringwise geometric/dynamical mismatch"]
-    problems.extend(_structural_checks(report.block, _case_rng(seed, key)))
+    problems.extend(_structural_checks(report.block))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "strings": [[c.m, c.k] for c in report.cases]}
 
@@ -165,7 +161,7 @@ def verify_cocycle(cfg: RunConfig) -> list[dict]:
     words = [list(w) for w in rootdata.all_reduced_words(t, w0, cap=cfg.word_cap)]
     V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
     case_args = [
-        (str(t), list(hw.coords), list(nu.coords), words, cfg.dim_cap, cfg.cache_dir, cfg.seed)
+        (str(t), list(hw.coords), list(nu.coords), words, cfg.dim_cap, cfg.cache_dir)
         for nu in V.weights()
         if nu.is_dominant()
     ]
@@ -176,7 +172,7 @@ def verify_levi(cfg: RunConfig) -> list[dict]:
     t, hw = _need_algebra_hw(cfg)
     V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
     case_args = [
-        (str(t), list(hw.coords), i, list(nu.coords), cfg.dim_cap, cfg.cache_dir, cfg.seed)
+        (str(t), list(hw.coords), i, list(nu.coords), cfg.dim_cap, cfg.cache_dir)
         for i in range(1, t.rank + 1)
         for nu in V.weights()
         if nu.is_dominant()
@@ -331,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true", help="disable the irrep cache")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="echoed in reports; nothing is random")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
     common(sub.add_parser("op", help="compute one operator block"))

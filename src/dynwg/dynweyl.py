@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
+from .ratfun import DegreeOneForm, Polynomial, RatFun
 from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
 from .rootdata import (
+    LieType,
     Weight,
     WeylWord,
     crossing_coroots,
@@ -233,35 +234,29 @@ def rho_shift_images(nx: int) -> list[DegreeOneForm]:
     return [DegreeOneForm.make([-1 if j == i else 0 for j in range(nx)], -1) for i in range(nx)]
 
 
-def classical_limit(b: OperatorBlock, rng) -> linalg.Matrix:
-    """Evaluate at h = 0.  The result must not depend on x; this is checked at
-    two distinct random rational points (re-drawn on accidental poles)."""
-    nx = b.nx
+def classical_limit(b: OperatorBlock) -> linalg.Matrix:
+    """The block at h = 0, exactly.  An entry P / prod(f^m) in lowest terms
+    specializes to P0 / prod(f0^m), with P0 and f0 the h-free parts; it is
+    independent of x iff P0 / prod(f0^m) is a constant, which is its value.
 
-    def sample() -> list[Fraction]:
-        return [Fraction(rng.randint(10**3, 10**6)) for _ in range(nx)] + [Fraction(0)]
+    Raises DynWeylError if some f0 is zero (a pole at h = 0, reported before
+    any x-dependence) or if some entry depends on x at h = 0."""
+    if any(f.at_h0().is_zero() for row in b.matrix for e in row for f, _ in e.den):
+        raise DynWeylError("entry has a pole identically at h=0")
+    return [[_value_at_h0(e) for e in row] for row in b.matrix]
 
-    def eval_at(point):
-        return [[e.evaluate(point) for e in row] for row in b.matrix]
 
-    results = []
-    points = []
-    attempts = 0
-    while len(results) < 2:
-        attempts += 1
-        if attempts > 16:
-            raise DynWeylError("entry has a pole identically at h=0")
-        point = sample()
-        if point in points:
-            continue
-        try:
-            results.append(eval_at(point))
-        except PoleError:
-            continue
-        points.append(point)
-    if results[0] != results[1]:
+def _value_at_h0(e: RatFun) -> Fraction:
+    """P0 divided by each f0, m times: the value if the quotient is constant."""
+    p = e.num.at_h0()
+    for f, m in e.den:
+        for _ in range(m):
+            p = p.divide_by_form(f.at_h0())
+            if p is None:
+                raise DynWeylError("h=0 specialization depends on x")
+    if not p.is_constant():
         raise DynWeylError("h=0 specialization depends on x")
-    return results[0]
+    return p.constant_value()
 
 
 def denominators_are_local(b: OperatorBlock) -> bool:
@@ -269,17 +264,14 @@ def denominators_are_local(b: OperatorBlock) -> bool:
     <x + h rho, gamma> - m*h with gamma a positive coroot and m a positive
     integer; equivalently <x, gamma> + c*h with c an integer < ht(gamma).
     For gamma simple this is the familiar x_i - m*h, m >= 0."""
-    pos = positive_coroots(b.V.type)
-    for row in b.matrix:
-        for e in row:
-            for form, _mult in e.den:
-                if not _is_local_form(form, pos):
-                    return False
-    return True
+    t = b.V.type
+    return all(_is_local_form(form, t) for row in b.matrix for e in row for form, _ in e.den)
 
 
-def _is_local_form(form: DegreeOneForm, pos) -> bool:
-    for gamma in pos:
+@lru_cache(maxsize=4096)
+def _is_local_form(form: DegreeOneForm, t: LieType) -> bool:
+    """Whether form is local for type t; kept for the last 4096 (form, t)."""
+    for gamma in positive_coroots(t):
         scale = None
         ok = True
         for fc, gc in zip(form.xcoeffs, gamma.coords):

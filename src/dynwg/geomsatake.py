@@ -136,10 +136,6 @@ def _string_comparison(m: int, k: int, xi: DegreeOneForm) -> LeviCase:
 
 @dataclass
 class LeviReport:
-    algebra: str
-    hw: Weight
-    index: int
-    mu: Weight
     cases: list[LeviCase]
     block: OperatorBlock  # A_{s_i} on V_mu, as word_operator_block(V, (i,), mu)
     block_consistent: bool
@@ -157,8 +153,7 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
     """
     if not mu.is_dominant():
         raise GeomSatakeError(f"source weight {mu} is not dominant")
-    t = V.type
-    xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(t.rank)], 0)
+    xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(V.type.rank)], 0)
     dec, _ = string_data(V, i, mu)
     cases = [_string_comparison(comp.m, comp.k, xi) for comp in dec.components]
     # for one letter the crossing coroot is coroot_i, so the block's variable is xi
@@ -169,16 +164,7 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
         for col, (c, image) in enumerate(string_images(V, dec, xi))
     )
     ok = block_consistent and all(c.equal for c in cases)
-    return LeviReport(
-        algebra=str(t),
-        hw=V.hw,
-        index=i,
-        mu=mu,
-        cases=cases,
-        block=block,
-        block_consistent=block_consistent,
-        ok=ok,
-    )
+    return LeviReport(cases=cases, block=block, block_consistent=block_consistent, ok=ok)
 
 
 def _apply(block: OperatorBlock, vector) -> list[RatFun]:

@@ -106,8 +106,8 @@ def _unpack(key: int, nx: int) -> tuple[int, ...]:
 class DegreeOneForm:
     """A linear form a1*x1 + ... + ar*xr + b*h (no constant term).
 
-    Forms are immutable; their hash, canonical form, polynomial and division
-    data are computed once and kept on the instance."""
+    Forms are immutable; their hash, canonical form, polynomial, division
+    data and restriction to h = 0 are computed once and kept on the instance."""
 
     xcoeffs: tuple[Fraction, ...]
     hcoeff: Fraction
@@ -196,6 +196,14 @@ class DegreeOneForm:
         pivot, cp = entries[0]
         others = tuple((_unit_key(nx, i), c) for i, c in entries[1:])
         return s, _unit_key(nx, pivot), _W * (nx - pivot), cp, others
+
+    def at_h0(self) -> "DegreeOneForm":
+        """The form with h set to 0."""
+        return self._at_h0
+
+    @_cached
+    def _at_h0(self) -> "DegreeOneForm":
+        return DegreeOneForm(self.xcoeffs, _ZERO)
 
     def to_polynomial(self) -> "Polynomial":
         return self._polynomial
@@ -302,16 +310,6 @@ class Polynomial:
             return _poly(nx, {}, _ZERO)
         return _poly(nx, {0: 1 if c > 0 else -1}, abs(c))
 
-    @staticmethod
-    def variable(i: int, nx: int) -> "Polynomial":
-        if not 0 <= i < nx:
-            raise ValueError(f"variable index {i} out of range")
-        return _poly(nx, {_unit_key(nx, i): 1}, _ONE)
-
-    @staticmethod
-    def hvar(nx: int) -> "Polynomial":
-        return _poly(nx, {_unit_key(nx, nx): 1}, _ONE)
-
     # -- predicates
 
     def is_zero(self) -> bool:
@@ -325,6 +323,12 @@ class Polynomial:
 
     def total_degree(self) -> int:
         return max(self.coeffs, default=0) >> _W * (self.nx + 1)
+
+    def at_h0(self) -> "Polynomial":
+        """The terms with no h, i.e. the polynomial at h = 0."""
+        content = self.content
+        return _normalized(self.nx, {e: c for e, c in self.coeffs.items() if not e & _MASK},
+                           content.numerator, content.denominator)
 
     def is_homogeneous(self) -> bool:
         shift = _W * (self.nx + 1)
@@ -749,14 +753,6 @@ class RatFun:
     @staticmethod
     def one(nx: int) -> "RatFun":
         return RatFun.const(1, nx)
-
-    @staticmethod
-    def var(i: int, nx: int) -> "RatFun":
-        return RatFun(Polynomial.variable(i, nx), ())
-
-    @staticmethod
-    def hvar(nx: int) -> "RatFun":
-        return RatFun(Polynomial.hvar(nx), ())
 
     # -- basics
 

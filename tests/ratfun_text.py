@@ -9,10 +9,17 @@ evaluated in RatFun arithmetic.
 import ast
 import re
 
-from dynwg.ratfun import RatFun
+from dynwg.ratfun import Polynomial, RatFun
 
 _OPS = {ast.Add: RatFun.__add__, ast.Sub: RatFun.__sub__,
         ast.Mult: RatFun.__mul__, ast.Div: RatFun.__truediv__}
+
+
+def var(i: int, nx: int) -> RatFun:
+    """The variable x_{i+1} in nx x-variables; i == nx gives h."""
+    if not 0 <= i <= nx:
+        raise ValueError(f"variable index {i} out of range")
+    return RatFun(Polynomial(nx, {tuple(int(j == i) for j in range(nx + 1)): 1}), ())
 
 
 def parse_ratfun(text: str, nx: int) -> RatFun:
@@ -31,9 +38,10 @@ def parse_ratfun(text: str, nx: int) -> RatFun:
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return RatFun.const(node.value, nx)
         if isinstance(node, ast.Name) and node.id == "h":
-            return RatFun.hvar(nx)
-        if isinstance(node, ast.Name) and re.fullmatch(r"x[1-9]\d*", node.id):
-            return RatFun.var(int(node.id[1:]) - 1, nx)
+            return var(nx, nx)
+        if (isinstance(node, ast.Name) and re.fullmatch(r"x[1-9]\d*", node.id)
+                and int(node.id[1:]) <= nx):
+            return var(int(node.id[1:]) - 1, nx)
         raise ValueError(f"not in the RatFun text grammar: {ast.dump(node)}")
 
     return value(ast.parse(text.replace("^", "**"), mode="eval").body)

@@ -139,14 +139,13 @@ def test_acceptance_5_representation_integrity():
 
 
 def test_acceptance_6_structural_invariants(warm_cache):
-    rng = random.Random(SEED)
     ok = True
     for t, V, words, mu in _cocycle_grid(warm_cache):
         for w in words:
             blk = word_operator_block(V, w, mu)
             ok = ok and blk.target == act(t, w, mu)
             ok = ok and denominators_are_local(blk)
-            classical_limit(blk, rng)  # raises on x-dependence at h=0
+            classical_limit(blk)  # raises on x-dependence at h=0
     for name, hw in (("A2", (1, 1)), ("B2", (0, 1))):
         t = LieType.parse(name)
         V = build_irrep(t, Weight(hw), cache_dir=warm_cache)
@@ -155,7 +154,7 @@ def test_acceptance_6_structural_invariants(warm_cache):
                 blk = word_operator_block(V, (i,), mu)
                 ok = ok and blk.target == act(t, (i,), mu)
                 ok = ok and denominators_are_local(blk)
-                classical_limit(blk, rng)
+                classical_limit(blk)
     report(6, "structural invariants on all criterion-3/4 blocks", ok)
 
 

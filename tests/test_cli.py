@@ -199,7 +199,7 @@ def test_pool_output_matches_serial(capsys, tmp_path, suite):
 def test_case_without_held_irrep_builds_under_the_suite_cap(builds):
     # dim V(501) = 502 exceeds build_irrep's default cap of 500; a case that
     # finds no held irrep (a spawned pool worker) builds under the suite's cap
-    case = cli._cocycle_case(("A1", [501], [501], [[1]], 502, None, 0))
+    case = cli._cocycle_case(("A1", [501], [501], [[1]], 502, None))
     assert case["ok"] and builds == [("A1", (501,), None)]
 
 
@@ -301,7 +301,7 @@ def test_cocycle_checks_a_disagreeing_block(monkeypatch):
         return block
 
     monkeypatch.setattr(dynweyl, "word_operator_block", corrupted)
-    case = cli._cocycle_case(("A2", [1, 1], [0, 0], [[1, 2, 1], [2, 1, 2]], 500, None, 0))
+    case = cli._cocycle_case(("A2", [1, 1], [0, 0], [[1, 2, 1], [2, 1, 2]], 500, None))
     assert not case["ok"]
     assert "word [2, 1, 2] disagrees with word [1, 2, 1]" in case["problems"]
     assert "denominator factor outside <x,coroot> - m*h" in case["problems"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynwg import dynweyl
 from dynwg.dynweyl import (
     DynWeylError,
     OperatorBlock,
@@ -13,7 +14,7 @@ from dynwg.dynweyl import (
     simple_reflection_block,
     word_operator_block,
 )
-from dynwg.ratfun import DegreeOneForm, RatFun
+from dynwg.ratfun import DegreeOneForm, PoleError, RatFun
 from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add
 from dynwg.rootdata import (
     LieType,
@@ -25,7 +26,7 @@ from dynwg.rootdata import (
     simple_reflection,
     simple_root,
 )
-from ratfun_text import parse_ratfun
+from ratfun_text import parse_ratfun, var
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
@@ -37,6 +38,10 @@ F = Fraction
 
 def rf1(text):
     return parse_ratfun(text, 1)
+
+
+def rf2(text):
+    return parse_ratfun(text, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +296,17 @@ def test_rho_shift_involution():
 
 
 def test_classical_limit_signs():
-    rng = random.Random(4)
     for lam in range(1, 7):
         V = build_irrep(A1, Weight((lam,)))
         for mu in range(lam % 2, lam + 1, 2):
             blk = word_operator_block(V, (1,), Weight((mu,)))
-            assert classical_limit(blk, rng) == [[F((-1) ** ((lam - mu) // 2))]]
+            assert classical_limit(blk) == [[F((-1) ** ((lam - mu) // 2))]]
 
 
 def test_classical_limit_identity():
     V = build_irrep(A2, Weight((1, 1)))
     blk = word_operator_block(V, (), Weight((0, 0)))
-    assert classical_limit(blk, random.Random(0)) == [[F(1), F(0)], [F(0), F(1)]]
+    assert classical_limit(blk) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_classical_limit_detects_x_dependence():
@@ -312,10 +316,107 @@ def test_classical_limit_detects_x_dependence():
         word=(),
         source=Weight((0,)),
         target=Weight((0,)),
-        matrix=[[RatFun.var(0, 1)]],
+        matrix=[[var(0, 1)]],
     )
     with pytest.raises(DynWeylError):
-        classical_limit(bad, random.Random(0))
+        classical_limit(bad)
+
+
+def _hand_block(rows):
+    """An A2 block with entries parsed from text; only its matrix matters."""
+    V = build_irrep(A2, Weight((0, 0)))
+    matrix = [[parse_ratfun(text, 2) for text in row] for row in rows]
+    return OperatorBlock(V=V, word=(), source=Weight((0, 0)), target=Weight((0, 0)),
+                         matrix=matrix)
+
+
+@pytest.mark.parametrize("rows, value", [
+    ([["h/(x1-h)", "h*x2/((x1-h)*(x2-2*h))"]], [[F(0), F(0)]]),  # no h-free terms
+    ([["x1^2/((x1-h)*(x1-2*h))"]], [[F(1)]]),  # two forms that meet at h = 0
+    ([["(3*x1+x2+h)/(6*x1+2*x2-5*h)", "-7/2"]], [[F(1, 2), F(-7, 2)]]),
+])
+def test_classical_limit_exact_values(rows, value):
+    assert classical_limit(_hand_block(rows)) == value
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([["x1/(x2-h)"]], "depends on x"),  # the division fails
+    ([["x1^2/(x1-h)"]], "depends on x"),  # the quotient is not constant
+    ([["(x1+h)/(x2+h)"]], "depends on x"),
+    ([["1/h"]], "pole identically at h=0"),
+    ([["x1/(x1+h)^2", "1/(x1*h)"]], "pole identically at h=0"),
+    ([["x1", "1"], ["0", "(x1+x2)/h^2"]], "pole identically at h=0"),  # pole scanned first
+])
+def test_classical_limit_errors(rows, message):
+    with pytest.raises(DynWeylError, match=message):
+        classical_limit(_hand_block(rows))
+
+
+def _two_point_limit(b, rng):
+    """The block at h = 0 by evaluation at two distinct random rational
+    points, redrawn on accidental poles; the oracle of classical_limit."""
+
+    def sample():
+        return [F(rng.randint(10**3, 10**6)) for _ in range(b.nx)] + [F(0)]
+
+    results, points, attempts = [], [], 0
+    while len(results) < 2:
+        attempts += 1
+        if attempts > 16:
+            raise DynWeylError("entry has a pole identically at h=0")
+        point = sample()
+        if point in points:
+            continue
+        try:
+            results.append([[e.evaluate(point) for e in row] for row in b.matrix])
+        except PoleError:
+            continue
+        points.append(point)
+    if results[0] != results[1]:
+        raise DynWeylError("h=0 specialization depends on x")
+    return results[0]
+
+
+LIMIT_IRREPS = [
+    ("G2", (1, 1)), ("B2", (2, 2)), ("A2", (2, 1)), ("A3", (2, 0, 2)), ("B3", (1, 0, 1)),
+    ("C3", (0, 1, 0)), ("D4", (0, 1, 0, 0)),
+]
+
+
+def test_classical_limit_matches_two_point_oracle():
+    rng = random.Random(5)
+    compared = 0
+    for algebra, hw in LIMIT_IRREPS:
+        t = LieType.parse(algebra)
+        V = build_irrep(t, Weight(hw))
+        words = all_reduced_words(t, longest_element(t), cap=4)
+        words += [(i,) for i in range(1, t.rank + 1)]
+        for mu in [w for w in V.weights() if w.is_dominant()]:
+            for word in words:
+                blk = word_operator_block(V, word, mu)
+                assert classical_limit(blk) == _two_point_limit(blk, rng), (algebra, hw, mu, word)
+                compared += 1
+    assert compared == 150
+
+
+# ---------------------------------------------------------------------------
+# locality of denominators
+
+
+def test_locality_depends_on_the_lie_type():
+    # 2*x1 + x2 + 2h = <x, gamma> + 2h for gamma = 2*coroot_1 + coroot_2, a
+    # positive coroot of B2 of height 3, but no coroot of A2
+    blocks = {t: OperatorBlock(V=build_irrep(t, Weight((0, 0))), word=(), source=Weight((0, 0)),
+                               target=Weight((0, 0)), matrix=[[rf2("1/(2*x1+x2+2*h)")]])
+              for t in (A2, B2)}
+    for order in ((A2, B2), (B2, A2)):
+        dynweyl._is_local_form.cache_clear()
+        for t in order:
+            assert denominators_are_local(blocks[t]) == (t == B2), (order, t)
+    # x1 + 2h: c = 2 is not below ht(coroot_1) = 1, for either type, every time
+    for t in (A2, B2, A2):
+        blocks[t].matrix = [[rf2("1"), rf2("x2/(x1+2*h)")]]
+        assert not denominators_are_local(blocks[t])
 
 
 def test_json_and_text_rendering():

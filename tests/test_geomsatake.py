@@ -126,7 +126,7 @@ def test_levi_errors_and_json():
     with pytest.raises(GeomSatakeError):
         levi_restriction_check(V, 1, Weight((-1, 2)))
     r = levi_restriction_check(V, 2, Weight((1, 1)))
-    assert r.ok is True and r.algebra == "A2"
+    assert r.ok is True and r.block.V.type == A2 and r.block.source == Weight((1, 1))
 
 
 def test_levi_rejects_non_dominant_mu():
