@@ -121,10 +121,10 @@ def _levi_case(args) -> dict:
 
 
 def _rep_case(args) -> dict:
-    algebra, hw_coords, cache_dir = args
+    algebra, hw_coords, dim_cap, cache_dir = args
     t = LieType.parse(algebra)
     hw = Weight.make(hw_coords)
-    V = rep.build_irrep(t, hw, cache_dir=cache_dir)
+    V = rep.build_irrep(t, hw, dim_cap=dim_cap, cache_dir=cache_dir)
     key = f"rep:{algebra}:{hw_coords}"
     problems = []
     predicted = rep.weyl_dimension(t, hw)
@@ -188,7 +188,7 @@ def verify_rep(cfg: RunConfig) -> list[dict]:
         hws = [cfg.hw]
     else:
         hws = rep.dominant_weights_up_to_dim(t, cfg.dim_cap)
-    case_args = [(str(t), list(hw.coords), cfg.cache_dir) for hw in hws]
+    case_args = [(str(t), list(hw.coords), cfg.dim_cap, cfg.cache_dir) for hw in hws]
     return _run_cases(_rep_case, case_args, cfg.jobs)
 
 

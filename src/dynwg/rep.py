@@ -13,14 +13,18 @@ Gram entries are ints.  The sweep grows the determinant and the integer
 adjugate of the chosen Gram block by bordering (one Schur complement per
 pick, with exact integer division as in Bareiss's elimination).  Candidate
 coordinates and raw e-blocks are kept as ints when integral, as Fractions
-otherwise.  The final rescale to divided powers makes one Fraction per stored
-generator entry.
+otherwise.  The final rescale to divided powers makes one Fraction per nonzero
+stored generator entry.
 
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
 implemented without reference to the constructed matrices.  Both run on
 ints: an integer root frame (D, adj, L, dl) per type, with D * A^-1 = adj and
 L * d = dl, gives root coordinates, the positive-cone test and the invariant
 inner product scaled to integers.
+
+The builder, the Freudenthal recursion and the Chevalley-Serre check (one
+sparse integer operator per generator, over global basis indices) work on
+weights as plain coordinate tuples; Weights are made only for a returned Irrep.
 """
 
 from __future__ import annotations
@@ -40,10 +44,8 @@ from .rootdata import (
     RootDataError,
     Weight,
     cartan_matrix,
-    dominant_representative,
     positive_coroots,
     positive_roots_in_simple_basis,
-    rho,
     simple_root,
 )
 
@@ -71,10 +73,20 @@ def weight_sub(a: Weight, b: Weight) -> Weight:
 # oracles
 
 
-def weyl_dimension(t: LieType, lam: Weight) -> int:
-    """dim V(lam) by the Weyl dimension formula."""
+def _check_rank(t: LieType, w: Weight):
+    if len(w.coords) != t.rank:
+        raise RepError(f"weight ({w}) has {len(w.coords)} coordinates, but {t} has rank {t.rank}")
+
+
+def _check_highest_weight(t: LieType, lam: Weight):
+    _check_rank(t, lam)
     if not lam.is_dominant():
         raise RepError(f"highest weight {lam} is not dominant")
+
+
+def weyl_dimension(t: LieType, lam: Weight) -> int:
+    """dim V(lam) by the Weyl dimension formula."""
+    _check_highest_weight(t, lam)
     return _weyl_dimension(t, lam)
 
 
@@ -87,6 +99,12 @@ def _weyl_dimension(t: LieType, lam: Weight) -> int:
     d, r = divmod(num, den)
     assert not r
     return d
+
+
+@lru_cache(maxsize=None)
+def _simple_roots(t: LieType) -> tuple[Coords, ...]:
+    """alpha_1, ..., alpha_r in fundamental coordinates."""
+    return tuple(simple_root(t, i).coords for i in range(1, t.rank + 1))
 
 
 @lru_cache(maxsize=None)
@@ -155,25 +173,37 @@ def _freudenthal_roots(t: LieType) -> tuple[tuple[Coords, Coords, Coords], ...]:
 
 def freudenthal_multiplicity(t: LieType, lam: Weight, mu: Weight) -> int:
     """Weight multiplicity of mu in V(lam) by the Freudenthal recursion."""
-    if not lam.is_dominant():
-        raise RepError(f"highest weight {lam} is not dominant")
-    return _freudenthal(t, lam, dominant_representative(t, mu))
+    _check_highest_weight(t, lam)
+    _check_rank(t, mu)
+    return _freudenthal(t, lam.coords, _dominant(t, mu.coords))
+
+
+def _dominant(t: LieType, mu: Coords) -> Coords:
+    """The dominant W-conjugate of mu, by reflecting in its first negative coordinate."""
+    roots = _simple_roots(t)
+    while True:
+        for i, c in enumerate(mu):
+            if c < 0:
+                mu = tuple(m - c * a for m, a in zip(mu, roots[i]))
+                break
+        else:
+            return mu
 
 
 @lru_cache(maxsize=None)
-def _freudenthal(t: LieType, lam: Weight, mu: Weight) -> int:
+def _freudenthal(t: LieType, lam: Coords, mu: Coords) -> int:
     """m_mu = 2 sum_{alpha > 0, k >= 1} m_{mu + k alpha} (alpha, mu + k alpha)
     / (|lam + rho|^2 - |mu + rho|^2), on integers: the numerator is scaled by
     L and the denominator by D L."""
     if mu == lam:
         return 1
     D = _root_frame(t)[0]
-    gap = _scaled_root_coords(t, weight_sub(lam, mu).coords)
+    gap = _scaled_root_coords(t, tuple(x - y for x, y in zip(lam, mu)))
     if any(x < 0 or x % D for x in gap):
         return 0  # lam - mu is not a sum of positive roots
     total = 0
     for alpha, d_alpha, w in _freudenthal_roots(t):
-        nu = mu.coords
+        nu = mu
         rest = gap
         while True:
             # lam - (mu + k alpha) stays in the root lattice; only its sign can fail
@@ -181,41 +211,30 @@ def _freudenthal(t: LieType, lam: Weight, mu: Weight) -> int:
             rest = [x - y for x, y in zip(rest, d_alpha)]
             if any(x < 0 for x in rest):
                 break
-            m = _freudenthal(t, lam, dominant_representative(t, Weight(nu)))
+            m = _freudenthal(t, lam, _dominant(t, nu))
             if m:
                 total += m * sum(x * y for x, y in zip(w, nu))
-    denom = (_scaled_norm(t, weight_add(lam, rho(t)).coords)
-             - _scaled_norm(t, weight_add(mu, rho(t)).coords))
+    denom = (_scaled_norm(t, tuple(x + 1 for x in lam))  # |lam + rho|^2, rho = (1, ..., 1)
+             - _scaled_norm(t, tuple(x + 1 for x in mu)))
     if denom <= 0:
         # (lam - mu, lam + mu + 2 rho) > 0 for a dominant mu below lam
-        raise RepError(f"Freudenthal denominator {denom} at {mu} in V({lam})")
+        raise RepError(f"Freudenthal denominator {denom} at {Weight(mu)} in V({Weight(lam)})")
     mult, rem = divmod(2 * total * D, denom)
     assert not rem and mult >= 0
     return mult
 
 
 def dominant_weights_up_to_dim(t: LieType, dim_cap: int) -> list[Weight]:
-    """All dominant highest weights lam with weyl_dimension <= dim_cap."""
-    zero = Weight((0,) * t.rank)
-    seen = {zero}
-    out = []  # (dimension, coords, weight)
-    frontier = [zero]
+    """All dominant highest weights lam with weyl_dimension <= dim_cap, by
+    dimension, then coordinates.  Raising a coordinate raises the dimension,
+    so the search walks up from 0 one coordinate sum at a time."""
+    out: list[tuple[int, Coords]] = []  # (dimension, coords)
+    frontier = {(0,) * t.rank}
     while frontier:
-        nxt = []
-        for lam in frontier:
-            dim = weyl_dimension(t, lam)
-            if dim > dim_cap:
-                continue
-            out.append((dim, lam.coords, lam))
-            for i in range(t.rank):
-                up = list(lam.coords)
-                up[i] += 1
-                w = Weight(tuple(up))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return [lam for _, _, lam in sorted(out)]
+        kept = [(d, lam) for lam in frontier if (d := _weyl_dimension(t, Weight(lam))) <= dim_cap]
+        out += kept
+        frontier = {lam[:i] + (lam[i] + 1,) + lam[i + 1:] for _, lam in kept for i in range(t.rank)}
+    return [Weight(lam) for _, lam in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,77 +322,73 @@ def _level(t: LieType, hw: Weight, nu: Weight) -> int:
     return lv
 
 
-# A weight-homogeneous operator as its nonzero blocks, nu -> (target, M), where
-# nu and target are weight coordinates and M is an integer matrix V_nu -> V_target.
-SparseMap = dict[Coords, tuple[Coords, list[list[int]]]]
+# A generator scaled to integers, over V's global basis indices: column -> {row: entry}.
+Operator = dict[int, dict[int, int]]
 
 
-def _int_generators(V: Irrep, blocks, sign: int) -> dict[int, tuple[int, SparseMap]]:
-    """i -> (D, D * g_i) for the e (sign +1) or f (sign -1) generators, where
-    D is the lcm of the denominators of g_i's entries."""
+def _scaled_operators(V: Irrep, blocks, sign: int, offset: dict) -> dict[int, tuple[int, Operator]]:
+    """i -> (D, D * g_i) for the e (sign +1) or f (sign -1) generators, D the lcm
+    of the denominators of g_i's entries; V_nu starts at global index offset[nu]."""
     out = {}
-    for i in range(1, V.type.rank + 1):
-        shift = [sign * c for c in simple_root(V.type, i).coords]
-        mats = {nu.coords: b for (j, nu), b in blocks.items() if j == i and any(any(r) for r in b)}
-        d = lcm(*(x.denominator for blk in mats.values() for row in blk for x in row))
-        out[i] = (d, {
-            nu: (tuple(x + y for x, y in zip(nu, shift)),
-                 [[x.numerator * (d // x.denominator) for x in row] for row in blk])
-            for nu, blk in mats.items()
-        })
+    for i, alpha in enumerate(_simple_roots(V.type), 1):
+        mats = [(nu.coords, blk) for (j, nu), blk in blocks.items() if j == i]
+        d = lcm(*(x.denominator for _, blk in mats for row in blk for x in row))
+        op: Operator = {}
+        for nu, blk in mats:
+            source = offset[nu]
+            target = offset.get(tuple(x + sign * y for x, y in zip(nu, alpha)))
+            for r, row in enumerate(blk):
+                for c, x in enumerate(row):
+                    if x:
+                        op.setdefault(source + c, {})[target + r] = x.numerator * d // x.denominator
+        out[i] = (d, op)
     return out
 
 
-def _compose(a: SparseMap, b: SparseMap) -> SparseMap:
-    """a after b."""
-    out = {}
-    for nu, (mid, mb) in b.items():
-        hit = a.get(mid)
-        if hit is not None:
-            out[nu] = (hit[0], linalg.mat_mul(hit[1], mb))
-    return out
-
-
-def _commutator(a: SparseMap, b: SparseMap) -> SparseMap:
-    """[a, b] = ab - ba, nonzero blocks only."""
-    out = _compose(a, b)
-    for nu, (target, m) in _compose(b, a).items():
-        left = out[nu][1] if nu in out else [[0] * len(row) for row in m]
-        out[nu] = (target, [[x - y for x, y in zip(rl, rm)] for rl, rm in zip(left, m)])
-    return {nu: blk for nu, blk in out.items() if any(any(row) for row in blk[1])}
-
-
-def _is_scalar(m: list[list[int]], s: int) -> bool:
-    return all(x == (s if r == c else 0) for r, row in enumerate(m) for c, x in enumerate(row))
+def _bracket(a: Operator, b: Operator) -> Operator:
+    """[a, b] = ab - ba, nonzero entries only."""
+    out: Operator = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for col, ycol in y.items():
+            acc = out.setdefault(col, {})
+            for mid, v in ycol.items():
+                xcol = x.get(mid)
+                if xcol:
+                    v *= sign
+                    for row, u in xcol.items():
+                        acc[row] = acc.get(row, 0) + u * v
+    return {col: nz for col, acc in out.items() if (nz := {r: v for r, v in acc.items() if v})}
 
 
 def check_chevalley_serre(V: Irrep) -> list[str]:
     """Verify the defining relations on the generator matrices exactly.
 
     Returns a list of human-readable failure descriptions (empty = all good).
-    Each e_i and f_i is scaled to an integer operator and kept as its nonzero
-    weight blocks.  h_i acts by the weight grading, the scalar nu_i on V_nu,
-    and every block of e_j (f_j) is keyed V_nu -> V_{nu + alpha_j}
+    Each e_i and f_i is scaled to integers once, as one sparse Operator over
+    global basis indices.  h_i acts by the weight grading, the scalar nu_i on
+    V_nu, and every block of e_j (f_j) is keyed V_nu -> V_{nu + alpha_j}
     (V_{nu - alpha_j}); so [h_i, e_j] = a_ij e_j and [h_i, f_j] = -a_ij f_j
     hold by how the blocks are keyed, and only [e_i, f_j] and the Serre
     relations are checked.
     """
-    t = V.type
-    a = cartan_matrix(t)
+    a = cartan_matrix(V.type)
     failures = []
-    E = _int_generators(V, V.e_blocks, +1)
-    F = _int_generators(V, V.f_blocks, -1)
+    offset: dict[Coords, int] = {}
+    weights: list[Coords] = []  # the weight of each global basis index
+    for nu in V.weight_order:
+        offset[nu.coords] = len(weights)
+        weights += [nu.coords] * V.weight_dim(nu)
+    E = _scaled_operators(V, V.e_blocks, +1, offset)
+    F = _scaled_operators(V, V.f_blocks, -1, offset)
 
     for i in E:
         for j in E:
-            comm = _commutator(E[i][1], F[j][1])
+            comm = _bracket(E[i][1], F[j][1])
             if i == j:
                 # comm is D_e * D_f * [e_i, f_i], and must be D_e * D_f * nu_i on V_nu
                 d = E[i][0] * F[i][0]
-                if not all(
-                    _is_scalar(comm[nu][1], d * nu[i - 1]) if nu in comm else nu[i - 1] == 0
-                    for nu in (w.coords for w in V.basis)
-                ):
+                if not all(comm.get(c, {}) == ({c: d * nu[i - 1]} if nu[i - 1] else {})
+                           for c, nu in enumerate(weights)):
                     failures.append(f"[e_{i}, f_{i}] != h_{i}")
             elif comm:
                 failures.append(f"[e_{i}, f_{j}] != 0")
@@ -382,7 +397,7 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
                 for kind, gens in (("e", E), ("f", F)):
                     cur = gens[j][1]
                     for _ in range(n):
-                        cur = _commutator(gens[i][1], cur)
+                        cur = _bracket(gens[i][1], cur)
                     if cur:
                         failures.append(f"Serre relation ad({kind}_{i})^{n}({kind}_{j}) != 0")
     return failures
@@ -404,29 +419,39 @@ class _IrrepBuilder:
     def __init__(self, t: LieType, hw: Weight):
         self.t = t
         self.hw = hw
-        self.alphas = [simple_root(t, i) for i in range(1, t.rank + 1)]
-        # per-weight state, kept for the weights with a nonzero weight space
-        self.basis: dict[Weight, list[Word]] = {hw: [()]}
-        self.cand_index: dict[Weight, dict[Word, int]] = {hw: {(): 0}}
-        self.cand_gram: dict[Weight, Matrix] = {hw: [[1]]}
-        self.cand_coords: dict[Weight, list[Vector]] = {hw: [[1]]}
-        self.eblocks: dict[tuple[int, Weight], Matrix] = {(i, hw): [] for i in range(1, t.rank + 1)}
+        self.alphas = _simple_roots(t)
+        top = hw.coords
+        self.up: dict[Coords, tuple[Coords, ...]] = {}  # nu -> (nu + alpha_i for each i)
+        self.down: dict[Coords, tuple[Coords, ...]] = {}  # nu -> (nu - alpha_i for each i)
+        self._add_shifts(top)
+        # per-weight state, kept for the weights with a nonzero weight space;
+        # basis is filled level by level, each in coordinate order: Irrep's weight order
+        self.basis: dict[Coords, list[Word]] = {top: [()]}
+        self.cand_index: dict[Coords, dict[Word, int]] = {top: {(): 0}}
+        self.cand_gram: dict[Coords, Matrix] = {top: [[1]]}
+        self.cand_coords: dict[Coords, list[Vector]] = {top: [[1]]}
+        self.eblocks: dict[tuple[int, Coords], Matrix] = {(i + 1, top): [] for i in range(t.rank)}
+
+    def _add_shifts(self, nu: Coords):
+        self.up[nu], self.down[nu] = (
+            tuple(tuple(x + s * y for x, y in zip(nu, alpha)) for alpha in self.alphas)
+            for s in (1, -1))
 
     def build(self) -> Irrep:
-        weights = [self.hw]
+        weights = [self.hw.coords]
         while weights:
             weights = self._process_level(weights)
         return self._assemble()
 
-    def _process_level(self, prev_weights: list[Weight]) -> list[Weight]:
+    def _process_level(self, prev_weights: list[Coords]) -> list[Coords]:
         # gather candidates grouped by weight, remembering (letter, parent, parent basis idx)
-        groups: dict[Weight, list[tuple[Word, int, Weight, int]]] = {}
+        groups: dict[Coords, list[tuple[Word, int, Coords, int]]] = {}
         for tau in prev_weights:
             for bidx, b in enumerate(self.basis[tau]):
-                for j, alpha in enumerate(self.alphas, 1):
-                    groups.setdefault(weight_sub(tau, alpha), []).append(((j,) + b, j, tau, bidx))
+                for j, nu in enumerate(self.down[tau], 1):
+                    groups.setdefault(nu, []).append(((j,) + b, j, tau, bidx))
         new_weights = []
-        for nu in sorted(groups, key=lambda w: w.coords):
+        for nu in sorted(groups):
             cands = sorted(groups[nu], key=lambda c: c[0])
             if self._select(nu, [c[0] for c in cands], self._candidate_gram(cands)):
                 new_weights.append(nu)
@@ -437,26 +462,20 @@ class _IrrepBuilder:
 
     def _shap(self, c1, c2) -> int:
         """Contravariant form of two candidates via the previous level's data."""
-        w1, i, tau1, b1 = c1
-        w2, j, tau2, b2 = c2
+        _, i, tau1, b1 = c1
+        _, j, tau2, b2 = c2
+        idx = self.cand_index[tau1]
+        row = self.cand_gram[tau1][idx[self.basis[tau1][b1]]]
         total = 0
         if i == j and tau1 == tau2:
             # <wt(b'), coroot_i> S(b, b')
-            gram_prev = self.cand_gram[tau1]
-            idx = self.cand_index[tau1]
-            bw1, bw2 = self.basis[tau1][b1], self.basis[tau1][b2]
-            total += tau2[i - 1] * gram_prev[idx[bw1]][idx[bw2]]
-        sigma = weight_add(tau2, self.alphas[i - 1])
-        eb = self.eblocks.get((i, tau2))
-        if eb and sigma in self.basis:
-            prev_cands = self.cand_index[tau1]
-            gram_prev = self.cand_gram[tau1]
-            b_word = self.basis[tau1][b1]
-            row = prev_cands[b_word]
-            for k, bk in enumerate(self.basis[sigma]):
+            total += tau2[i - 1] * row[idx[self.basis[tau1][b2]]]
+        eb = self.eblocks[(i, tau2)]  # no rows when tau2 + alpha_i is not a weight
+        if eb:
+            for k, bk in enumerate(self.basis[self.up[tau2][i - 1]]):
                 gamma = eb[k][b2]
                 if gamma:
-                    total += gamma * gram_prev[row][prev_cands[(j,) + bk]]
+                    total += gamma * row[idx[(j,) + bk]]
         assert total.denominator == 1  # the form is integral on f-monomials
         return total.numerator
 
@@ -470,7 +489,7 @@ class _IrrepBuilder:
                 g[q][p] = v
         return g
 
-    def _select(self, nu: Weight, words: list[Word], gram: Matrix) -> list[int]:
+    def _select(self, nu: Coords, words: list[Word], gram: Matrix) -> list[int]:
         """Pick candidates in order while the chosen Gram block G stays
         nonsingular, keeping det G and the integer adjugate adj G = det G * G^-1.
         Bordering G by a column v and a diagonal entry g gives, with w = adj G v,
@@ -493,6 +512,7 @@ class _IrrepBuilder:
                 adj.append([-y for y in w] + [det])
                 det = schur_det
         if chosen:
+            self._add_shifts(nu)
             self.basis[nu] = [words[c] for c in chosen]
             self.cand_index[nu] = {w: k for k, w in enumerate(words)}
             self.cand_gram[nu] = gram
@@ -504,9 +524,9 @@ class _IrrepBuilder:
             ]
         return chosen
 
-    def _compute_eblocks(self, nu: Weight):
-        for i, alpha in enumerate(self.alphas, 1):
-            sigma = weight_add(nu, alpha)
+    def _compute_eblocks(self, nu: Coords):
+        up = self.up[nu]
+        for i, sigma in enumerate(up, 1):
             rows = len(self.basis.get(sigma, ()))
             cols = len(self.basis[nu])
             blk = [[0] * cols for _ in range(rows)]
@@ -514,17 +534,16 @@ class _IrrepBuilder:
                 sig_basis_pos = {w: k for k, w in enumerate(self.basis[sigma])}
                 for col, word in enumerate(self.basis[nu]):
                     j, bprime = word[0], word[1:]
-                    tau2 = weight_add(nu, self.alphas[j - 1])  # weight of b'
+                    tau2 = up[j - 1]  # weight of b'
                     if i == j:
                         # delta term: sigma == tau2, b' is a basis word there
                         blk[sig_basis_pos[bprime]][col] += tau2[i - 1]
-                    upper = weight_add(tau2, alpha)
-                    eb = self.eblocks.get((i, tau2))
-                    if eb and upper in self.basis:
+                    eb = self.eblocks[(i, tau2)]  # no rows when tau2 + alpha_i is not a weight
+                    if eb:
                         bidx = self.basis[tau2].index(bprime)
                         cidx = self.cand_index[sigma]
                         ccoords = self.cand_coords[sigma]
-                        for k, bk in enumerate(self.basis[upper]):
+                        for k, bk in enumerate(self.basis[self.up[tau2][i - 1]]):
                             gamma = eb[k][bidx]
                             if gamma:
                                 vec = ccoords[cidx[(j,) + bk]]
@@ -539,25 +558,26 @@ class _IrrepBuilder:
         # which the rank-1 reflection coefficients appear verbatim as matrix
         # entries.  An entry x of a block V_nu -> V_target becomes
         # x * ft / fs, where fs and ft are the run-length factorial products of
-        # the source and target words: one Fraction per stored entry.
+        # the source and target words: one Fraction per nonzero stored entry.
         fact = {nu: [_run_factorials(w) for w in words] for nu, words in self.basis.items()}
+        weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(blk, nu, target):
-            return [[Fraction(x.numerator * ft, x.denominator * fs) for x, fs in zip(row, fact[nu])]
-                    for row, ft in zip(blk, fact[target])]
+            return [[Fraction(x.numerator * ft, x.denominator * fs) if x else linalg.ZERO
+                     for x, fs in zip(row, fact[nu])] for row, ft in zip(blk, fact[target])]
 
-        e_blocks = {(i, nu): rescale(blk, nu, weight_add(nu, self.alphas[i - 1]))
+        e_blocks = {(i, weight[nu]): rescale(blk, nu, self.up[nu][i - 1])
                     for (i, nu), blk in self.eblocks.items() if blk}
         f_blocks = {}
         for nu, words in self.basis.items():
-            for i, alpha in enumerate(self.alphas, 1):
-                target = weight_sub(nu, alpha)
+            for i, target in enumerate(self.down[nu], 1):
                 if target in self.basis:
                     cidx, ccoords = self.cand_index[target], self.cand_coords[target]
                     cols = [ccoords[cidx[(i,) + b]] for b in words]
-                    f_blocks[(i, nu)] = rescale(linalg.transpose(cols), nu, target)
-        return Irrep(type=self.t, hw=self.hw, basis=self.basis, e_blocks=e_blocks,
-                     f_blocks=f_blocks)
+                    f_blocks[(i, weight[nu])] = rescale(linalg.transpose(cols), nu, target)
+        return Irrep(type=self.t, hw=self.hw,
+                     basis={weight[nu]: words for nu, words in self.basis.items()},
+                     e_blocks=e_blocks, f_blocks=f_blocks, weight_order=list(weight.values()))
 
 
 def check_dim_cap(hw: Weight, dim: int, dim_cap: int):
@@ -573,8 +593,6 @@ def build_irrep(
     cache_dir: str | None = None,
 ) -> Irrep:
     """Construct (or load from cache) the irreducible representation V(hw)."""
-    if not hw.is_dominant():
-        raise RepError(f"highest weight {hw} is not dominant")
     check_dim_cap(hw, weyl_dimension(t, hw), dim_cap)
     if cache_dir is not None:
         cached = load_cached_irrep(t, hw, cache_dir)

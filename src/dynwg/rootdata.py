@@ -152,10 +152,11 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
+@lru_cache(maxsize=None)
 def simple_root(t: LieType, i: int) -> Weight:
     """alpha_i in fundamental coordinates: column i of the Cartan matrix."""
-    a = cartan_matrix(t)
     _check_index(t, i)
+    a = cartan_matrix(t)
     return Weight(tuple(a[j][i - 1] for j in range(t.rank)))
 
 
@@ -315,10 +316,3 @@ def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylW
     extend(act(t, word, rho(t)))
     return words
 
-
-def dominant_representative(t: LieType, mu: Weight) -> Weight:
-    cur = mu
-    while not cur.is_dominant():
-        i = next(k + 1 for k, c in enumerate(cur.coords) if c < 0)
-        cur = simple_reflection(t, i, cur)
-    return cur

@@ -80,6 +80,19 @@ def test_verify_rep(capsys, cache_args):
     assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
 
 
+def test_verify_rep_builds_over_the_default_cap_under_dim_cap(capsys, cache_args):
+    # dim V(600) = 601 exceeds build_irrep's default cap of 500
+    code, out, _ = run(capsys, "verify", "rep", "--algebra", "A1", "--hw", "600",
+                       "--dim-cap", "601", *cache_args)
+    assert code == 0 and out.splitlines() == ["PASS  rep:A1:[600]", "rep: 1/1 cases pass"]
+
+
+def test_verify_rep_refuses_an_irrep_over_dim_cap(capsys, cache_args):
+    code, out, err = run(capsys, "verify", "rep", "--algebra", "A1", "--hw", "30",
+                         "--dim-cap", "5", *cache_args)
+    assert code == 2 and out == "" and "dim V(30) = 31 exceeds the cap 5" in err
+
+
 def test_verify_failure_exit_code(capsys, cache_args, monkeypatch):
     # force one failing case to exercise the exit-code contract
     original = geomsatake.verify_main_theorem_rank1

@@ -31,19 +31,21 @@ from dynwg.rootdata import (
     LieType,
     Weight,
     cartan_matrix,
-    dominant_representative,
     pairing,
     positive_coroots,
     positive_roots_in_simple_basis,
     rho,
     simple_root,
 )
-from test_rootdata import weyl_orbit
+from test_rootdata import dominant_representative, weyl_orbit
 
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
 A3 = LieType.parse("A3")
 B2 = LieType.parse("B2")
+B3 = LieType.parse("B3")
+C3 = LieType.parse("C3")
+D4 = LieType.parse("D4")
 G2 = LieType.parse("G2")
 
 F = Fraction
@@ -204,12 +206,12 @@ def test_freudenthal_matches_fraction_oracle(name, cap):
 def test_freudenthal_zero_denominator_raises():
     # lam = 0, mu = -2 = -alpha in A1: |lam + rho|^2 = |mu + rho|^2
     with pytest.raises(RepError):
-        rep._freudenthal(A1, Weight((0,)), Weight((-2,)))
+        rep._freudenthal(A1, (0,), (-2,))
 
 
 def test_freudenthal_is_zero_off_the_root_lattice():
     # lam - mu is a nonnegative but not an integral combination of simple roots
-    assert rep._freudenthal(A1, Weight((0,)), Weight((-3,))) == 0
+    assert rep._freudenthal(A1, (0,), (-3,)) == 0
     assert freudenthal_multiplicity(A2, Weight((1, 1)), Weight((1, 0))) == 0
     assert freudenthal_multiplicity(B2, Weight((2, 0)), Weight((0, 1))) == 0
 
@@ -373,6 +375,7 @@ def _corrupted_copies(V, rng):
 DIFFERENTIAL_IRREPS = (
     (A1, (3,)), (A2, (1, 1)), (A2, (2, 1)), (A3, (1, 0, 1)), (A3, (3, 1, 0)),
     (B2, (0, 1)), (B2, (1, 1)), (B2, (2, 0)), (G2, (0, 1)), (G2, (1, 0)),
+    (B3, (1, 0, 1)), (C3, (0, 1, 0)), (D4, (0, 1, 0, 0)),
 )
 
 
@@ -392,6 +395,33 @@ def test_errors():
         build_irrep(A2, Weight((-1, 0)))
     with pytest.raises(DimensionCapError):
         build_irrep(A2, Weight((9, 9)), dim_cap=100)
+
+
+WRONG_RANK_CALLS = {
+    "weyl_dimension": lambda w: weyl_dimension(A2, w),
+    "build_irrep": lambda w: build_irrep(A2, w),
+    "freudenthal_lam": lambda w: freudenthal_multiplicity(A2, w, Weight((0, 0))),
+    "freudenthal_mu": lambda w: freudenthal_multiplicity(A2, Weight((1, 1)), w),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_RANK_CALLS))
+@pytest.mark.parametrize("coords", [(1,), (1, 0, 0), (0,), (1, 1, 0)], ids=str)
+def test_wrong_rank_weight_is_rejected(call, coords):
+    w = Weight(coords)
+    with pytest.raises(RepError, match=rf"weight \({w}\) has {len(coords)} coordinates, "
+                                       r"but A2 has rank 2"):
+        WRONG_RANK_CALLS[call](w)
+
+
+def test_irrep_is_keyed_by_weights(tmp_path):
+    V = build_irrep(B2, Weight((1, 1)), cache_dir=str(tmp_path))
+    W = rep.load_cached_irrep(B2, Weight((1, 1)), str(tmp_path))
+    for U in (V, W):
+        assert {type(nu) for nu in U.basis} == {type(nu) for nu in U.weight_order} == {Weight}
+        assert {type(nu) for blocks in (U.e_blocks, U.f_blocks) for _, nu in blocks} == {Weight}
+        assert U.weight_order == sorted(U.basis, key=lambda w: (rep._level(B2, U.hw, w), w.coords))
+    assert W.weight_order == V.weight_order and W.basis == V.basis
 
 
 # ---------------------------------------------------------------------------

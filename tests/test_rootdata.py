@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynwg import rep
 from dynwg.rootdata import (
     CorootVector,
     LieType,
@@ -13,7 +14,6 @@ from dynwg.rootdata import (
     all_reduced_words,
     cartan_matrix,
     crossing_coroots,
-    dominant_representative,
     is_reduced,
     longest_element,
     pairing,
@@ -87,6 +87,15 @@ def test_crossing_coroots_memo_keeps_rejecting_non_reduced():
     assert isinstance(gammas, tuple) and gammas is crossing_coroots(A2, (1, 2))
     with pytest.raises(RootDataError):
         crossing_coroots(A2, (1, 3))  # no simple root 3
+
+
+def test_simple_root_memo_keeps_rejecting_bad_indices():
+    assert simple_root(G2, 1) == Weight((2, -3)) and simple_root(G2, 1) is simple_root(G2, 1)
+    assert simple_root(B2, 1) == Weight((2, -2))  # the memo keys on the type
+    for _ in range(2):
+        for i in (0, 3, -1):
+            with pytest.raises(RootDataError):
+                simple_root(G2, i)
 
 
 def test_longest_element_lengths():
@@ -200,9 +209,20 @@ def test_weyl_orbit_sizes():
     assert len(weyl_orbit(A2, Weight((0, 0)))) == 1
 
 
+def dominant_representative(t, mu):
+    """Oracle: the dominant W-conjugate of mu, by reflecting in the first
+    negative coordinate until there is none."""
+    while not mu.is_dominant():
+        i = next(k + 1 for k, c in enumerate(mu.coords) if c < 0)
+        mu = simple_reflection(t, i, mu)
+    return mu
+
+
 def test_dominant_representative():
-    for mu in weyl_orbit(A2, Weight((2, 1))):
-        assert dominant_representative(A2, mu) == Weight((2, 1))
+    for t, lam in ((A2, (2, 1)), (B2, (1, 1)), (G2, (1, 2)), (LieType.parse("D4"), (0, 1, 0, 0))):
+        for mu in weyl_orbit(t, Weight(lam)):
+            assert dominant_representative(t, mu) == Weight(lam)
+            assert rep._dominant(t, mu.coords) == lam
 
 
 def test_weight_and_word_parsing():
