@@ -93,16 +93,15 @@ def _cocycle_case(args) -> dict:
     V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"cocycle:{algebra}:{hw_coords}:{mu_coords}"
-    problems = []
-    reference = None
-    for word in words:
+    reference = dynweyl.word_operator_block(V, tuple(words[0]), mu)
+    problems = _structural_checks(reference)
+    # in the order of their reversed letters, each word shares the longest
+    # suffix, and so the most step products, with the word before it
+    for word in sorted(words[1:], key=lambda w: w[::-1]):
         block = dynweyl.word_operator_block(V, tuple(word), mu)
-        if reference is None:
-            reference = block
-        elif block.equals(reference):
+        if block.equals(reference):
             continue  # same element and entries: the reference's problems
-        else:
-            problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
+        problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
         problems.extend(_structural_checks(block))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "words_checked": len(words)}
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
         if args.command == "rep-info":
             return cmd_rep_info(cfg)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, RootDataError, rep.RepError, ValueError) as exc:
+    except (UsageError, RootDataError, rep.RepError, dynweyl.DynWeylError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

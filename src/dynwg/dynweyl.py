@@ -4,8 +4,11 @@ Higher-rank operators are assembled from the rank-1 closed form: along a
 reduced word, the t-th simple reflection acts through the sl(2)-string
 decomposition of the current weight space, with the dynamical variable twisted
 to the pairing of x against the t-th crossing coroot.  The blocks are
-multiplied fraction-free, as Polynomial matrices over one common denominator
-D, and each entry is reduced once, at the end (see word_operator_block).
+multiplied fraction-free, as matrices of packed integer polynomials over one
+integer and one product D of degree-one forms, and each entry is reduced
+once, at the end.  A word reuses the step products of its longest common
+suffix with the last word composed at the same weight, and a product of more
+than TERM_CAP terms stops the composition (see word_operator_block).
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
-from .ratfun import DegreeOneForm, Polynomial, RatFun
+from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
 from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
 from .rootdata import (
     LieType,
@@ -34,7 +38,14 @@ class DynWeylError(Exception):
 
 
 RatMatrix = list[list[RatFun]]
-PolyMatrix = list[list[Polynomial]]
+IntMatrix = list[list[dict[int, int]]]
+
+# The most numerator terms a product in word_operator_block may hold; above
+# it, composition stops with a DynWeylError.  The largest product of the test
+# suite, the benchmark workloads and A5 adjoint w0 holds 48,221 terms.
+# Expanded products of longer words grow until memory runs out: E6 adjoint w0
+# on V_0 holds 521,644 terms after 13 of 36 letters, and so stops there.
+TERM_CAP = 500_000
 
 
 def _rmat_identity(n: int, nx: int) -> RatMatrix:
@@ -86,14 +97,14 @@ class OperatorBlock:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     """The closed-form sl(2) coefficient on the string component (m, k):
 
         (-1)^k * prod_{j=1..k} (xi + (j+1)h) / (xi + (j-m+k)h)
 
-    Computed once per (m, k, xi) per process; RatFun is immutable, so the
-    callers share the result.
+    Kept for the last 4096 (m, k, xi) (about 2 KB each); RatFun is
+    immutable, so the callers share the result.
     """
     if k < 0 or m - 2 * k < 0:
         raise DynWeylError(f"string component (m={m}, k={k}) outside the dominant regime")
@@ -158,27 +169,64 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     return OperatorBlock(V=V, word=(i,), source=nu, target=target, matrix=matrix)
 
 
-def _over_common_denominator(matrix: RatMatrix) -> tuple[PolyMatrix, dict]:
-    """(P, D) with matrix == P / prod(f^D[f]): D is the lcm of the entries'
-    denominators and P a Polynomial matrix."""
+def _integer_block(matrix: RatMatrix) -> tuple[IntMatrix, int, dict]:
+    """(N, L, D) with matrix == N / (L * prod(f^D[f])): D is the lcm of the
+    entries' denominators, L a positive int and N a matrix of packed integer
+    coefficient dicts (as in Polynomial.coeffs)."""
     den: dict[DegreeOneForm, int] = {}
     for row in matrix:
         for e in row:
             for f, m in e.den:
-                den[f] = max(den.get(f, 0), m)
-    num = [[e.num for e in row] for row in matrix]
-    for num_row, row in zip(num, matrix):
-        for c, e in enumerate(row):
-            own = dict(e.den)
-            for f, m in den.items():
-                if m > own.get(f, 0):
-                    num_row[c] *= f.to_polynomial() ** (m - own.get(f, 0))
-    return num, den
+                if m > den.get(f, 0):
+                    den[f] = m
+    nums = []
+    for row in matrix:
+        num_row = []
+        for e in row:
+            p = e.num
+            if p.coeffs:
+                own = dict(e.den)
+                for f, m in den.items():
+                    if m > own.get(f, 0):
+                        p = p * f.to_polynomial() ** (m - own.get(f, 0))
+            num_row.append(p)
+        nums.append(num_row)
+    scale = lcm(*(p.content.denominator for row in nums for p in row if p.coeffs))
+    out = []
+    for num_row in nums:
+        out_row = []
+        for p in num_row:
+            k = p.content.numerator * (scale // p.content.denominator) if p.coeffs else 1
+            out_row.append(p.coeffs if k == 1 else {e: k * c for e, c in p.coeffs.items()})
+        out.append(out_row)
+    return out, scale, den
 
 
-def _pmat_mul(a: PolyMatrix, b: PolyMatrix, nx: int) -> PolyMatrix:
-    zero = Polynomial.zero(nx)
-    return [[sum((e * g for e, g in zip(a_row, col)), zero) for col in zip(*b)] for a_row in a]
+def _imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b, each output entry summed in one dict."""
+    cols = list(zip(*b))
+    out = []
+    for a_row in a:
+        out_row = []
+        for col in cols:
+            terms: dict[int, int] = {}
+            get = terms.get
+            for x, y in zip(a_row, col):
+                if x and y:
+                    for e1, c1 in x.items():
+                        for e2, c2 in y.items():
+                            e = e1 + e2
+                            terms[e] = get(e, 0) + c1 * c2
+            if 0 in terms.values():
+                terms = {e: c for e, c in terms.items() if c}
+            out_row.append(terms)
+        out.append(out_row)
+    return out
+
+
+def _step_variable(gamma: Weight) -> DegreeOneForm:
+    """xi = <x, gamma> + (ht(gamma) - 1) h for a crossing coroot gamma."""
+    return DegreeOneForm.make(gamma.coords, gamma.height() - 1)
 
 
 def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
@@ -193,10 +241,18 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     choice of reduced word (the sl(2) adjoint block already distinguishes the
     shifted action from the naive one).
 
-    Longer words multiply each block's Polynomial matrix over its common
-    denominator D_t with no division, and reduce each entry P/D, D = prod D_t,
-    once, by trial division by the forms of D.  D is squarefree in practice:
-    the forms of D_t are xi_t + c*h, and the gamma_t are distinct.
+    Longer words multiply each block, written as N_t / (L_t D_t) with N_t a
+    matrix of packed integer polynomials, L_t an int and D_t the lcm of its
+    entries' denominators, with no division.  Each entry of the product
+    P / (L D), L = prod L_t and D = prod D_t, is reduced once, by trial
+    division by the forms of D.  D is squarefree in practice: the forms of
+    D_t are xi_t + c*h, and the gamma_t are distinct.
+
+    The products after each step depend only on V, mu and the letters so far,
+    so the step products of the last word composed at mu are kept on V
+    (V.word_steps), and a word reuses those of its longest common suffix with
+    that word.  A product whose numerators hold more than TERM_CAP terms
+    raises DynWeylError.
     """
     word = tuple(word)
     t = V.type
@@ -206,26 +262,48 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
         raise DynWeylError(f"{mu} is not a weight of V({V.hw})")
     gammas = crossing_coroots(t, word)  # raises on a non-reduced word
     nx = t.rank
-    cur, num, den = mu, None, {}
-    for step, letter in enumerate(reversed(word)):
-        gamma = gammas[step]
-        p = Fraction(cur[letter - 1])
-        assert p == pairing(mu, gamma) and p >= 0, "negative intermediate pairing"
-        xi = DegreeOneForm.make(gamma.coords, gamma.height() - 1)
-        blk = simple_reflection_block(V, letter, cur, xi)
-        cur = simple_reflection(t, letter, cur)
-        if len(word) == 1:
-            return blk
-        blk_num, blk_den = _over_common_denominator(blk.matrix)
-        num = blk_num if num is None else _pmat_mul(blk_num, num, nx)
-        for f, m in blk_den.items():
-            den[f] = den.get(f, 0) + m
-    if num is None:
+    if not word:
         return OperatorBlock(V=V, word=word, source=mu, target=mu,
                              matrix=_rmat_identity(V.weight_dim(mu), nx))
+    if len(word) == 1:
+        return simple_reflection_block(V, word[0], mu, _step_variable(gammas[0]))
+    letters = word[::-1]
+    steps = V.word_steps.get(mu)
+    if steps is None:
+        V.word_steps.clear()  # products at another mu are never reused
+        steps = V.word_steps[mu] = []
+    # steps[s] = (letter, N, L, D, weight) after the first s + 1 letters
+    shared = 0
+    while shared < min(len(steps), len(word)) and steps[shared][0] == letters[shared]:
+        shared += 1
+    del steps[shared:]
+    _, num, scale, den, cur = steps[-1] if steps else (None, None, 1, {}, mu)
+    for step in range(shared, len(word)):
+        letter, gamma = letters[step], gammas[step]
+        p = Fraction(cur[letter - 1])
+        assert p == pairing(mu, gamma) and p >= 0, "negative intermediate pairing"
+        blk = simple_reflection_block(V, letter, cur, _step_variable(gamma))
+        cur = blk.target
+        blk_num, blk_scale, blk_den = _integer_block(blk.matrix)
+        num = blk_num if num is None else _imat_mul(blk_num, num)
+        scale *= blk_scale
+        den = dict(den)
+        for f, m in blk_den.items():
+            den[f] = den.get(f, 0) + m
+        terms, degree = sum(len(e) for row in num for e in row), sum(den.values())
+        if terms > TERM_CAP:
+            raise DynWeylError(f"A_w on V_({mu}): {terms} numerator terms after step"
+                               f" {step + 1} of {len(word)}, over the cap of {TERM_CAP}")
+        if degree > MAX_DEGREE:  # packed keys would carry between fields
+            raise DynWeylError(f"A_w on V_({mu}): numerator degree {degree} after step"
+                               f" {step + 1} of {len(word)}, over {MAX_DEGREE}")
+        # two distinct reduced words of one element share at most len(word) - 2 letters
+        if step < len(word) - 2:
+            steps.append((letter, num, scale, den, cur))
     # RatFun.__mul__ trial-divides the numerator by exactly the forms of D
     over_d = RatFun.from_factors(1, [], [f for f, m in den.items() for _ in range(m)], nx)
-    matrix = [[RatFun(p, ()) * over_d for p in row] for row in num]
+    matrix = [[RatFun(Polynomial.from_ints(nx, e, scale), ()) * over_d for e in row]
+              for row in num]
     return OperatorBlock(V=V, word=word, source=mu, target=cur, matrix=matrix)
 
 

@@ -123,12 +123,12 @@ class LeviCase:
     equal: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _string_comparison(m: int, k: int, xi: DegreeOneForm) -> LeviCase:
     """The rank-1 geometric transition at (m, m-2k), with x replaced by xi,
     against the rho-shifted dynamical coefficient c(m, k, xi).  It depends
-    only on (m, k, xi), so it is computed once per process and the frozen
-    LeviCase is shared between reports."""
+    only on (m, k, xi), so it is kept for the last 4096 (m, k, xi) and the
+    frozen LeviCase is shared between reports."""
     geo = hyperbolic_transition(m, m - 2 * k).substitute([xi])
     dyn = rank1_coefficient(m, k, xi).substitute(rho_shift_images(xi.nx))
     return LeviCase(m=m, k=k, geometric=geo, dynamical_shifted=dyn, equal=geo == dyn)

@@ -73,6 +73,7 @@ class _cached:
 
 _W = 16
 _MASK = (1 << _W) - 1
+MAX_DEGREE = _MASK  # the largest total degree a packed key holds
 
 
 def _unit_key(nx: int, i: int) -> int:
@@ -302,6 +303,12 @@ class Polynomial:
     @staticmethod
     def zero(nx: int) -> "Polynomial":
         return _poly(nx, {}, _ZERO)
+
+    @staticmethod
+    def from_ints(nx: int, coeffs: dict[int, int], den: int) -> "Polynomial":
+        """sum(c * monomial(e) for e, c in coeffs.items()) / den, for packed
+        keys e, nonzero int coefficients c and an int den > 0."""
+        return _normalized(nx, coeffs, 1, den)
 
     @staticmethod
     def const(c, nx: int) -> "Polynomial":

@@ -258,6 +258,9 @@ class Irrep:
     # (i, nu) -> dynweyl.string_data: the sl(2)-string decomposition and its
     # xi-free parts, kept as long as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # mu -> the step products of the last word that dynweyl.word_operator_block
+    # composed at mu, for the next word to reuse; one mu at a time
+    word_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weight_order:

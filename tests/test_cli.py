@@ -1,11 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from dynwg import cli, dynweyl, geomsatake, rep
+from dynwg import cli, dynweyl, geomsatake, rep, rootdata
 from dynwg.ratfun import DegreeOneForm, RatFun
 from ratfun_text import parse_ratfun
+
+A3 = rootdata.LieType.parse("A3")
 
 
 def run(capsys, *args):
@@ -264,6 +267,40 @@ def test_levi_decomposes_each_weight_once(capsys, monkeypatch):
                        "--no-cache", "--jobs", "1")
     assert code == 0 and "6/6 cases pass" in out
     assert len(calls) == len(set(calls)) == 6  # one per (i, mu)
+
+
+def test_cocycle_composes_each_shared_suffix_once(monkeypatch):
+    # A3 (1,0,0) has one case, at its highest weight, with 16 words of 6
+    # letters: 96 blocks one word at a time, 66 when each word reuses the
+    # step products of its longest common suffix with the word before it
+    monkeypatch.setattr(cli, "_irrep_memo", None)
+    original = dynweyl.simple_reflection_block
+    calls = []
+
+    def counted(V, i, nu, xi):
+        calls.append((i, nu, xi))
+        return original(V, i, nu, xi)
+
+    monkeypatch.setattr(dynweyl, "simple_reflection_block", counted)
+    words = [list(w) for w in rootdata.all_reduced_words(A3, rootdata.longest_element(A3))]
+    case = cli._cocycle_case(("A3", [1, 0, 0], [1, 0, 0], words, 500, None))
+    assert case["ok"] and case["words_checked"] == 16
+    assert len(calls) <= 66
+
+
+def test_term_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(dynweyl, "TERM_CAP", 10)
+    code, out, err = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
+                         "--no-cache", "--jobs", "1")
+    assert code == 2 and not out
+    found = re.fullmatch(r"error: A_w on V_\((\d+),(\d+)\): (\d+) numerator terms after step"
+                         r" ([234]) of 4, over the cap of 10\n", err)
+    assert found and int(found[3]) > 10, err
+
+
+def test_rank1_memos_are_bounded():
+    for memo in (dynweyl.rank1_coefficient, geomsatake._string_comparison):
+        assert memo.cache_info().maxsize == 4096
 
 
 @pytest.fixture()

@@ -14,7 +14,7 @@ from dynwg.dynweyl import (
     simple_reflection_block,
     word_operator_block,
 )
-from dynwg.ratfun import DegreeOneForm, PoleError, RatFun
+from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
 from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add
 from dynwg.rootdata import (
     LieType,
@@ -272,6 +272,94 @@ def test_word_block_matches_reduce_every_step_oracle():
                 assert blk.to_json() == oracle.to_json(), (algebra, hw, mu, word)
                 compared += 1
     assert compared == 232
+
+
+# ---------------------------------------------------------------------------
+# oracle for the integer composition: Polynomial matrices over one common
+# denominator, multiplied with Polynomial arithmetic, with no product kept
+# between words
+
+
+def _over_common_denominator(matrix):
+    """(P, D) with matrix == P / prod(f^D[f]): D is the lcm of the entries'
+    denominators and P a Polynomial matrix."""
+    den = {}
+    for row in matrix:
+        for e in row:
+            for f, m in e.den:
+                den[f] = max(den.get(f, 0), m)
+    num = [[e.num for e in row] for row in matrix]
+    for num_row, row in zip(num, matrix):
+        for c, e in enumerate(row):
+            own = dict(e.den)
+            for f, m in den.items():
+                if m > own.get(f, 0):
+                    num_row[c] *= f.to_polynomial() ** (m - own.get(f, 0))
+    return num, den
+
+
+def _pmat_mul(a, b, nx):
+    zero = Polynomial.zero(nx)
+    return [[sum((e * g for e, g in zip(a_row, col)), zero) for col in zip(*b)] for a_row in a]
+
+
+def _polynomial_word_block(V, word, mu):
+    """A_w on V_mu for a word of two or more letters, reduced once at the end."""
+    nx = V.type.rank
+    cur, num, den = mu, None, {}
+    for gamma, letter in zip(crossing_coroots(V.type, word), reversed(word)):
+        xi = DegreeOneForm.make(gamma.coords, gamma.height() - 1)
+        blk = simple_reflection_block(V, letter, cur, xi)
+        cur = blk.target
+        blk_num, blk_den = _over_common_denominator(blk.matrix)
+        num = blk_num if num is None else _pmat_mul(blk_num, num, nx)
+        for f, m in blk_den.items():
+            den[f] = den.get(f, 0) + m
+    over_d = RatFun.from_factors(1, [], [f for f, m in den.items() for _ in range(m)], nx)
+    matrix = [[RatFun(p, ()) * over_d for p in row] for row in num]
+    return OperatorBlock(V=V, word=tuple(word), source=mu, target=cur, matrix=matrix)
+
+
+def _same_block(a, b):
+    return a.equals(b) and a.word == b.word and a.to_json() == b.to_json()
+
+
+POLYNOMIAL_ORACLE_IRREPS = [
+    ("G2", (1, 1)), ("B2", (2, 2)), ("A3", (2, 0, 2)), ("B3", (1, 0, 1)), ("D4", (0, 1, 0, 0)),
+]
+
+
+def test_word_block_matches_polynomial_oracle():
+    compared = 0
+    for algebra, hw in POLYNOMIAL_ORACLE_IRREPS:
+        t = LieType.parse(algebra)
+        V = build_irrep(t, Weight(hw))
+        words = all_reduced_words(t, longest_element(t), cap=4)
+        for mu in [w for w in V.weights() if w.is_dominant()]:
+            for word in words:
+                oracle = _polynomial_word_block(V, word, mu)
+                assert _same_block(word_operator_block(V, word, mu), oracle), (algebra, mu, word)
+                compared += 1
+    assert compared == 66
+
+
+@pytest.mark.parametrize("algebra, hw, mu1, mu2", [
+    ("B2", (2, 2), (0, 0), (1, 0)),
+    ("A3", (1, 0, 1), (0, 0, 0), (1, 0, 1)),
+])
+def test_word_blocks_do_not_depend_on_the_words_composed_before(algebra, hw, mu1, mu2):
+    # mu1, then mu2, then mu1 again, each in its own shuffled word order;
+    # the oracle runs on a freshly built irrep that no other word touched
+    t = LieType.parse(algebra)
+    V, fresh = build_irrep(t, Weight(hw)), build_irrep(t, Weight(hw))
+    words = all_reduced_words(t, longest_element(t), cap=8)
+    rng = random.Random(13)
+    for mu in (Weight(mu1), Weight(mu2), Weight(mu1)):
+        order = list(words)
+        rng.shuffle(order)
+        for word in order:
+            oracle = _polynomial_word_block(fresh, word, mu)
+            assert _same_block(word_operator_block(V, word, mu), oracle), (mu, word)
 
 
 # ---------------------------------------------------------------------------
