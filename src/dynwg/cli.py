@@ -93,16 +93,19 @@ def _cocycle_case(args) -> dict:
     V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
     mu = Weight.make(mu_coords)
     key = f"cocycle:{algebra}:{hw_coords}:{mu_coords}"
-    reference = dynweyl.word_operator_block(V, tuple(words[0]), mu)
-    problems = _structural_checks(reference)
-    # in the order of their reversed letters, each word shares the longest
-    # suffix, and so the most step products, with the word before it
-    for word in sorted(words[1:], key=lambda w: w[::-1]):
-        block = dynweyl.word_operator_block(V, tuple(word), mu)
-        if block.equals(reference):
-            continue  # same element and entries: the reference's problems
-        problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
-        problems.extend(_structural_checks(block))
+    try:
+        reference = dynweyl.word_operator_block(V, tuple(words[0]), mu)
+        problems = _structural_checks(reference)
+        # in the order of their reversed letters, each word shares the longest
+        # suffix, and so the most step products, with the word before it
+        for word in sorted(words[1:], key=lambda w: w[::-1]):
+            block = dynweyl.word_operator_block(V, tuple(word), mu)
+            if block.equals(reference):
+                continue  # same element and entries: the reference's problems
+            problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
+            problems.extend(_structural_checks(block))
+    finally:
+        V.word_steps.clear()  # the next case is at another mu and would drop them
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "words_checked": len(words)}
 

@@ -43,9 +43,6 @@ class TorusWeightMultiset:
             if w.is_zero():
                 raise GeomSatakeError("zero torus weight")
 
-    def product(self) -> RatFun:
-        return RatFun.from_factors(1, self.weights, [], self.nx)
-
 
 def _check_rank1_pair(lam: int, mu: int):
     if not (0 <= mu <= lam):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -741,91 +740,39 @@ def irrep_from_json(obj: dict) -> Irrep:
     return V
 
 
-# A lock without a readable pid (its writer has not written it yet, or the
-# lock predates pids in locks) is trusted while it is younger than this.
-LOCK_GRACE_S = 5.0
-
-
-def _pid_alive(pid: int) -> bool:
-    if os.name != "posix":
-        return True  # no safe probe: os.kill(pid, 0) would end the process
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        pass  # alive, owned by another user
-    return True
-
-
-def _lock_free(lock: str) -> bool:
-    """True once no live writer holds `lock`.  A lock whose writer has died
-    (its pid is gone, or it holds no pid and is older than LOCK_GRACE_S) is
-    broken here, so a killed writer cannot block its entry for good."""
-    try:
-        with open(lock) as fh:
-            text = fh.read()
-        try:
-            alive = _pid_alive(int(text))
-        except ValueError:
-            alive = time.time() - os.path.getmtime(lock) < LOCK_GRACE_S
-        if not alive:
-            os.unlink(lock)
-    except FileNotFoundError:
-        return True
-    except OSError:
-        return False  # a lock this process cannot read or remove stays in force
-    return not alive
-
-
-def _take_lock(lock: str) -> int | None:
-    """Create `lock` holding this process's pid and return its descriptor,
-    or None while a live writer holds it."""
-    for _ in range(2):  # the second try follows the breaking of a dead writer's lock
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if not _lock_free(lock):
-                return None
-            continue
-        os.write(fd, str(os.getpid()).encode())
-        return fd
-    return None
-
-
 def save_irrep(V: Irrep, cache_dir: str):
-    """Write V's cache entry, atomically replacing any entry already there."""
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write V's cache entry, replacing any entry already there.  The JSON goes
+    to a temporary file of this writer's own, which is then renamed over the
+    entry: a reader sees the old entry or the new one, never part of either.
+    Two writers of one entry write the same bytes, and the last rename stays.
+    A cache that cannot be written raises RepError."""
     path = os.path.join(cache_dir, cache_filename(V.type, V.hw))
-    lock = path + ".lock"
-    fd = _take_lock(lock)
-    if fd is None:
-        return  # another writer is at work; readers keep using fresh builds
     try:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(irrep_to_json(V), fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        os.close(fd)
-        os.unlink(lock)
+        os.makedirs(cache_dir, exist_ok=True)
+        # a name of this writer's own; unlike tempfile.mkstemp's 0o600, mode
+        # 0o666 leaves the entry as readable as the umask allows
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(irrep_to_json(V), fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise RepError(f"cannot write the irrep cache entry {path}: {exc.strerror}") from exc
 
 
 def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
-    """The cached V(hw), or None if there is none.  An entry that is not JSON,
-    does not decode, or holds another type, highest weight or format version
-    counts as missing, so that build_irrep rebuilds and replaces it."""
+    """The cached V(hw), or None if there is none.  Entries are published by
+    an atomic rename (save_irrep), so the entry is read as it stands.  An
+    entry that is not JSON, does not decode, or holds another type, highest
+    weight or format version counts as missing, so that build_irrep rebuilds
+    and replaces it."""
     path = os.path.join(cache_dir, cache_filename(t, hw))
     if not os.path.exists(path):
         return None
-    # wait out an in-flight writer's rename
-    lock = path + ".lock"
-    for _ in range(50):
-        if _lock_free(lock):
-            break
-        time.sleep(0.1)
     try:
         with open(path) as fh:
             obj = json.load(fh)

@@ -133,8 +133,11 @@ def test_cache_commands(capsys, tmp_path):
     run(capsys, "cache", "warm", "--algebra", "A2", "--hw", "1,1", *cache)
     code, out, _ = run(capsys, "cache", "list", *cache)
     assert out.strip() == "A2__1_1.v1.json"
+    # a lock left by an older version, and a killed writer's temporary file
+    (tmp_path / "A2__1_1.v1.json.lock").write_text("1")
+    (tmp_path / "A2__1_1.v1.json.0123456789abcdef.tmp").write_text("{")
     code, out, _ = run(capsys, "cache", "clear", *cache)
-    assert code == 0
+    assert code == 0 and not list(tmp_path.iterdir())
     code, out, _ = run(capsys, "cache", "list", *cache)
     assert out == ""
 
@@ -286,6 +289,15 @@ def test_cocycle_composes_each_shared_suffix_once(monkeypatch):
     case = cli._cocycle_case(("A3", [1, 0, 0], [1, 0, 0], words, 500, None))
     assert case["ok"] and case["words_checked"] == 16
     assert len(calls) <= 66
+    assert not cli._irrep_memo[1].word_steps  # released at the end of the case
+
+
+def test_cocycle_suite_releases_its_step_products(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_irrep_memo", None)
+    code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
+                       "--no-cache", "--jobs", "1")
+    assert code == 0 and "cases pass" in out
+    assert cli._irrep_memo[1].word_steps == {}
 
 
 def test_term_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
@@ -296,6 +308,19 @@ def test_term_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
     found = re.fullmatch(r"error: A_w on V_\((\d+),(\d+)\): (\d+) numerator terms after step"
                          r" ([234]) of 4, over the cap of 10\n", err)
     assert found and int(found[3]) > 10, err
+    assert cli._irrep_memo[1].word_steps == {}  # released by the case that stopped
+
+
+def test_unwritable_cache_is_a_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = blocker / "cache"  # under a regular file: no directory can be made
+    code, out, err = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "1,0",
+                         "--cache-dir", str(cache_dir), "--jobs", "1")
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write the irrep cache entry {cache_dir}")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["file"]
 
 
 def test_rank1_memos_are_bounded():

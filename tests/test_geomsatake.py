@@ -40,8 +40,8 @@ def test_costalk_weights_known():
 
 def test_costalk_weights_lists_match_products():
     # lam=4, mu=0: e-side product (-x-2h)(-x-h), s-side (x-h)(x-2h)
-    e = costalk_weights(4, 0, "e").product()
-    s = costalk_weights(4, 0, "s").product()
+    e = RatFun.from_factors(1, costalk_weights(4, 0, "e").weights, [], 1)
+    s = RatFun.from_factors(1, costalk_weights(4, 0, "s").weights, [], 1)
     assert e == rf1("(-x1-2*h)*(-x1-h)")
     assert s == rf1("(x1-h)*(x1-2*h)")
 

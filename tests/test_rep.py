@@ -553,42 +553,85 @@ def test_invalid_cache_entry_is_rebuilt_and_replaced(tmp_path, fault):
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 
-def _exited_pid() -> int:
-    """The pid of a child process that has exited and been reaped."""
-    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True, check=True)
-    return int(child.stdout)
+# Rewrites (write) or loads (read) the A3 (1,1,1) entry n times; a reader
+# prints the sha256 of each load's JSON ("none" for a missing entry).
+_CACHE_RACER = """
+import hashlib, json, sys
+from dynwg import rep
+from dynwg.rootdata import LieType, Weight
+role, cache_dir, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+t, hw = LieType.parse("A3"), Weight((1, 1, 1))
+V = rep.load_cached_irrep(t, hw, cache_dir)
+for _ in range(n):
+    if role == "write":
+        rep.save_irrep(V, cache_dir)
+    else:
+        W = rep.load_cached_irrep(t, hw, cache_dir)
+        text = "none" if W is None else json.dumps(rep.irrep_to_json(W), sort_keys=True)
+        print(hashlib.sha256(text.encode()).hexdigest())
+"""
 
 
-@pytest.mark.skipif(os.name != "posix", reason="pids are probed with os.kill")
-def test_stale_lock_of_dead_writer_is_broken(tmp_path):
+def test_concurrent_writers_and_readers_see_whole_entries(tmp_path):
+    A3 = LieType.parse("A3")
+    V = build_irrep(A3, Weight((1, 1, 1)), cache_dir=str(tmp_path))
+    entry = tmp_path / cache_filename(A3, V.hw)
+    text = json.dumps(irrep_to_json(V), sort_keys=True)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rep.__file__)), os.environ.get("PYTHONPATH", "")]))
+    racers = [subprocess.Popen([sys.executable, "-c", _CACHE_RACER, role, str(tmp_path), n],
+                               stdout=subprocess.PIPE, text=True, env=env)
+              for role, n in (("write", "40"), ("read", "80"), ("write", "40"), ("read", "80"))]
+    outputs = [racer.communicate(timeout=120)[0].split() for racer in racers]
+    assert [racer.returncode for racer in racers] == [0] * 4
+    loads = outputs[1] + outputs[3]
+    # the entry exists throughout, so no load may find it missing or torn
+    assert loads == [hashlib.sha256(text.encode()).hexdigest()] * 160
+    assert entry.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name]
+
+
+def test_lock_of_an_older_version_is_ignored(tmp_path):
+    # older versions guarded an entry with a .lock holding its writer's pid;
+    # one left behind, even holding a live pid, neither delays nor blocks
     hw = Weight((1, 1))
     path = tmp_path / cache_filename(A2, hw)
     lock = tmp_path / (path.name + ".lock")
     V = build_irrep(A2, hw, cache_dir=str(tmp_path))
-    lock.write_text(str(_exited_pid()))
+    lock.write_text(str(os.getpid()))
     start = time.perf_counter()
     W = load_cached_irrep(A2, hw, str(tmp_path))
-    assert time.perf_counter() - start < 1.0  # no wait for the dead writer
-    assert W is not None and W.e_blocks == V.e_blocks and not lock.exists()
-    # a dead writer's lock no longer keeps the entry from being written
+    assert time.perf_counter() - start < 1.0
+    assert W is not None and W.e_blocks == V.e_blocks
     path.unlink()
-    lock.write_text(str(_exited_pid()))
     build_irrep(A2, hw, cache_dir=str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-    # an old lock without a pid is broken too
-    path.unlink()
-    lock.write_text("")
-    old = time.time() - 60
-    os.utime(lock, (old, old))
-    build_irrep(A2, hw, cache_dir=str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    assert path.read_text() == json.dumps(irrep_to_json(V), sort_keys=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, lock.name])
 
 
-def test_live_writer_lock_is_kept(tmp_path):
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     hw = Weight((1, 0))
+    V = build_irrep(A2, hw, cache_dir=str(tmp_path))
     path = tmp_path / cache_filename(A2, hw)
-    lock = tmp_path / (path.name + ".lock")
-    lock.write_text(str(os.getpid()))
-    build_irrep(A2, hw, cache_dir=str(tmp_path))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [lock.name]
+    text = path.read_text()
+
+    def disk_full(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(rep.json, "dump", disk_full)
+    with pytest.raises(RepError, match="cannot write the irrep cache entry .*: No space left"):
+        rep.save_irrep(V, str(tmp_path))
+    assert path.read_text() == text  # the old entry stands
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+def test_cache_entry_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        build_irrep(A2, Weight((1, 0)), cache_dir=str(tmp_path))
+    finally:
+        os.umask(old)
+    entry = tmp_path / cache_filename(A2, Weight((1, 0)))
+    assert entry.stat().st_mode & 0o777 == 0o640
