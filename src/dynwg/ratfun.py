@@ -9,7 +9,10 @@ A Polynomial is stored as one positive rational content times a primitive
 integer polynomial, whose exponent vectors are packed into single ints, so
 that products, sums and trial divisions run on ints rather than Fractions
 (packed monomials as in Monagan & Pearce, "Sparse polynomial division using
-a heap", J. Symbolic Comput. 2011).
+a heap", J. Symbolic Comput. 2011).  Formatting and evaluation run on those
+integer coefficients too: text is rendered from the content's numerator and
+denominator times each integer coefficient, and a denominator form is
+evaluated from its integer coefficients.
 
 Variables: x1..xr are coordinates on the Cartan subalgebra (pairings with
 simple coroots), h is the loop-rotation equivariant parameter.
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 
 class RatFunError(Exception):
@@ -145,21 +150,14 @@ class DegreeOneForm:
         return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
 
     def substitute(self, images: "list[DegreeOneForm]") -> "DegreeOneForm":
-        """Apply x_i -> images[i]; h maps to itself."""
+        """Apply x_i -> images[i]; h maps to itself.  The result is kept for
+        the last 4096 (form, images), so a repeated substitution returns the
+        same instance, with its cached data."""
         if len(images) != self.nx:
             raise ValueError("need one image per x variable")
-        nx = images[0].nx if images else self.nx
-        d, own = self._scaled
-        image_den = lcm(*(img._scaled[0] for img in images))
-        out = [0] * nx + [own[-1] * image_den]
-        for c, img in zip(own, images):
-            if c:
-                img_d, img_ints = img._scaled
-                c *= image_den // img_d
-                for j in range(nx + 1):
-                    out[j] += c * img_ints[j]
-        d *= image_den
-        return DegreeOneForm(tuple(Fraction(c, d) for c in out[:-1]), Fraction(out[-1], d))
+        if images and any(img.nx != images[0].nx for img in images):
+            raise ValueError("images have mixed variable counts")
+        return _substitute_form(self, tuple(images))
 
     def canonical(self) -> "tuple[Fraction, DegreeOneForm]":
         """Return (s, f) with self == s*f, f primitive-integer with positive
@@ -224,6 +222,23 @@ class DegreeOneForm:
 
     def __str__(self) -> str:
         return _format_poly(self.to_polynomial())
+
+
+@lru_cache(maxsize=4096)
+def _substitute_form(form: DegreeOneForm, images: tuple[DegreeOneForm, ...]) -> DegreeOneForm:
+    """form.substitute(images), for images of one variable count."""
+    nx = images[0].nx if images else form.nx
+    d, own = form._scaled
+    image_den = lcm(*(img._scaled[0] for img in images))
+    out = [0] * nx + [own[-1] * image_den]
+    for c, img in zip(own, images):
+        if c:
+            img_d, img_ints = img._scaled
+            c *= image_den // img_d
+            for j in range(nx + 1):
+                out[j] += c * img_ints[j]
+    d *= image_den
+    return DegreeOneForm(tuple(Fraction(c, d) for c in out[:-1]), Fraction(out[-1], d))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +418,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
+        if n == 1:
+            return self  # polynomials are never changed in place
         out = Polynomial.const(1, self.nx)
         base = self
         while n:
@@ -539,11 +556,11 @@ class Polynomial:
         return _poly(self.nx, quo, self.content / abs(s))
 
     def to_json(self):
-        items = sorted(self.terms.items(), reverse=True)
-        names = [f"x{i + 1}" for i in range(self.nx)] + ["h"]
+        names = _var_names(self.nx)
         return [
-            {"coeff": str(c), "powers": {names[i]: k for i, k in enumerate(e) if k}}
-            for e, c in items
+            {"coeff": f"-{coeff}" if neg else coeff,
+             "powers": {names[i]: k for i, k in enumerate(e) if k}}
+            for neg, coeff, e in _text_terms(self)
         ]
 
     def __str__(self) -> str:
@@ -883,11 +900,14 @@ class RatFun:
             raise ValueError("point has wrong length")
         pt = [_frac(p) for p in point]
         num, den = self.num._value(pt)
+        q = lcm(*(p.denominator for p in pt))  # the point is ints / q
+        ints = [p.numerator * (q // p.denominator) for p in pt]
         for f, m in self.den:
-            fn, fd = f.to_polynomial()._value(pt)
+            d, coeffs = f._scaled
+            fn = sum(map(mul, coeffs, ints))  # f(point) == fn / (d * q)
             if not fn:
                 raise PoleError(f"denominator factor {f} vanishes at {point}")
-            num *= fd**m
+            num *= (d * q) ** m
             den *= fn**m
         return Fraction(num, den)
 
@@ -896,6 +916,7 @@ class RatFun:
 
         An invertible substitution is a ring automorphism, which keeps num
         coprime to every denominator form: then no trial division is needed."""
+        images = tuple(images)
         num = self.num.substitute(images)
         pairs = []
         for f, m in self.den:
@@ -923,9 +944,11 @@ class RatFun:
         return f"RatFun({self.format()!r})"
 
 
-def _is_automorphism(images: list[DegreeOneForm]) -> bool:
+@lru_cache(maxsize=4096)
+def _is_automorphism(images: tuple[DegreeOneForm, ...]) -> bool:
     """Whether x_i -> images[i], h -> h is invertible, i.e. the images'
-    x-coefficients form a square matrix of full rank (by integer elimination)."""
+    x-coefficients form a square matrix of full rank (by integer elimination).
+    Kept for the last 4096 images tuples."""
     n = len(images)
     rows = [img._scaled[1][:-1] for img in images]
     if any(len(row) != n for row in rows):
@@ -969,29 +992,32 @@ def eq_by_evaluation(a: RatFun, b: RatFun, rng) -> bool:
 # text format
 
 
-def _format_monomial(e: tuple[int, ...], c: Fraction, nx: int) -> str:
-    names = [f"x{i + 1}" for i in range(nx)] + ["h"]
-    vars_part = "*".join(
-        f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
-    )
-    coeff = abs(c)
-    if not vars_part:
-        return str(coeff)
-    if coeff == 1:
-        return vars_part
-    return f"{coeff}*{vars_part}"
+@lru_cache(maxsize=None)
+def _var_names(nx: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(nx)) + ("h",)
+
+
+def _text_terms(p: Polynomial):
+    """(negative, |coefficient| as text, exponent vector) for each term of p,
+    by decreasing exponent vector: the fields of a packed key below its degree
+    field compare as the vectors do."""
+    num, den = p.content.numerator, p.content.denominator
+    for e in sorted(p.coeffs, key=((1 << _W * (p.nx + 1)) - 1).__and__, reverse=True):
+        c = p.coeffs[e]
+        g = gcd(c, den)  # num and den are coprime
+        n, d = num * abs(c) // g, den // g
+        yield c < 0, f"{n}/{d}" if d > 1 else str(n), _unpack(e, p.nx)
 
 
 def _format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
+    names = _var_names(p.nx)
     parts = []
-    for e, c in sorted(p.terms.items(), reverse=True):
-        mono = _format_monomial(e, c, p.nx)
-        if not parts:
-            parts.append(mono if c > 0 else f"-{mono}")
-        else:
-            parts.append(f"+{mono}" if c > 0 else f"-{mono}")
+    for neg, coeff, e in _text_terms(p):
+        vars_part = "*".join(f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k)
+        mono = f"{coeff}*{vars_part}" if vars_part and coeff != "1" else vars_part or coeff
+        parts.append(("-" if neg else "+" if parts else "") + mono)
     return "".join(parts)
 
 

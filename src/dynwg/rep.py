@@ -755,7 +755,8 @@ def save_irrep(V: Irrep, cache_dir: str):
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(irrep_to_json(V), fh, sort_keys=True)
+                # json.dumps runs the C encoder; json.dump to a file does not
+                fh.write(json.dumps(irrep_to_json(V), sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynwg import ratfun
 from dynwg.ratfun import (
     DegreeOneForm,
     PoleCollapseError,
@@ -50,6 +51,57 @@ def test_polynomial_degree_limit():
     assert (x1 ** 65535).total_degree() == 65535
     with pytest.raises(RatFunError):
         x1 ** 65536
+
+
+def test_polynomial_powers_match_repeated_products():
+    p = Polynomial(2, {(1, 0, 0): F(1, 2), (0, 1, 1): -3, (0, 0, 0): 2})
+    expected = Polynomial.const(1, 2)
+    for n in range(6):
+        if n in (0, 1, 2, 5):
+            assert p ** n == expected
+        expected = expected * p
+    assert p ** 1 is p
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
+def test_form_substitution_rejects_mixed_variable_counts():
+    f = DegreeOneForm.make([1, 2], 3)
+    short, long = DegreeOneForm.make([1, 0]), DegreeOneForm.make([0, 1, 5])
+    for images in ([short, long], [long, short]):
+        for _ in range(2):  # the error is raised again, not remembered
+            with pytest.raises(ValueError, match="images have mixed variable counts"):
+                f.substitute(images)
+    with pytest.raises(ValueError, match="one image per x variable"):
+        f.substitute([short])
+
+
+def test_substitution_memos_are_bounded():
+    for memo in (ratfun._substitute_form, ratfun._is_automorphism):
+        assert memo.cache_info().maxsize == 4096
+
+
+def test_memoized_substitution_equals_a_fresh_one():
+    ratfun._substitute_form.cache_clear()
+    ratfun._is_automorphism.cache_clear()
+    images = [DegreeOneForm.make([F(1, 2), -1], 1), DegreeOneForm.make([0, 3], F(-2, 3))]
+    f = DegreeOneForm.make([2, F(-1, 3)], 5)
+    first = f.substitute(images)
+    again = DegreeOneForm.make([2, F(-1, 3)], 5).substitute(list(images))
+    assert again is first
+    assert first == ratfun._substitute_form.__wrapped__(f, tuple(images))
+    assert first == DegreeOneForm.make([1, -3], F(65, 9))
+    a = rf("(x1 - 2*h)/((x2 + h)*(x1 + x2)^2)")
+    memoized = a.substitute(images)
+    assert ratfun._substitute_form.cache_info().hits > 0
+    ratfun._substitute_form.cache_clear()
+    ratfun._is_automorphism.cache_clear()
+    assert a.substitute(images) == memoized
+    # a pole collapse is raised on every call, though the substituted form is kept
+    collapse = [DegreeOneForm.make([0, 0], 1), DegreeOneForm.make([0, 0], -1)]
+    for _ in range(2):
+        with pytest.raises(PoleCollapseError):
+            a.substitute(collapse)
 
 
 def test_factor_into_forms():
@@ -119,6 +171,28 @@ def test_evaluate_and_pole():
     assert a.evaluate([F(1), F(0), F(1)]) == F(-3)
     with pytest.raises(PoleError):
         a.evaluate([F(0), F(5), F(1)])
+    b = rf("1/((2*x1 - h)*(x2 + 3*h)^2)")
+    for point in ([F(1, 4), F(7), F(1, 2)], [F(1), F(-3, 5), F(1, 5)]):
+        with pytest.raises(PoleError):
+            b.evaluate(point)
+    assert b.evaluate([F(1), F(0), F(1)]) == F(1, 9)
+
+
+def test_evaluate_matches_fraction_arithmetic():
+    rng = random.Random(5)
+    for _ in range(200):
+        a = random_ratfun(rng, max_forms=3)
+        point = [F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(3)]
+        num = sum((c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+                   for e, c in a.num.terms.items()), F(0))
+        den = F(1)
+        for f, m in a.den:
+            den *= sum(c * v for c, v in zip(f.coeffs, point)) ** m
+        if den:
+            assert a.evaluate(point) == num / den
+        else:
+            with pytest.raises(PoleError):
+                a.evaluate(point)
 
 
 def test_substitute_homomorphism_by_hand():
@@ -284,3 +358,99 @@ def test_field_operations_match_sympy_cancel():
                            (substituted(poly(p) * k), substituted(poly(q))))
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the text format against the earlier Fraction-based formatter
+
+
+def oracle_format_monomial(e, c, nx):
+    names = [f"x{i + 1}" for i in range(nx)] + ["h"]
+    vars_part = "*".join(
+        f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k
+    )
+    coeff = abs(c)
+    if not vars_part:
+        return str(coeff)
+    if coeff == 1:
+        return vars_part
+    return f"{coeff}*{vars_part}"
+
+
+def oracle_format_poly(p):
+    if p.is_zero():
+        return "0"
+    parts = []
+    for e, c in sorted(p.terms.items(), reverse=True):
+        mono = oracle_format_monomial(e, c, p.nx)
+        if not parts:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"+{mono}" if c > 0 else f"-{mono}")
+    return "".join(parts)
+
+
+def oracle_format_ratfun(a):
+    num = oracle_format_poly(a.num)
+    if not a.den:
+        return num
+    factors = []
+    for f, m in a.den:
+        fs = f"({oracle_format_poly(f.to_polynomial())})"
+        factors.append(f"{fs}^{m}" if m > 1 else fs)
+    return f"({num})/({'*'.join(factors)})"
+
+
+def oracle_to_json(p):
+    names = [f"x{i + 1}" for i in range(p.nx)] + ["h"]
+    return [{"coeff": str(c), "powers": {names[i]: k for i, k in enumerate(e) if k}}
+            for e, c in sorted(p.terms.items(), reverse=True)]
+
+
+def random_coefficient(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((1, -1))
+    if kind == 1:
+        return rng.randint(-40, 40)
+    return F(rng.randint(-40, 40), rng.choice((2, 3, 4, 6, 7, 12, 35)))
+
+
+def random_polynomial(rng, nx):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:  # constant
+            e = (0,) * (nx + 1)
+        elif kind == 1:  # a power of h alone
+            e = (0,) * nx + (rng.randint(1, 3),)
+        else:
+            e = tuple(rng.randint(0, 3) for _ in range(nx + 1))
+        terms[e] = random_coefficient(rng)
+    return Polynomial(nx, terms)
+
+
+def random_form(rng, nx):
+    while True:
+        f = DegreeOneForm.make([random_coefficient(rng) if rng.random() < 0.7 else 0
+                                for _ in range(nx)],
+                               random_coefficient(rng) if rng.random() < 0.7 else 0)
+        if not f.is_zero():
+            return f
+
+
+def test_format_matches_fraction_formatter():
+    rng = random.Random(1501)
+    for n in range(1200):
+        nx = 1 + n % 3
+        p = random_polynomial(rng, nx)
+        assert str(p) == oracle_format_poly(p)
+        assert p.to_json() == oracle_to_json(p)
+        f = random_form(rng, nx)
+        assert str(f) == oracle_format_poly(f.to_polynomial())
+        # denominator forms drawn from a small pool, so that some repeat
+        pool = [random_form(rng, nx) for _ in range(2)]
+        den = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        a = RatFun(p, ()) * RatFun.from_factors(random_coefficient(rng) or 1, [], den, nx)
+        assert a.format() == oracle_format_ratfun(a)
+        assert a.to_json()["num"] == oracle_to_json(a.num)

@@ -615,11 +615,20 @@ def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     path = tmp_path / cache_filename(A2, hw)
     text = path.read_text()
 
-    def disk_full(obj, fh, **kwargs):
-        fh.write("{")
-        raise OSError(28, "No space left on device")
+    real_fdopen = os.fdopen
 
-    monkeypatch.setattr(rep.json, "dump", disk_full)
+    def disk_full(fd, *args, **kwargs):
+        # a file whose write gets one character out and then finds the disk full
+        fh = real_fdopen(fd, *args, **kwargs)
+
+        def write(text):
+            type(fh).write(fh, text[:1])
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(rep.os, "fdopen", disk_full)
     with pytest.raises(RepError, match="cannot write the irrep cache entry .*: No space left"):
         rep.save_irrep(V, str(tmp_path))
     assert path.read_text() == text  # the old entry stands
