@@ -258,18 +258,17 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
 def cmd_cache(action: str, cfg: RunConfig) -> int:
     cache_dir = cfg.cache_dir or rep.default_cache_dir()
     if action == "list":
-        for name in rep.list_cached_irreps(cache_dir):
-            print(name)
+        for name in rep.cache_files(cache_dir):
+            if name.endswith(".json"):  # an entry
+                print(name)
         return 0
     if action == "clear":
-        if os.path.isdir(cache_dir):
-            for name in os.listdir(cache_dir):
-                if name.endswith((".json", ".lock", ".tmp")):
-                    try:
-                        os.unlink(os.path.join(cache_dir, name))
-                    except OSError as exc:
-                        print(f"cannot remove {exc.filename}: {exc.strerror}", file=sys.stderr)
-                        return USAGE_ERROR
+        for name in rep.cache_files(cache_dir):
+            try:
+                os.unlink(os.path.join(cache_dir, name))
+            except OSError as exc:
+                print(f"cannot remove {exc.filename}: {exc.strerror}", file=sys.stderr)
+                return USAGE_ERROR
         return 0
     if action == "warm":
         if cfg.algebra is None:

@@ -22,12 +22,11 @@ from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
 from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
 from .rootdata import (
-    LieType,
+    CorootVector,
     Weight,
     WeylWord,
     crossing_coroots,
     pairing,
-    positive_coroots,
     simple_reflection,
     simple_root,
 )
@@ -224,7 +223,7 @@ def _imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def _step_variable(gamma: Weight) -> DegreeOneForm:
+def _step_variable(gamma: CorootVector) -> DegreeOneForm:
     """xi = <x, gamma> + (ht(gamma) - 1) h for a crossing coroot gamma."""
     return DegreeOneForm.make(gamma.coords, gamma.height() - 1)
 
@@ -280,8 +279,7 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     _, num, scale, den, cur = steps[-1] if steps else (None, None, 1, {}, mu)
     for step in range(shared, len(word)):
         letter, gamma = letters[step], gammas[step]
-        p = Fraction(cur[letter - 1])
-        assert p == pairing(mu, gamma) and p >= 0, "negative intermediate pairing"
+        assert cur[letter - 1] == pairing(mu, gamma) >= 0, "negative intermediate pairing"
         blk = simple_reflection_block(V, letter, cur, _step_variable(gamma))
         cur = blk.target
         blk_num, blk_scale, blk_den = _integer_block(blk.matrix)
@@ -338,35 +336,15 @@ def _value_at_h0(e: RatFun) -> Fraction:
 
 
 def denominators_are_local(b: OperatorBlock) -> bool:
-    """Every denominator factor must be (a scalar multiple of)
-    <x + h rho, gamma> - m*h with gamma a positive coroot and m a positive
-    integer; equivalently <x, gamma> + c*h with c an integer < ht(gamma).
-    For gamma simple this is the familiar x_i - m*h, m >= 0."""
-    t = b.V.type
-    return all(_is_local_form(form, t) for row in b.matrix for e in row for form, _ in e.den)
+    """Every denominator factor must be <x + h rho, gamma> - m*h with gamma a
+    coroot that the block's word crosses and m a positive integer;
+    equivalently <x, gamma> + c*h with c an integer < ht(gamma).  For a
+    single letter i this is the familiar x_i - m*h, m >= 0.
 
-
-@lru_cache(maxsize=4096)
-def _is_local_form(form: DegreeOneForm, t: LieType) -> bool:
-    """Whether form is local for type t; kept for the last 4096 (form, t)."""
-    for gamma in positive_coroots(t):
-        scale = None
-        ok = True
-        for fc, gc in zip(form.xcoeffs, gamma.coords):
-            if gc == 0:
-                if fc != 0:
-                    ok = False
-                    break
-                continue
-            r = fc / gc
-            if scale is None:
-                scale = r
-            elif r != scale:
-                ok = False
-                break
-        if not ok or scale is None or scale <= 0:
-            continue
-        c = form.hcoeff / scale
-        if c.denominator == 1 and c < gamma.height():
-            return True
-    return False
+    Denominator forms are canonical (primitive integer, first coefficient
+    positive), and so is a positive coroot, so a local form's x-part is
+    gamma itself: one lookup per form."""
+    heights = {g.coords: g.height() for g in crossing_coroots(b.V.type, b.word)}
+    return all((ht := heights.get(form.xcoeffs)) is not None
+               and form.hcoeff.denominator == 1 and form.hcoeff < ht
+               for row in b.matrix for e in row for form, _ in e.den)

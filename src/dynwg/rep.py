@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -93,8 +94,8 @@ def weyl_dimension(t: LieType, lam: Weight) -> int:
 def _weyl_dimension(t: LieType, lam: Weight) -> int:
     num = den = 1
     for g in positive_coroots(t):
-        num *= sum(int(c) * (m + 1) for c, m in zip(g.coords, lam.coords))
-        den *= sum(int(c) for c in g.coords)
+        num *= sum(c * (m + 1) for c, m in zip(g.coords, lam.coords))
+        den *= g.height()
     d, r = divmod(num, den)
     assert not r
     return d
@@ -686,6 +687,12 @@ def cache_filename(t: LieType, hw: Weight) -> str:
     return f"{t}__{'_'.join(str(c) for c in hw.coords)}.v{CACHE_VERSION}.json"
 
 
+# The names of the cache's own files: entries (cache_filename, any version),
+# the temporary files of save_irrep, and the .lock files of older versions.
+_CACHE_FILE = re.compile(
+    r"[A-G][0-9]+__[0-9]+(_[0-9]+)*\.v[0-9]+\.json(\.lock|\.[0-9a-f]{16}\.tmp)?")
+
+
 def _matrix_to_triplets(m: Matrix):
     return [[r, c, str(v)] for r, row in enumerate(m) for c, v in enumerate(row) if v]
 
@@ -785,7 +792,8 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
         return None
 
 
-def list_cached_irreps(cache_dir: str) -> list[str]:
+def cache_files(cache_dir: str) -> list[str]:
+    """The names of the files in cache_dir that the cache owns, sorted."""
     if not os.path.isdir(cache_dir):
         return []
-    return sorted(f for f in os.listdir(cache_dir) if f.endswith(".json"))
+    return sorted(f for f in os.listdir(cache_dir) if _CACHE_FILE.fullmatch(f))

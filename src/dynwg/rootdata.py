@@ -4,7 +4,10 @@ Conventions (documented in the README):
   * Bourbaki numbering of simple roots for every series.
   * Cartan matrix A[i][j] = <alpha_j, alphacheck_i>.
   * Weights are stored by their pairings with the simple coroots
-    (fundamental-weight coordinates); coroots in the simple-coroot basis.
+    (fundamental-weight coordinates); coroots as integer vectors in the
+    simple-coroot basis.
+  * Positive roots and positive coroots come from one reflection closure
+    over a Cartan matrix: the coroots of A are the roots of its transpose.
   * A Weyl word (i_l, ..., i_1) denotes s_{i_l} ... s_{i_1}: the rightmost
     stored letter acts first.
 """
@@ -12,7 +15,6 @@ Conventions (documented in the README):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 WeylWord = tuple[int, ...]
@@ -84,17 +86,21 @@ class Weight:
 class CorootVector:
     """Coroot-lattice vector in the basis of simple coroots."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
 
     @staticmethod
     def make(coords) -> "CorootVector":
-        return CorootVector(tuple(Fraction(c) for c in coords))
+        coords = tuple(coords)
+        ints = tuple(int(c) for c in coords)
+        if ints != coords:
+            raise RootDataError(f"coroot coordinates {coords} are not all integers")
+        return CorootVector(ints)
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(self.coords)
 
-    def height(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
+    def height(self) -> int:
+        return sum(self.coords)
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coords)
@@ -182,24 +188,9 @@ def act(t: LieType, word: WeylWord, mu: Weight) -> Weight:
     return mu
 
 
-def reflect_coroot(t: LieType, j: int, gamma: CorootVector) -> CorootVector:
-    """s_j on the coroot lattice: gamma - <alpha_j, gamma> alphacheck_j."""
-    _check_index(t, j)
-    a = cartan_matrix(t)
-    pairing = sum(c * a[k][j - 1] for k, c in enumerate(gamma.coords))
-    coords = list(gamma.coords)
-    coords[j - 1] -= pairing
-    return CorootVector(tuple(coords))
-
-
-def simple_coroot(t: LieType, i: int) -> CorootVector:
-    _check_index(t, i)
-    return CorootVector.make(tuple(1 if j == i - 1 else 0 for j in range(t.rank)))
-
-
-def pairing(mu: Weight, gamma: CorootVector) -> Fraction:
+def pairing(mu: Weight, gamma: CorootVector) -> int:
     """<mu, gamma> for a weight and a coroot-lattice vector."""
-    return sum((c * m for c, m in zip(gamma.coords, mu.coords)), Fraction(0))
+    return sum(c * m for c, m in zip(gamma.coords, mu.coords))
 
 
 def crossing_coroots(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
@@ -212,13 +203,15 @@ def crossing_coroots(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
 
 @lru_cache(maxsize=None)
 def _crossing_coroots_raw(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
+    """s_j acts on the coroot lattice as g -> g - <alpha_j, g> alphacheck_j."""
+    a = cartan_matrix(t)
     applied = tuple(reversed(word))  # i_1 first
     gammas = []
     for idx, letter in enumerate(applied):
-        g = simple_coroot(t, letter)
+        g = [int(k == letter - 1) for k in range(t.rank)]
         for j in reversed(applied[:idx]):
-            g = reflect_coroot(t, j, g)
-        gammas.append(g)
+            g[j - 1] -= sum(c * a[k][j - 1] for k, c in enumerate(g))
+        gammas.append(CorootVector(tuple(g)))
     return tuple(gammas)
 
 
@@ -230,45 +223,38 @@ def is_reduced(t: LieType, word: WeylWord) -> bool:
 
 
 @lru_cache(maxsize=None)
-def positive_coroots(t: LieType) -> tuple[CorootVector, ...]:
-    """All positive coroots, found by reflection closure from the simple ones."""
-    seen = {simple_coroot(t, i) for i in range(1, t.rank + 1)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for j in range(1, t.rank + 1):
-                h = reflect_coroot(t, j, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    pos = sorted((g for g in seen if g.is_positive()), key=lambda g: (g.height(), g.coords))
-    return tuple(pos)
-
-
-@lru_cache(maxsize=None)
-def positive_roots_in_simple_basis(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """Positive roots as integer vectors in the simple-root basis."""
-    a = cartan_matrix(t)
-    r = t.rank
-    simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    seen = set(simple)
-    frontier = list(simple)
+def _positive_roots(a: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the Cartan matrix a (a[j][k] = <alpha_k, alphacheck_j>)
+    as int vectors in the simple-root basis, ordered by height and then
+    coordinates.  Reflection closure upwards from the simple roots: every
+    positive root of height > 1 is s_j c = c - <c, alphacheck_j> alpha_j for
+    a lower positive root c with <c, alphacheck_j> < 0."""
+    r = len(a)
+    frontier = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for c in frontier:
-            pair = [sum(a[j][k] * c[k] for k in range(r)) for j in range(r)]
             for j in range(r):
-                d = list(c)
-                d[j] -= pair[j]
-                d = tuple(d)
-                if d not in seen:
+                p = sum(a[j][k] * c[k] for k in range(r))
+                d = c[:j] + (c[j] - p,) + c[j + 1:]
+                if p < 0 and d not in seen:
                     seen.add(d)
                     nxt.append(d)
         frontier = nxt
-    pos = sorted(c for c in seen if all(x >= 0 for x in c) and any(c))
-    return tuple(sorted(pos, key=lambda c: (sum(c), c)))
+    return tuple(sorted(seen, key=lambda c: (sum(c), c)))
+
+
+def positive_roots_in_simple_basis(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """Positive roots as integer vectors in the simple-root basis."""
+    return _positive_roots(cartan_matrix(t))
+
+
+@lru_cache(maxsize=None)
+def positive_coroots(t: LieType) -> tuple[CorootVector, ...]:
+    """Positive coroots in the simple-coroot basis: the positive roots of the
+    transposed Cartan matrix, in the same order."""
+    return tuple(CorootVector(c) for c in _positive_roots(tuple(zip(*cartan_matrix(t)))))
 
 
 def rho(t: LieType) -> Weight:

@@ -142,6 +142,23 @@ def test_cache_commands(capsys, tmp_path):
     assert out == ""
 
 
+def test_cache_commands_leave_foreign_files_alone(capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path), "--jobs", "1"]
+    foreign = ["settings.json", "build.lock", "notes.tmp", "A2__1_1.v1.json.bak",
+               "A2__1_1.v1.json.123.tmp", "a2__1_1.v1.json"]
+    for name in foreign:
+        (tmp_path / name).write_text("{}")
+    run(capsys, "cache", "warm", "--algebra", "A2", "--hw", "1,1", *cache)
+    (tmp_path / "B2__0_1.v1.json.lock").write_text("1")
+    (tmp_path / "B2__0_1.v1.json.fedcba9876543210.tmp").write_text("{")
+    code, out, _ = run(capsys, "cache", "list", *cache)
+    assert code == 0 and out.split() == ["A2__1_1.v1.json"]
+    code, _, _ = run(capsys, "cache", "clear", *cache)
+    assert code == 0 and sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
+    code, out, _ = run(capsys, "cache", "list", *cache)
+    assert code == 0 and out == ""
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DYNWG_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "cache", "warm", "--algebra", "A1", "--hw", "3", "--jobs", "1")
@@ -380,6 +397,17 @@ def test_cocycle_checks_a_disagreeing_block(monkeypatch):
     assert not case["ok"]
     assert "word [2, 1, 2] disagrees with word [1, 2, 1]" in case["problems"]
     assert "denominator factor outside <x,coroot> - m*h" in case["problems"]
+
+
+def test_structural_checks_bind_locality_to_the_word():
+    # x2 = <x, coroot_2> is a local denominator for a word that crosses
+    # coroot_2, but the word (1,) crosses only coroot_1
+    V = rep.build_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((1, 1)))
+    block = dynweyl.word_operator_block(V, (1,), rootdata.Weight((0, 0)))
+    assert cli._structural_checks(block) == []
+    block.matrix[0][0] = block.matrix[0][0] * parse_ratfun("(x2+h)/x2", 2)
+    assert not block.matrix[0][0].is_zero()
+    assert cli._structural_checks(block) == ["denominator factor outside <x,coroot> - m*h"]
 
 
 def test_cocycle_checks_each_distinct_block_once(capsys, monkeypatch):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from dynwg import dynweyl
 from dynwg.dynweyl import (
     DynWeylError,
     OperatorBlock,
@@ -491,20 +490,23 @@ def test_classical_limit_matches_two_point_oracle():
 # locality of denominators
 
 
-def test_locality_depends_on_the_lie_type():
+def test_locality_depends_on_the_word():
     # 2*x1 + x2 + 2h = <x, gamma> + 2h for gamma = 2*coroot_1 + coroot_2, a
-    # positive coroot of B2 of height 3, but no coroot of A2
-    blocks = {t: OperatorBlock(V=build_irrep(t, Weight((0, 0))), word=(), source=Weight((0, 0)),
-                               target=Weight((0, 0)), matrix=[[rf2("1/(2*x1+x2+2*h)")]])
-              for t in (A2, B2)}
-    for order in ((A2, B2), (B2, A2)):
-        dynweyl._is_local_form.cache_clear()
-        for t in order:
-            assert denominators_are_local(blocks[t]) == (t == B2), (order, t)
-    # x1 + 2h: c = 2 is not below ht(coroot_1) = 1, for either type, every time
-    for t in (A2, B2, A2):
-        blocks[t].matrix = [[rf2("1"), rf2("x2/(x1+2*h)")]]
-        assert not denominators_are_local(blocks[t])
+    # positive coroot of B2 of height 3 that w0 crosses, but that s_1 does
+    # not cross, and no coroot of A2
+    def block(t, word):
+        zero = Weight((0, 0))
+        return OperatorBlock(V=build_irrep(t, zero), word=word, source=zero, target=zero,
+                             matrix=[[rf2("1/(2*x1+x2+2*h)")]])
+
+    assert denominators_are_local(block(B2, (1, 2, 1, 2)))
+    assert not denominators_are_local(block(B2, (1,)))
+    assert not denominators_are_local(block(A2, (1, 2, 1)))
+    # x1 + 2h: c = 2 is not below ht(coroot_1) = 1, for either type
+    for t, word in ((A2, (1, 2, 1)), (B2, (1, 2, 1, 2)), (B2, (1,))):
+        blk = block(t, word)
+        blk.matrix = [[rf2("1"), rf2("x2/(x1+2*h)")]]
+        assert not denominators_are_local(blk)
 
 
 def test_json_and_text_rendering():

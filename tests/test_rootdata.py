@@ -6,6 +6,7 @@ import pytest
 
 from dynwg import rep
 from dynwg.rootdata import (
+    _RANK_RULES,
     CorootVector,
     LieType,
     RootDataError,
@@ -186,6 +187,46 @@ def test_positive_coroots_counts():
     assert max(positive_roots_in_simple_basis(G2), key=sum) == (2, 3)
 
 
+# |positive roots| of each series, as a function of the rank
+POSITIVE_ROOT_COUNTS = {
+    "A": lambda r: r * (r + 1) // 2,
+    "B": lambda r: r * r,
+    "C": lambda r: r * r,
+    "D": lambda r: r * (r - 1),
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": lambda r: 24,
+    "G": lambda r: 6,
+}
+
+
+def test_positive_roots_and_coroots_of_every_type_through_rank_8():
+    types = [LieType(s, r) for s in POSITIVE_ROOT_COUNTS for r in range(1, 9)
+             if _RANK_RULES[s](r)]
+    assert len(types) == 33
+    for t in types:
+        roots, coroots = positive_roots_in_simple_basis(t), positive_coroots(t)
+        n = POSITIVE_ROOT_COUNTS[t.series](t.rank)
+        assert len(roots) == len(set(roots)) == len(coroots) == len(set(coroots)) == n, t
+        for system in (roots, [g.coords for g in coroots]):
+            assert all(type(c) is int and c >= 0 for v in system for c in v), t
+            assert list(system) == sorted(system, key=lambda v: (sum(v), v)), t
+        # the coroots of B_n are the roots of C_n, and the other way round
+        if t.series in "BC":
+            dual = LieType("C" if t.series == "B" else "B", t.rank)
+            assert [g.coords for g in coroots] == list(positive_roots_in_simple_basis(dual)), t
+        # simply laced: roots and coroots have the same coordinates
+        if t.series in "ADE":
+            assert [g.coords for g in coroots] == list(roots), t
+
+
+def test_coroot_coordinates_are_integers():
+    g = CorootVector.make((1, Fraction(2), 3.0))
+    assert g.coords == (1, 2, 3) and all(type(c) is int for c in g.coords)
+    assert g.height() == 6 and type(g.height()) is int
+    with pytest.raises(RootDataError):
+        CorootVector.make((1, Fraction(1, 2)))
+
+
 def weyl_orbit(t, mu):
     """Oracle: the full W-orbit of a weight (small ranks only)."""
     seen = {mu}
@@ -233,6 +274,7 @@ def test_weight_and_word_parsing():
         Weight.parse("1", 2)
 
 
-def test_pairing_is_fraction():
+def test_pairing_is_an_int():
     g = CorootVector.make((1, 1))
-    assert pairing(Weight((2, 3)), g) == Fraction(5)
+    p = pairing(Weight((2, 3)), g)
+    assert p == 5 and type(p) is int
