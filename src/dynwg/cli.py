@@ -1,5 +1,6 @@
 """Command-line surface: compute operator blocks, run verification suites,
-manage the representation cache.
+print a representation's weights.  An irrep is read from and written to the
+on-disk cache only under --cache-dir DIR; without it, every run builds.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 Every check is an exact identity and none draws random numbers; --seed is
@@ -62,14 +63,15 @@ def _structural_checks(block: dynweyl.OperatorBlock) -> list[str]:
 _irrep_memo: tuple[tuple, rep.Irrep] | None = None
 
 
-def _suite_irrep(t: LieType, hw: Weight, dim_cap: int, cache_dir: str | None) -> rep.Irrep:
+def _suite_irrep(cfg: RunConfig) -> rep.Irrep:
     global _irrep_memo
-    key = (t, hw, cache_dir)
+    key = (cfg.algebra, cfg.hw, cfg.cache_dir)
     if _irrep_memo is not None and _irrep_memo[0] == key:
-        rep.check_dim_cap(hw, _irrep_memo[1].dim, dim_cap)
+        rep.check_dim_cap(cfg.hw, _irrep_memo[1].dim, cfg.dim_cap)
     else:
         _irrep_memo = None  # let the old irrep go before the next one is built
-        _irrep_memo = (key, rep.build_irrep(t, hw, dim_cap=dim_cap, cache_dir=cache_dir))
+        _irrep_memo = (key, rep.build_irrep(cfg.algebra, cfg.hw, dim_cap=cfg.dim_cap,
+                                            cache_dir=cfg.cache_dir))
     return _irrep_memo[1]
 
 
@@ -89,17 +91,16 @@ def _rank1_case(args) -> dict:
 
 
 def _cocycle_case(args) -> dict:
-    algebra, hw_coords, mu_coords, words, dim_cap, cache_dir = args
-    V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
-    mu = Weight.make(mu_coords)
-    key = f"cocycle:{algebra}:{hw_coords}:{mu_coords}"
+    cfg, mu, words = args
+    V = _suite_irrep(cfg)
+    key = f"cocycle:{cfg.algebra}:{list(cfg.hw.coords)}:{list(mu.coords)}"
     try:
-        reference = dynweyl.word_operator_block(V, tuple(words[0]), mu)
+        reference = dynweyl.word_operator_block(V, words[0], mu)
         problems = _structural_checks(reference)
         # in the order of their reversed letters, each word shares the longest
         # suffix, and so the most step products, with the word before it
         for word in sorted(words[1:], key=lambda w: w[::-1]):
-            block = dynweyl.word_operator_block(V, tuple(word), mu)
+            block = dynweyl.word_operator_block(V, word, mu)
             if block.equals(reference):
                 continue  # same element and entries: the reference's problems
             problems.append(f"word {list(word)} disagrees with word {list(reference.word)}")
@@ -111,11 +112,9 @@ def _cocycle_case(args) -> dict:
 
 
 def _levi_case(args) -> dict:
-    algebra, hw_coords, i, mu_coords, dim_cap, cache_dir = args
-    V = _suite_irrep(LieType.parse(algebra), Weight.make(hw_coords), dim_cap, cache_dir)
-    mu = Weight.make(mu_coords)
-    key = f"levi:{algebra}:{hw_coords}:i={i}:{mu_coords}"
-    report = geomsatake.levi_restriction_check(V, i, mu)
+    cfg, i, mu = args
+    report = geomsatake.levi_restriction_check(_suite_irrep(cfg), i, mu)
+    key = f"levi:{cfg.algebra}:{list(cfg.hw.coords)}:i={i}:{list(mu.coords)}"
     problems = [] if report.ok else ["stringwise geometric/dynamical mismatch"]
     problems.extend(_structural_checks(report.block))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
@@ -123,11 +122,10 @@ def _levi_case(args) -> dict:
 
 
 def _rep_case(args) -> dict:
-    algebra, hw_coords, dim_cap, cache_dir = args
-    t = LieType.parse(algebra)
-    hw = Weight.make(hw_coords)
-    V = rep.build_irrep(t, hw, dim_cap=dim_cap, cache_dir=cache_dir)
-    key = f"rep:{algebra}:{hw_coords}"
+    cfg, hw = args
+    t = cfg.algebra
+    V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)
+    key = f"rep:{t}:{list(hw.coords)}"
     problems = []
     predicted = rep.weyl_dimension(t, hw)
     if V.dim != predicted:
@@ -158,27 +156,19 @@ def verify_satake_rank1(cfg: RunConfig) -> list[dict]:
 
 
 def verify_cocycle(cfg: RunConfig) -> list[dict]:
-    t, hw = _need_algebra_hw(cfg)
+    t, _ = _need_algebra_hw(cfg)
     w0 = rootdata.longest_element(t)
-    words = [list(w) for w in rootdata.all_reduced_words(t, w0, cap=cfg.word_cap)]
-    V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
-    case_args = [
-        (str(t), list(hw.coords), list(nu.coords), words, cfg.dim_cap, cfg.cache_dir)
-        for nu in V.weights()
-        if nu.is_dominant()
-    ]
+    words = tuple(rootdata.all_reduced_words(t, w0, cap=cfg.word_cap))
+    V = _suite_irrep(cfg)
+    case_args = [(cfg, nu, words) for nu in V.weights() if nu.is_dominant()]
     return _run_cases(_cocycle_case, case_args, cfg.jobs)
 
 
 def verify_levi(cfg: RunConfig) -> list[dict]:
-    t, hw = _need_algebra_hw(cfg)
-    V = _suite_irrep(t, hw, cfg.dim_cap, cfg.cache_dir)
-    case_args = [
-        (str(t), list(hw.coords), i, list(nu.coords), cfg.dim_cap, cfg.cache_dir)
-        for i in range(1, t.rank + 1)
-        for nu in V.weights()
-        if nu.is_dominant()
-    ]
+    t, _ = _need_algebra_hw(cfg)
+    V = _suite_irrep(cfg)
+    case_args = [(cfg, i, nu) for i in range(1, t.rank + 1) for nu in V.weights()
+                 if nu.is_dominant()]
     return _run_cases(_levi_case, case_args, cfg.jobs)
 
 
@@ -190,7 +180,7 @@ def verify_rep(cfg: RunConfig) -> list[dict]:
         hws = [cfg.hw]
     else:
         hws = rep.dominant_weights_up_to_dim(t, cfg.dim_cap)
-    case_args = [(str(t), list(hw.coords), cfg.dim_cap, cfg.cache_dir) for hw in hws]
+    case_args = [(cfg, hw) for hw in hws]
     return _run_cases(_rep_case, case_args, cfg.jobs)
 
 
@@ -255,35 +245,6 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
-def cmd_cache(action: str, cfg: RunConfig) -> int:
-    cache_dir = cfg.cache_dir or rep.default_cache_dir()
-    if action == "list":
-        for name in rep.cache_files(cache_dir):
-            if name.endswith(".json"):  # an entry
-                print(name)
-        return 0
-    if action == "clear":
-        for name in rep.cache_files(cache_dir):
-            try:
-                os.unlink(os.path.join(cache_dir, name))
-            except OSError as exc:
-                print(f"cannot remove {exc.filename}: {exc.strerror}", file=sys.stderr)
-                return USAGE_ERROR
-        return 0
-    if action == "warm":
-        if cfg.algebra is None:
-            raise UsageError("cache warm requires --algebra")
-        if cfg.hw is not None:
-            hws = [cfg.hw]
-        else:
-            hws = rep.dominant_weights_up_to_dim(cfg.algebra, cfg.dim_cap)
-        for hw in hws:
-            rep.build_irrep(cfg.algebra, hw, dim_cap=cfg.dim_cap, cache_dir=cache_dir)
-            print(f"warm {cfg.algebra} hw={hw}")
-        return 0
-    raise UsageError(f"unknown cache action {action!r}")
-
-
 def cmd_rep_info(cfg: RunConfig) -> int:
     t, hw = _need_algebra_hw(cfg)
     V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)
@@ -327,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--word-cap", type=int, default=32)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--no-cache", action="store_true", help="disable the irrep cache")
         p.add_argument("--seed", type=int, default=0, help="echoed in reports; nothing is random")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
 
@@ -335,9 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(_SUITES))
     common(pv)
-    pc = sub.add_parser("cache", help="manage the irrep cache")
-    pc.add_argument("action", choices=("list", "clear", "warm"))
-    common(pc)
     common(sub.add_parser("rep-info", help="print weights and multiplicities"))
     return parser
 
@@ -357,10 +314,6 @@ def _config_from_args(args) -> RunConfig:
         mu = Weight.parse(args.mu, algebra.rank)
     if args.lambda_max < 0 or args.dim_cap < 1 or args.word_cap < 1 or args.jobs < 1:
         raise UsageError("caps and job counts must be positive")
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or rep.default_cache_dir()
     return RunConfig(
         algebra=algebra,
         hw=hw,
@@ -370,7 +323,7 @@ def _config_from_args(args) -> RunConfig:
         dim_cap=args.dim_cap,
         word_cap=args.word_cap,
         fmt=args.format,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         seed=args.seed,
         jobs=args.jobs,
     )
@@ -385,8 +338,6 @@ def main(argv=None) -> int:
             return cmd_op(cfg)
         if args.command == "verify":
             return cmd_verify(args.suite, cfg)
-        if args.command == "cache":
-            return cmd_cache(args.action, cfg)
         if args.command == "rep-info":
             return cmd_rep_info(cfg)
         raise UsageError(f"unknown command {args.command!r}")

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -676,21 +675,8 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
 CACHE_VERSION = 1
 
 
-def default_cache_dir() -> str:
-    env = os.environ.get("DYNWG_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "dynwg")
-
-
 def cache_filename(t: LieType, hw: Weight) -> str:
     return f"{t}__{'_'.join(str(c) for c in hw.coords)}.v{CACHE_VERSION}.json"
-
-
-# The names of the cache's own files: entries (cache_filename, any version),
-# the temporary files of save_irrep, and the .lock files of older versions.
-_CACHE_FILE = re.compile(
-    r"[A-G][0-9]+__[0-9]+(_[0-9]+)*\.v[0-9]+\.json(\.lock|\.[0-9a-f]{16}\.tmp)?")
 
 
 def _matrix_to_triplets(m: Matrix):
@@ -790,10 +776,3 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
         return irrep_from_json(obj)
     except (ValueError, KeyError, TypeError, IndexError, RepError, RootDataError):
         return None
-
-
-def cache_files(cache_dir: str) -> list[str]:
-    """The names of the files in cache_dir that the cache owns, sorted."""
-    if not os.path.isdir(cache_dir):
-        return []
-    return sorted(f for f in os.listdir(cache_dir) if _CACHE_FILE.fullmatch(f))

@@ -1,12 +1,16 @@
 """The public API is stated in one place: dynwg.__all__, which the README's
-"Library API" section lists name by name."""
+"Library API" section lists name by name.  The README's claims about the
+package's source are checked on its syntax trees."""
 
+import ast
 import pathlib
 import re
+import sys
 
 import dynwg
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(dynwg.__file__).resolve().parent
 
 
 def readme_section(title: str) -> str:
@@ -31,3 +35,26 @@ def test_every_public_name_imports():
 def test_readme_library_example_runs():
     example, = re.findall(r"```python\n(.*?)```", readme_section("Library example"), re.DOTALL)
     exec(compile(example, str(README), "exec"), {})
+
+
+def test_no_floating_point_and_only_standard_library_imports():
+    # "no floating point anywhere in the package, and no external dependencies
+    # beyond the Python standard library"
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{where}: float literal {node.value!r}")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "float":
+                found.append(f"{where}: float(...) call")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            found += [f"{where}: import of {m}" for m in modules
+                      if m.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []

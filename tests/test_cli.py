@@ -121,49 +121,21 @@ def test_json_reports_deterministic(capsys, cache_args):
     assert obj["seed"] == 11 and obj["suite"] == "cocycle" and obj["ok"] is True
 
 
-def test_cache_commands(capsys, tmp_path):
-    cache = ["--cache-dir", str(tmp_path), "--jobs", "1"]
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert code == 0 and out == ""
-    code, out, _ = run(capsys, "cache", "warm", "--algebra", "A2", "--hw", "1,1", *cache)
-    assert code == 0
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert code == 0 and out.strip() == "A2__1_1.v1.json"
-    # warm is idempotent
-    run(capsys, "cache", "warm", "--algebra", "A2", "--hw", "1,1", *cache)
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert out.strip() == "A2__1_1.v1.json"
-    # a lock left by an older version, and a killed writer's temporary file
-    (tmp_path / "A2__1_1.v1.json.lock").write_text("1")
-    (tmp_path / "A2__1_1.v1.json.0123456789abcdef.tmp").write_text("{")
-    code, out, _ = run(capsys, "cache", "clear", *cache)
-    assert code == 0 and not list(tmp_path.iterdir())
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert out == ""
-
-
-def test_cache_commands_leave_foreign_files_alone(capsys, tmp_path):
-    cache = ["--cache-dir", str(tmp_path), "--jobs", "1"]
-    foreign = ["settings.json", "build.lock", "notes.tmp", "A2__1_1.v1.json.bak",
-               "A2__1_1.v1.json.123.tmp", "a2__1_1.v1.json"]
-    for name in foreign:
-        (tmp_path / name).write_text("{}")
-    run(capsys, "cache", "warm", "--algebra", "A2", "--hw", "1,1", *cache)
-    (tmp_path / "B2__0_1.v1.json.lock").write_text("1")
-    (tmp_path / "B2__0_1.v1.json.fedcba9876543210.tmp").write_text("{")
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert code == 0 and out.split() == ["A2__1_1.v1.json"]
-    code, _, _ = run(capsys, "cache", "clear", *cache)
-    assert code == 0 and sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
-    code, out, _ = run(capsys, "cache", "list", *cache)
-    assert code == 0 and out == ""
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("DYNWG_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, "cache", "warm", "--algebra", "A1", "--hw", "3", "--jobs", "1")
-    assert code == 0
-    assert list(tmp_path.glob("A1__3*.json"))
+def test_no_cache_unless_a_directory_is_named(capsys, tmp_path, monkeypatch):
+    home, env = tmp_path / "home", tmp_path / "env"
+    home.mkdir()
+    env.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("DYNWG_CACHE", str(env))
+    for command in (["op", "--algebra", "A2", "--hw", "1,0", "--mu", "1,0", "--word", "1"],
+                    ["rep-info", "--algebra", "B2", "--hw", "0,1"],
+                    ["verify", "levi", "--algebra", "A2", "--hw", "1,1"]):
+        code, _, err = run(capsys, *command, "--jobs", "1")
+        assert code == 0 and not err
+    assert not list(home.rglob("*")) and not list(env.iterdir())
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["cache", "list"])
+    assert usage.value.code == 2
 
 
 def test_rep_info(capsys, cache_args):
@@ -197,7 +169,7 @@ def builds(monkeypatch):
 
 def test_suite_builds_its_irrep_once(capsys, tmp_path, builds):
     code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "1,1",
-                       "--no-cache", "--jobs", "1")
+                       "--jobs", "1")
     assert code == 0 and "2/2 cases pass" in out
     assert builds == [("B2", (1, 1), None)]
     code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
@@ -235,7 +207,9 @@ def test_pool_output_matches_serial(capsys, tmp_path, suite):
 def test_case_without_held_irrep_builds_under_the_suite_cap(builds):
     # dim V(501) = 502 exceeds build_irrep's default cap of 500; a case that
     # finds no held irrep (a spawned pool worker) builds under the suite's cap
-    case = cli._cocycle_case(("A1", [501], [501], [[1]], 502, None))
+    hw = rootdata.Weight((501,))
+    cfg = cli.RunConfig(algebra=rootdata.LieType.parse("A1"), hw=hw, dim_cap=502)
+    case = cli._cocycle_case((cfg, hw, ((1,),)))
     assert case["ok"] and builds == [("A1", (501,), None)]
 
 
@@ -266,7 +240,7 @@ def test_levi_builds_one_block_per_case(capsys, monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
-                       "--no-cache", "--jobs", "1")
+                       "--jobs", "1")
     assert code == 0 and "6/6 cases pass" in out
     assert calls == {"simple_reflection_block": 6, "word_operator_block": 6}
 
@@ -284,7 +258,7 @@ def test_levi_decomposes_each_weight_once(capsys, monkeypatch):
         if getattr(module, "sl2_strings", None) is original:
             monkeypatch.setattr(module, "sl2_strings", counted)
     code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "2,1",
-                       "--no-cache", "--jobs", "1")
+                       "--jobs", "1")
     assert code == 0 and "6/6 cases pass" in out
     assert len(calls) == len(set(calls)) == 6  # one per (i, mu)
 
@@ -302,8 +276,9 @@ def test_cocycle_composes_each_shared_suffix_once(monkeypatch):
         return original(V, i, nu, xi)
 
     monkeypatch.setattr(dynweyl, "simple_reflection_block", counted)
-    words = [list(w) for w in rootdata.all_reduced_words(A3, rootdata.longest_element(A3))]
-    case = cli._cocycle_case(("A3", [1, 0, 0], [1, 0, 0], words, 500, None))
+    hw = rootdata.Weight((1, 0, 0))
+    words = tuple(rootdata.all_reduced_words(A3, rootdata.longest_element(A3)))
+    case = cli._cocycle_case((cli.RunConfig(algebra=A3, hw=hw), hw, words))
     assert case["ok"] and case["words_checked"] == 16
     assert len(calls) <= 66
     assert not cli._irrep_memo[1].word_steps  # released at the end of the case
@@ -312,7 +287,7 @@ def test_cocycle_composes_each_shared_suffix_once(monkeypatch):
 def test_cocycle_suite_releases_its_step_products(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_irrep_memo", None)
     code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
-                       "--no-cache", "--jobs", "1")
+                       "--jobs", "1")
     assert code == 0 and "cases pass" in out
     assert cli._irrep_memo[1].word_steps == {}
 
@@ -320,7 +295,7 @@ def test_cocycle_suite_releases_its_step_products(capsys, monkeypatch):
 def test_term_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(dynweyl, "TERM_CAP", 10)
     code, out, err = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
-                         "--no-cache", "--jobs", "1")
+                         "--jobs", "1")
     assert code == 2 and not out
     found = re.fullmatch(r"error: A_w on V_\((\d+),(\d+)\): (\d+) numerator terms after step"
                          r" ([234]) of 4, over the cap of 10\n", err)
@@ -393,7 +368,8 @@ def test_cocycle_checks_a_disagreeing_block(monkeypatch):
         return block
 
     monkeypatch.setattr(dynweyl, "word_operator_block", corrupted)
-    case = cli._cocycle_case(("A2", [1, 1], [0, 0], [[1, 2, 1], [2, 1, 2]], 500, None))
+    cfg = cli.RunConfig(algebra=rootdata.LieType.parse("A2"), hw=rootdata.Weight((1, 1)))
+    case = cli._cocycle_case((cfg, rootdata.Weight((0, 0)), ((1, 2, 1), (2, 1, 2))))
     assert not case["ok"]
     assert "word [2, 1, 2] disagrees with word [1, 2, 1]" in case["problems"]
     assert "denominator factor outside <x,coroot> - m*h" in case["problems"]
@@ -421,7 +397,7 @@ def test_cocycle_checks_each_distinct_block_once(capsys, monkeypatch):
 
         monkeypatch.setattr(dynweyl, name, counted)
     code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "A2", "--hw", "1,1",
-                       "--no-cache", "--jobs", "1")
+                       "--jobs", "1")
     assert code == 0 and "2/2 cases pass" in out
     # two cases, (1,1) and (0,0), with two agreeing words each
     for seen in calls.values():
@@ -448,7 +424,7 @@ def test_golden_cli_output(capsys):
     for command in GOLDEN_COMMANDS:
         for fmt in ("text", "json"):
             code, out, err = run(capsys, *command, "--format", fmt, "--seed", "7",
-                                 "--no-cache", "--jobs", "1")
+                                 "--jobs", "1")
             assert code == 0 and not err
             digest.update(f"{command} {fmt}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_SHA256

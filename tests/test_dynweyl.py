@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from dynwg import linalg
 from dynwg.dynweyl import (
     DynWeylError,
     OperatorBlock,
@@ -14,7 +16,7 @@ from dynwg.dynweyl import (
     word_operator_block,
 )
 from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
-from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add
+from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add, weight_sub
 from dynwg.rootdata import (
     LieType,
     Weight,
@@ -72,6 +74,24 @@ def test_rank1_coefficient_general_form():
             assert rank1_coefficient(m, k, X1) == expected
 
 
+def _divided_power_coefficient(n, j, xi):
+    """a_j = (-1)^j (xi - (n-1)h)/(xi - (n+j-1)h), the coefficient of
+    f_i^(n+j) e_i^(j) in A_{s_i}(xi) on a weight space with <nu, coroot_i> = n."""
+    return RatFun.from_factors((-1) ** j, [xi.shift_h(1 - n)], [xi.shift_h(1 - n - j)], xi.nx)
+
+
+def test_rank1_coefficient_triangular_identity():
+    # f_i^(n+j) e_i^(j) sends f_i^(k) u, u primitive of sl(2)-weight m and
+    # n = m - 2k, to C(m-k+j, j) C(m-k, n+j) f_i^(m-k) u
+    for m in range(11):
+        for k in range(m // 2 + 1):
+            expected = RatFun.zero(1)
+            for j in range(k + 1):
+                a = _divided_power_coefficient(m - 2 * k, j, X1)
+                expected = expected + a.scale(comb(m - k + j, j) * comb(m - k, m - 2 * k + j))
+            assert rank1_coefficient(m, k, X1) == expected, (m, k)
+
+
 # ---------------------------------------------------------------------------
 # simple reflection blocks
 
@@ -121,6 +141,58 @@ def test_a2_zero_weight_block_string_diagonal():
                     lhs = lhs + e.scale(invec[cidx])
                 assert lhs == c.scale(out[r])
             col += 1
+
+
+def _divided_power(V, i, nu, k, raising):
+    """e_i^k / k! (raising) or f_i^k / k! on V_nu, from the irrep's weight blocks."""
+    alpha, out = simple_root(V.type, i), linalg.identity(V.weight_dim(nu))
+    for _ in range(k):
+        if raising:
+            out, nu = linalg.mat_mul(V.e_block(i, nu), out), weight_add(nu, alpha)
+        else:
+            out, nu = linalg.mat_mul(V.f_block(i, nu), out), weight_sub(nu, alpha)
+    return [[c / factorial(k) for c in row] for row in out]
+
+
+def _divided_power_block(V, i, nu, xi):
+    """A_{s_i}(xi) on V_nu as sum_j a_j f_i^(n+j) e_i^(j), n = <nu, coroot_i>,
+    with no sl(2)-strings: the sum runs while nu + j*alpha_i is a weight."""
+    n, alpha = nu[i - 1], simple_root(V.type, i)
+    rows = V.weight_dim(simple_reflection(V.type, i, nu))
+    matrix = [[RatFun.zero(V.type.rank)] * V.weight_dim(nu) for _ in range(rows)]
+    j, top = 0, nu
+    while top in V.basis:
+        a = _divided_power_coefficient(n, j, xi)
+        op = linalg.mat_mul(_divided_power(V, i, top, n + j, raising=False),
+                            _divided_power(V, i, nu, j, raising=True))
+        for row, op_row in zip(matrix, op):
+            for col, s in enumerate(op_row):
+                if s:
+                    row[col] = row[col] + a.scale(s)
+        j, top = j + 1, weight_add(top, alpha)
+    return matrix
+
+
+DIVIDED_POWER_IRREPS = [
+    ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 0)),
+    ("G2", (1, 1)), ("A3", (1, 0, 1)), ("A3", (1, 1, 0)), ("B3", (1, 0, 1)), ("C3", (0, 1, 0)),
+    ("A4", (1, 0, 0, 1)), ("D4", (0, 1, 0, 0)), ("B4", (1, 0, 0, 0)),
+]
+
+
+def test_simple_reflection_block_matches_divided_power_oracle():
+    compared = 0
+    for algebra, hw in DIVIDED_POWER_IRREPS:
+        t = LieType.parse(algebra)
+        V = build_irrep(t, Weight(hw))
+        for i in range(1, t.rank + 1):
+            xi = DegreeOneForm.make([int(a == i) for a in range(1, t.rank + 1)], 0)
+            for nu in V.weights():
+                if nu[i - 1] >= 0:
+                    block = simple_reflection_block(V, i, nu, xi)
+                    assert block.matrix == _divided_power_block(V, i, nu, xi), (algebra, hw, i, nu)
+                    compared += 1
+    assert compared == 396
 
 
 def test_block_preconditions():
