@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import dynweyl, geomsatake, rep, rootdata
@@ -124,10 +123,15 @@ def _levi_case(args) -> dict:
 def _rep_case(args) -> dict:
     cfg, hw = args
     t = cfg.algebra
-    V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap, cache_dir=cfg.cache_dir)
+    predicted = rep.weyl_dimension(t, hw)
+    rep.check_dim_cap(hw, predicted, cfg.dim_cap)
+    # a stored entry is loaded and checked; a built irrep is stored only once it passes
+    V = rep.load_cached_irrep(t, hw, cfg.cache_dir) if cfg.cache_dir is not None else None
+    built = V is None
+    if built:
+        V = rep.build_irrep(t, hw, dim_cap=cfg.dim_cap)
     key = f"rep:{t}:{list(hw.coords)}"
     problems = []
-    predicted = rep.weyl_dimension(t, hw)
     if V.dim != predicted:
         problems.append(f"dim {V.dim} != Weyl dimension {predicted}")
     for nu in V.weights():
@@ -135,12 +139,17 @@ def _rep_case(args) -> dict:
         if V.weight_dim(nu) != m:
             problems.append(f"multiplicity at {nu}: {V.weight_dim(nu)} != {m}")
     problems.extend(rep.check_chevalley_serre(V))
+    if built and cfg.cache_dir is not None and not problems:
+        rep.save_irrep(V, cfg.cache_dir)
     return {"case": key, "ok": not problems, "problems": problems, "dim": V.dim}
 
 
 def _run_cases(worker, case_args, jobs: int) -> list[dict]:
+    """Run worker on each case, in a pool of min(jobs, cases) processes if both exceed 1."""
     if jobs > 1 and len(case_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here, so that a process that starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(jobs, len(case_args))) as pool:
             results = list(pool.map(worker, case_args))
     else:
         results = [worker(a) for a in case_args]

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -202,6 +206,75 @@ def test_pool_output_matches_serial(capsys, tmp_path, suite):
     code2, out2, _ = run(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2 and json.loads(out1)["ok"] is True
+
+
+def test_pool_is_sized_to_the_work(capsys, monkeypatch):
+    # the pool class is looked up only when a pool starts, so the fake is the one used
+    assert not hasattr(cli, "ProcessPoolExecutor")
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "1,1",
+                       "--jobs", "64")
+    assert code == 0 and out.splitlines()[-1] == "levi: 4/4 cases pass"
+    assert sizes == [4]
+
+
+_POOL_PROBE = """
+import contextlib, io, json, sys
+from dynwg import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_one_shot_commands_never_load_the_pool():
+    argvs = [
+        ["op", "--algebra", "A2", "--hw", "1,1", "--mu", "0,0", "--word", "1,2,1"],
+        ["rep-info", "--algebra", "B2", "--hw", "1,1"],
+        ["verify", "rep", "--algebra", "A2", "--hw", "1,1", "--jobs", "1"],
+        ["verify", "levi", "--algebra", "A1", "--hw", "1", "--jobs", "4"],  # one case
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-c", _POOL_PROBE, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == {"codes": [0, 0, 0, 0], "loaded": []}
+
+
+def test_verify_rep_stores_an_irrep_only_once_it_passes(capsys, tmp_path, monkeypatch):
+    args = ["verify", "rep", "--algebra", "A2", "--hw", "1,1", "--cache-dir", str(tmp_path),
+            "--jobs", "1"]
+    entry = tmp_path / "A2__1_1.v1.json"
+    monkeypatch.setattr(rep, "check_chevalley_serre", lambda V: ["injected Serre failure"])
+    code, out, _ = run(capsys, *args)
+    assert code == 1 and "injected Serre failure" in out
+    assert not entry.exists()
+    monkeypatch.undo()
+    assert run(capsys, *args)[0] == 0 and entry.exists()
+    # a stored entry is loaded, not rebuilt, and still checked
+    monkeypatch.setattr(rep, "build_irrep", lambda *a, **k: pytest.fail("entry rebuilt"))
+    monkeypatch.setattr(rep, "check_chevalley_serre", lambda V: ["injected Serre failure"])
+    code, out, _ = run(capsys, *args)
+    assert code == 1 and "injected Serre failure" in out
 
 
 def test_case_without_held_irrep_builds_under_the_suite_cap(builds):
