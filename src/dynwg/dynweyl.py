@@ -1,14 +1,16 @@
 """Dynamical Weyl group operators as exact rational-function matrices.
 
 Higher-rank operators are assembled from the rank-1 closed form: along a
-reduced word, the t-th simple reflection acts through the sl(2)-string
-decomposition of the current weight space, with the dynamical variable twisted
-to the pairing of x against the t-th crossing coroot.  The blocks are
-multiplied fraction-free, as matrices of packed integer polynomials over one
-integer and one product D of degree-one forms, and each entry is reduced
-once, at the end.  A word reuses the step products of its longest common
-suffix with the last word composed at the same weight, and a product of more
-than TERM_CAP terms stops the composition (see word_operator_block).
+reduced word, the t-th simple reflection acts on the current weight space as
+the sum of c(m, k, xi) times the transfer maps of its sl(2)-strings
+(rep.sl2_strings, kept on the irrep once per (i, weight)), with the dynamical
+variable xi twisted to the pairing of x against the t-th crossing coroot.
+The blocks are multiplied fraction-free, as matrices of packed integer
+polynomials over one integer and one product D of degree-one forms, and each
+entry is reduced once, at the end.  A word reuses the step products of its
+longest common suffix with the last word composed at the same weight, and a
+product of more than TERM_CAP terms stops the composition (see
+word_operator_block).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import lcm
 
 from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
-from .rep import Irrep, StringDecomposition, divided_f_power, sl2_strings
+from .rep import Irrep, StringDecomposition, sl2_strings
 from .rootdata import (
     CorootVector,
     Weight,
@@ -28,7 +30,6 @@ from .rootdata import (
     crossing_coroots,
     pairing,
     simple_reflection,
-    simple_root,
 )
 
 
@@ -112,57 +113,32 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
 
 
-def string_data(V: Irrep, i: int, nu: Weight) -> tuple[StringDecomposition, list[tuple]]:
-    """(dec, parts) for (i, nu): dec = sl2_strings(V, i, nu), and per string
-    component (m, k) of V_nu the tuple (m, k, images, M): images are the
-    f_i^(m-k) u of its primitives u, and M = sum_u image_u (x) (row u of
-    dec.inverse), so that A_{s_i} = sum c(m,k,xi) M.  None of it depends on
-    xi, so it is kept on V, once per (i, nu)."""
-    entry = V.string_parts.get((i, nu))
-    if entry is None:
-        dec = sl2_strings(V, i, nu)
-        alpha, inverse, parts = simple_root(V.type, i), iter(dec.inverse), []
-        for comp in dec.components:
-            w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
-            images = [divided_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]
-            rows = [next(inverse) for _ in images]
-            parts.append((comp.m, comp.k, images, linalg.mat_mul(linalg.transpose(images), rows)))
-        entry = V.string_parts[(i, nu)] = (dec, parts)
-    return entry
-
-
-def string_images(
-    V: Irrep, dec: StringDecomposition, xi: DegreeOneForm
-) -> list[tuple[RatFun, linalg.Vector]]:
-    """Where A_{s_i} sends each column of dec.change_of_basis, in order.
-
-    The column f_i^(k) u of a string component (m, k) goes to
-    c(m,k,xi) f_i^(m-k) u; each pair is (c(m,k,xi), f_i^(m-k) u), the vector
-    in the basis of V_{s_i nu}, read from the string data kept on V.
-    """
-    out = []
-    for m, k, images, _ in string_data(V, dec.index, dec.weight)[1]:
-        c = rank1_coefficient(m, k, xi)
-        out.extend((c, image) for image in images)
-    return out
+def string_data(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
+    """sl2_strings(V, i, nu), with each string's images and transfer map.
+    None of it depends on xi, so it is kept on V, once per (i, nu)."""
+    dec = V.string_parts.get((i, nu))
+    if dec is None:
+        dec = V.string_parts[(i, nu)] = sl2_strings(V, i, nu)
+    return dec
 
 
 def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
     """Block of A_{s_i}: V_nu -> V_{s_i nu} with dynamical variable xi.
 
-    The string images of the columns of the change of basis, brought back to
-    the standard basis of V_nu by its inverse.
+    The sum over the string components (m, k) of V_nu of c(m,k,xi) times the
+    component's transfer map: the column f_i^(k) u of the change of basis
+    goes to c(m,k,xi) f_i^(m-k) u.
     """
+    target = simple_reflection(V.type, i, nu)  # raises on an index out of range
     if nu[i - 1] < 0:
         raise DynWeylError(f"<{nu}, coroot {i}> < 0: outside the dominant regime")
     nx = V.type.rank
-    target = simple_reflection(V.type, i, nu)
     matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
               for _ in range(V.weight_dim(target))]
-    for m, k, _, part in string_data(V, i, nu)[1]:
-        c = rank1_coefficient(m, k, xi)
-        for row, part_row in zip(matrix, part):
-            for col, s in enumerate(part_row):
+    for comp in string_data(V, i, nu).components:
+        c = rank1_coefficient(comp.m, comp.k, xi)
+        for row, transfer_row in zip(matrix, comp.transfer):
+            for col, s in enumerate(transfer_row):
                 if s:
                     row[col] = row[col] + c.scale(s)
     return OperatorBlock(V=V, word=(i,), source=nu, target=target, matrix=matrix)

@@ -18,7 +18,6 @@ from .dynweyl import (
     rank1_coefficient,
     rho_shift_images,
     string_data,
-    string_images,
     word_operator_block,
 )
 from .ratfun import DegreeOneForm, RatFun
@@ -151,14 +150,15 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
     if not mu.is_dominant():
         raise GeomSatakeError(f"source weight {mu} is not dominant")
     xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(V.type.rank)], 0)
-    dec, _ = string_data(V, i, mu)
+    dec = string_data(V, i, mu)
     cases = [_string_comparison(comp.m, comp.k, xi) for comp in dec.components]
     # for one letter the crossing coroot is coroot_i, so the block's variable is xi
     block = word_operator_block(V, (i,), mu)
-    cob = dec.change_of_basis
+    images = [(rank1_coefficient(comp.m, comp.k, xi), image)
+              for comp in dec.components for image in comp.images]
     block_consistent = all(
-        _apply(block, [row[col] for row in cob]) == [c.scale(x) for x in image]
-        for col, (c, image) in enumerate(string_images(V, dec, xi))
+        _apply(block, column) == [c.scale(x) for x in image]
+        for column, (c, image) in zip(zip(*dec.change_of_basis), images)
     )
     ok = block_consistent and all(c.equal for c in cases)
     return LeviReport(cases=cases, block=block, block_consistent=block_consistent, ok=ok)

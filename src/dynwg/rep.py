@@ -25,6 +25,10 @@ inner product scaled to integers.
 The builder, the Freudenthal recursion and the Chevalley-Serre check (one
 sparse integer operator per generator, over global basis indices) work on
 weights as plain coordinate tuples; Weights are made only for a returned Irrep.
+
+sl2_strings owns the sl(2)-string data of a weight space: it walks each
+primitive down its alpha_i-string once, for its column of the change of basis
+and its image, and gives each string its transfer map.
 """
 
 from __future__ import annotations
@@ -254,8 +258,8 @@ class Irrep:
     e_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu+alpha_i}
     f_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu-alpha_i}
     weight_order: list[Weight] = field(default_factory=list)
-    # (i, nu) -> dynweyl.string_data: the sl(2)-string decomposition and its
-    # xi-free parts, kept as long as this irrep
+    # (i, nu) -> sl2_strings(V, i, nu), kept by dynweyl.string_data as long
+    # as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # mu -> the step products of the last word that dynweyl.word_operator_block
     # composed at mu, for the next word to reuse; one mu at a time
@@ -616,12 +620,17 @@ class StringComponent:
 
     m is the highest sl(2)-weight of the string, k the depth (m - 2k is the
     sl(2)-weight at the decomposed space); primitives live at weight
-    nu + k*alpha_i and inject via the divided power f_i^(k).
+    nu + k*alpha_i and inject via the divided power f_i^(k).  images are the
+    f_i^(m-k) u of the primitives u, in the basis of V_{s_i nu}, and
+    transfer = sum_u image_u (x) (row u of the inverse change of basis), so
+    that A_{s_i}(xi) on V_nu is the sum of c(m,k,xi) * transfer.
     """
 
     m: int
     k: int
     primitives: list[Vector]
+    images: list[Vector]
+    transfer: Matrix
 
 
 @dataclass
@@ -630,43 +639,47 @@ class StringDecomposition:
     weight: Weight
     components: list[StringComponent]
     change_of_basis: Matrix  # columns f_i^(k) u of every primitive u, invertible on V_nu
-    inverse: Matrix  # of change_of_basis
 
 
-def divided_f_power(V: Irrep, i: int, nu: Weight, k: int, vec: Vector) -> Vector:
-    """f_i^k / k! applied to a vector in the V_nu block."""
+def divided_f_powers(V: Irrep, i: int, w: Weight, vec: Vector, depths: tuple) -> list[Vector]:
+    """f_i^(j) vec = f_i^j vec / j! for each j in depths, as Fractions, with
+    vec in the V_w block: one walk down the alpha_i-string of w."""
     alpha = simple_root(V.type, i)
-    cur = vec
-    w = nu
-    for _ in range(k):
-        cur = linalg.mat_vec(V.f_block(i, w), cur)
+    walked = [vec]
+    for _ in range(max(depths)):
+        walked.append(linalg.mat_vec(V.f_block(i, w), walked[-1]))
         w = weight_sub(w, alpha)
-    return [c / factorial(k) for c in cur]
+    return [[Fraction(c, factorial(j)) for c in walked[j]] for j in depths]
 
 
 def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
-    """Decompose V_nu into sl(2)_i strings: V_nu = (+)_k f_i^(k)(ker e_i at nu+k*alpha_i)."""
+    """Decompose V_nu into sl(2)_i strings: V_nu = (+)_k f_i^(k)(ker e_i at nu+k*alpha_i).
+
+    Each primitive u is walked down its string once, for its column
+    f_i^(k) u of the change of basis and its image f_i^(m-k) u."""
     if nu not in V.basis:
         raise RepError(f"{nu} is not a weight of V({V.hw})")
     alpha = simple_root(V.type, i)
-    dim_nu = V.weight_dim(nu)
-    components = []
-    cols: list[Vector] = []
-    k = 0
-    w = nu
+    found = []  # (m, k, primitives, [(column, image) per primitive])
+    k, w = 0, nu
     while w in V.basis:
         m = nu[i - 1] + 2 * k
         kernel = linalg.nullspace(V.e_block(i, w), V.weight_dim(w))
         if kernel and k <= m:
-            components.append(StringComponent(m=m, k=k, primitives=kernel))
-            cols.extend(divided_f_power(V, i, w, k, u) for u in kernel)
+            found.append((m, k, kernel, [divided_f_powers(V, i, w, u, (k, m - k)) for u in kernel]))
         k += 1
         w = weight_add(w, alpha)
-    if len(cols) != dim_nu:
+    cols = [col for *_, walks in found for col, _ in walks]
+    if len(cols) != V.weight_dim(nu):
         raise RepError("sl(2)-string decomposition does not fill the weight space")
     change = linalg.transpose(cols)
-    return StringDecomposition(index=i, weight=nu, components=components, change_of_basis=change,
-                               inverse=linalg.invert(change))  # raises if singular
+    rows = iter(linalg.invert(change))  # raises if singular
+    components = []
+    for m, k, kernel, walks in found:
+        images = [image for _, image in walks]
+        transfer = linalg.mat_mul(linalg.transpose(images), [next(rows) for _ in images])
+        components.append(StringComponent(m, k, kernel, images, transfer))
+    return StringDecomposition(i, nu, components, change)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,15 @@ class LieType:
         return f"{self.series}{self.rank}"
 
 
+def _integer_coords(coords, what: str) -> tuple[int, ...]:
+    """coords as ints; raises RootDataError if one of them is not an integer."""
+    coords = tuple(coords)
+    ints = tuple(int(c) for c in coords)
+    if ints != coords:
+        raise RootDataError(f"{what} coordinates {coords} are not all integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class Weight:
     """Integral weight in fundamental-weight coordinates (<mu, alphacheck_i>)."""
@@ -63,7 +72,7 @@ class Weight:
 
     @staticmethod
     def make(coords) -> "Weight":
-        return Weight(tuple(int(c) for c in coords))
+        return Weight(_integer_coords(coords, "weight"))
 
     @staticmethod
     def parse(text: str, rank: int) -> "Weight":
@@ -90,11 +99,7 @@ class CorootVector:
 
     @staticmethod
     def make(coords) -> "CorootVector":
-        coords = tuple(coords)
-        ints = tuple(int(c) for c in coords)
-        if ints != coords:
-            raise RootDataError(f"coroot coordinates {coords} are not all integers")
-        return CorootVector(ints)
+        return CorootVector(_integer_coords(coords, "coroot"))
 
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(self.coords)

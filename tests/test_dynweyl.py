@@ -16,9 +16,10 @@ from dynwg.dynweyl import (
     word_operator_block,
 )
 from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
-from dynwg.rep import build_irrep, divided_f_power, sl2_strings, weight_add, weight_sub
+from dynwg.rep import build_irrep, divided_f_powers, sl2_strings, weight_add, weight_sub
 from dynwg.rootdata import (
     LieType,
+    RootDataError,
     Weight,
     act,
     all_reduced_words,
@@ -122,9 +123,6 @@ def test_a2_zero_weight_block_string_diagonal():
     nu = Weight((0, 0))
     blk = simple_reflection_block(V, 1, nu, xi)
     dec = sl2_strings(V, 1, nu)
-    from dynwg.rep import divided_f_power, weight_add
-    from dynwg.rootdata import simple_root
-
     col = 0
     for comp in dec.components:
         c = rank1_coefficient(comp.m, comp.k, xi)
@@ -134,7 +132,7 @@ def test_a2_zero_weight_block_string_diagonal():
         for u in comp.primitives:
             # A_s (f^(k) u) must equal c * f^(m-k) u
             invec = [dec.change_of_basis[r][col] for r in range(len(dec.change_of_basis))]
-            out = divided_f_power(V, 1, w, comp.m - comp.k, u)
+            out = _dense_f_power(V, 1, w, comp.m - comp.k, u)
             for r, row in enumerate(blk.matrix):
                 lhs = RatFun.zero(2)
                 for cidx, e in enumerate(row):
@@ -151,7 +149,12 @@ def _divided_power(V, i, nu, k, raising):
             out, nu = linalg.mat_mul(V.e_block(i, nu), out), weight_add(nu, alpha)
         else:
             out, nu = linalg.mat_mul(V.f_block(i, nu), out), weight_sub(nu, alpha)
-    return [[c / factorial(k) for c in row] for row in out]
+    return [[Fraction(c, factorial(k)) for c in row] for row in out]
+
+
+def _dense_f_power(V, i, nu, k, vec):
+    """f_i^(k) vec for vec in the V_nu block, as the dense matrix f_i^k / k!."""
+    return linalg.mat_vec(_divided_power(V, i, nu, k, raising=False), vec)
 
 
 def _divided_power_block(V, i, nu, xi):
@@ -193,6 +196,63 @@ def test_simple_reflection_block_matches_divided_power_oracle():
                     assert block.matrix == _divided_power_block(V, i, nu, xi), (algebra, hw, i, nu)
                     compared += 1
     assert compared == 396
+
+
+STRING_IRREPS = [
+    ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 1)),
+    ("C3", (0, 1, 0)), ("A4", (1, 0, 0, 1)),
+]
+
+
+def test_string_data_matches_dense_divided_powers():
+    """Each column f_i^(k) u and image f_i^(m-k) u against the dense
+    f_i^j / j!, each transfer map against the one assembled from those, and
+    sum c(m,k,xi) * transfer against simple_reflection_block and the
+    divided-power oracle at a generic xi."""
+    compared = 0
+    for algebra, hw in STRING_IRREPS:
+        t = LieType.parse(algebra)
+        V = build_irrep(t, Weight(hw))
+        xi = DegreeOneForm.make([3, -2, 5, 7][: t.rank], F(1, 3))
+        for i in range(1, t.rank + 1):
+            alpha = simple_root(t, i)
+            for nu in [nu for nu in V.weights() if nu[i - 1] >= 0]:
+                dec = sl2_strings(V, i, nu)
+                columns, expected = [], [[RatFun.zero(t.rank)] * V.weight_dim(nu)
+                                         for _ in range(V.weight_dim(nu))]
+                rows = iter(linalg.invert(dec.change_of_basis))
+                for comp in dec.components:
+                    w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
+                    columns += [_dense_f_power(V, i, w, comp.k, u) for u in comp.primitives]
+                    images = [_dense_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]
+                    assert comp.images == images, (algebra, hw, i, nu, comp.m, comp.k)
+                    inverse_rows = [next(rows) for _ in images]
+                    transfer = linalg.mat_mul(linalg.transpose(images), inverse_rows)
+                    assert comp.transfer == transfer, (algebra, hw, i, nu, comp.m, comp.k)
+                    c = rank1_coefficient(comp.m, comp.k, xi)
+                    for row, t_row in zip(expected, transfer):
+                        row[:] = [e + c.scale(s) if s else e for e, s in zip(row, t_row)]
+                assert dec.change_of_basis == linalg.transpose(columns), (algebra, hw, i, nu)
+                block = simple_reflection_block(V, i, nu, xi).matrix
+                assert block == expected == _divided_power_block(V, i, nu, xi), (algebra, hw, i, nu)
+                compared += 1
+    assert compared == 223
+
+
+def test_divided_f_powers_are_fractions():
+    V = build_irrep(A1, Weight((2,)))
+    out = divided_f_powers(V, 1, Weight((2,)), [1], (0, 1, 2))
+    assert out == [[1], [1], [1]]
+    assert {type(c) for vec in out for c in vec} == {Fraction}
+
+
+def test_simple_reflection_block_checks_the_index_first():
+    V = build_irrep(A2, Weight((1, 1)))
+    xi = DegreeOneForm.make([1, 0], 0)
+    for i in (0, 3):
+        for nu in (Weight((2, -1)), Weight((1, 1)), Weight((-1, 2))):
+            with pytest.raises(RootDataError):
+                simple_reflection_block(V, i, nu, xi)
 
 
 def test_block_preconditions():
@@ -290,14 +350,14 @@ def _oracle_simple_block(V, i, nu, xi):
     dec = sl2_strings(V, i, nu)
     rows, dim = V.weight_dim(simple_reflection(V.type, i, nu)), V.weight_dim(nu)
     matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
-    p_rows = iter(dec.inverse)
+    p_rows = iter(linalg.invert(dec.change_of_basis))
     for comp in dec.components:
         c = rank1_coefficient(comp.m, comp.k, xi)
         w = nu
         for _ in range(comp.k):
             w = weight_add(w, simple_root(V.type, i))
         for u in comp.primitives:
-            image, p_row = divided_f_power(V, i, w, comp.m - comp.k, u), next(p_rows)
+            image, p_row = _dense_f_power(V, i, w, comp.m - comp.k, u), next(p_rows)
             for r in range(rows):
                 for col in range(dim):
                     s = image[r] * p_row[col]

@@ -529,8 +529,17 @@ def _fault_negative_index(text):
     return json.dumps(obj)
 
 
+def _fault_non_integer_weight(text):
+    # a loader that truncated coordinates would read (-1, 1) back
+    obj = json.loads(text)
+    (entry,) = [w for w in obj["weights"] if w["coords"] == [-1, 1]]
+    entry["coords"] = [-1.5, 1.2]
+    return json.dumps(obj)
+
+
 CACHE_FAULTS = {
     "negative-index": _fault_negative_index,
+    "non-integer-weight": _fault_non_integer_weight,
     "other-irrep": _fault_other_irrep,
     "other-version": _fault_other_version,
     "truncated": lambda text: text[: len(text) // 2],

@@ -227,6 +227,14 @@ def test_coroot_coordinates_are_integers():
         CorootVector.make((1, Fraction(1, 2)))
 
 
+def test_weight_coordinates_are_integers():
+    w = Weight.make((1, Fraction(-2), 3.0))
+    assert w == Weight((1, -2, 3)) and all(type(c) is int for c in w.coords)
+    for coords in ((1.5, 0), (-1.5, 1.2), (1, Fraction(1, 2)), ("1", 0)):
+        with pytest.raises(RootDataError):
+            Weight.make(coords)
+
+
 def weyl_orbit(t, mu):
     """Oracle: the full W-orbit of a weight (small ranks only)."""
     seen = {mu}
