@@ -22,7 +22,7 @@ from math import lcm
 
 from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
-from .rep import Irrep, StringDecomposition, sl2_strings
+from .rep import Irrep, StringComponent, sl2_strings
 from .rootdata import (
     CorootVector,
     Weight,
@@ -113,13 +113,13 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
 
 
-def string_data(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
-    """sl2_strings(V, i, nu), with each string's images and transfer map.
-    None of it depends on xi, so it is kept on V, once per (i, nu)."""
-    dec = V.string_parts.get((i, nu))
-    if dec is None:
-        dec = V.string_parts[(i, nu)] = sl2_strings(V, i, nu)
-    return dec
+def string_data(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
+    """sl2_strings(V, i, nu): each string's (m, k) and transfer map.  None
+    of it depends on xi, so it is kept on V, once per (i, nu)."""
+    strings = V.string_parts.get((i, nu))
+    if strings is None:
+        strings = V.string_parts[(i, nu)] = sl2_strings(V, i, nu)
+    return strings
 
 
 def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
@@ -135,7 +135,7 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     nx = V.type.rank
     matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
               for _ in range(V.weight_dim(target))]
-    for comp in string_data(V, i, nu).components:
+    for comp in string_data(V, i, nu):
         c = rank1_coefficient(comp.m, comp.k, xi)
         for row, transfer_row in zip(matrix, comp.transfer):
             for col, s in enumerate(transfer_row):

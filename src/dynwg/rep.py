@@ -28,7 +28,7 @@ weights as plain coordinate tuples; Weights are made only for a returned Irrep.
 
 sl2_strings owns the sl(2)-string data of a weight space: it walks each
 primitive down its alpha_i-string once, for its column of the change of basis
-and its image, and gives each string its transfer map.
+and its image, and keeps only the transfer map that it builds from them.
 """
 
 from __future__ import annotations
@@ -620,25 +620,16 @@ class StringComponent:
 
     m is the highest sl(2)-weight of the string, k the depth (m - 2k is the
     sl(2)-weight at the decomposed space); primitives live at weight
-    nu + k*alpha_i and inject via the divided power f_i^(k).  images are the
-    f_i^(m-k) u of the primitives u, in the basis of V_{s_i nu}, and
-    transfer = sum_u image_u (x) (row u of the inverse change of basis), so
-    that A_{s_i}(xi) on V_nu is the sum of c(m,k,xi) * transfer.
+    nu + k*alpha_i and inject via the divided power f_i^(k).  transfer sends
+    each column f_i^(k) u to the image f_i^(m-k) u in V_{s_i nu} and every
+    other string's columns to 0, so that A_{s_i}(xi) on V_nu is the sum of
+    c(m,k,xi) * transfer.
     """
 
     m: int
     k: int
     primitives: list[Vector]
-    images: list[Vector]
     transfer: Matrix
-
-
-@dataclass
-class StringDecomposition:
-    index: int
-    weight: Weight
-    components: list[StringComponent]
-    change_of_basis: Matrix  # columns f_i^(k) u of every primitive u, invertible on V_nu
 
 
 def divided_f_powers(V: Irrep, i: int, w: Weight, vec: Vector, depths: tuple) -> list[Vector]:
@@ -652,7 +643,7 @@ def divided_f_powers(V: Irrep, i: int, w: Weight, vec: Vector, depths: tuple) ->
     return [[Fraction(c, factorial(j)) for c in walked[j]] for j in depths]
 
 
-def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
+def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
     """Decompose V_nu into sl(2)_i strings: V_nu = (+)_k f_i^(k)(ker e_i at nu+k*alpha_i).
 
     Each primitive u is walked down its string once, for its column
@@ -672,14 +663,13 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> StringDecomposition:
     cols = [col for *_, walks in found for col, _ in walks]
     if len(cols) != V.weight_dim(nu):
         raise RepError("sl(2)-string decomposition does not fill the weight space")
-    change = linalg.transpose(cols)
-    rows = iter(linalg.invert(change))  # raises if singular
+    rows = iter(linalg.invert(linalg.transpose(cols)))  # raises if singular
     components = []
     for m, k, kernel, walks in found:
         images = [image for _, image in walks]
         transfer = linalg.mat_mul(linalg.transpose(images), [next(rows) for _ in images])
-        components.append(StringComponent(m, k, kernel, images, transfer))
-    return StringDecomposition(i, nu, components, change)
+        components.append(StringComponent(m, k, kernel, transfer))
+    return components
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ Conventions (documented in the README):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,13 +56,12 @@ class LieType:
         return f"{self.series}{self.rank}"
 
 
-def _integer_coords(coords, what: str) -> tuple[int, ...]:
-    """coords as ints; raises RootDataError if one of them is not an integer."""
-    coords = tuple(coords)
-    ints = tuple(int(c) for c in coords)
-    if ints != coords:
-        raise RootDataError(f"{what} coordinates {coords} are not all integers")
-    return ints
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; raises RootDataError otherwise."""
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?\d+\s*", p) for p in parts):  # int() also takes "1_0"
+        raise RootDataError(f"{what} {text!r} is not a comma-separated list of integers")
+    return tuple(int(p) for p in parts)
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,19 @@ class Weight:
 
     @staticmethod
     def make(coords) -> "Weight":
-        return Weight(_integer_coords(coords, "weight"))
+        """coords as ints; raises RootDataError if one of them is not an integer."""
+        coords = tuple(coords)
+        ints = tuple(int(c) for c in coords)
+        if ints != coords:
+            raise RootDataError(f"weight coordinates {coords} are not all integers")
+        return Weight(ints)
 
     @staticmethod
     def parse(text: str, rank: int) -> "Weight":
-        parts = [p.strip() for p in text.split(",")] if text.strip() else []
-        if len(parts) != rank:
+        coords = _parse_ints(text, "weight") if text.strip() else ()
+        if len(coords) != rank:
             raise RootDataError(f"weight {text!r} has wrong length for rank {rank}")
-        return Weight(tuple(int(p) for p in parts))
+        return Weight(coords)
 
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
@@ -97,10 +102,6 @@ class CorootVector:
 
     coords: tuple[int, ...]
 
-    @staticmethod
-    def make(coords) -> "CorootVector":
-        return CorootVector(_integer_coords(coords, "coroot"))
-
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(self.coords)
 
@@ -112,10 +113,7 @@ class CorootVector:
 
 
 def parse_word(text: str) -> WeylWord:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+    return _parse_ints(text, "word") if text.strip() else ()
 
 
 @lru_cache(maxsize=None)

@@ -122,23 +122,11 @@ def test_a2_zero_weight_block_string_diagonal():
     xi = DegreeOneForm.make([1, 0], 0)
     nu = Weight((0, 0))
     blk = simple_reflection_block(V, 1, nu, xi)
-    dec = sl2_strings(V, 1, nu)
-    col = 0
-    for comp in dec.components:
+    for comp, columns, images in _dense_string_walks(V, 1, nu):
         c = rank1_coefficient(comp.m, comp.k, xi)
-        w = nu
-        for _ in range(comp.k):
-            w = weight_add(w, simple_root(A2, 1))
-        for u in comp.primitives:
+        for column, image in zip(columns, images, strict=True):
             # A_s (f^(k) u) must equal c * f^(m-k) u
-            invec = [dec.change_of_basis[r][col] for r in range(len(dec.change_of_basis))]
-            out = _dense_f_power(V, 1, w, comp.m - comp.k, u)
-            for r, row in enumerate(blk.matrix):
-                lhs = RatFun.zero(2)
-                for cidx, e in enumerate(row):
-                    lhs = lhs + e.scale(invec[cidx])
-                assert lhs == c.scale(out[r])
-            col += 1
+            assert _rmat_vec(blk.matrix, column, 2) == [c.scale(x) for x in image]
 
 
 def _divided_power(V, i, nu, k, raising):
@@ -155,6 +143,29 @@ def _divided_power(V, i, nu, k, raising):
 def _dense_f_power(V, i, nu, k, vec):
     """f_i^(k) vec for vec in the V_nu block, as the dense matrix f_i^k / k!."""
     return linalg.mat_vec(_divided_power(V, i, nu, k, raising=False), vec)
+
+
+def _dense_string_walks(V, i, nu):
+    """(component, columns f_i^(k) u, images f_i^(m-k) u) for each string of
+    sl2_strings(V, i, nu), with u its primitives, from the dense f_i^j / j!."""
+    alpha, walks = simple_root(V.type, i), []
+    for comp in sl2_strings(V, i, nu):
+        w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
+        walks.append((comp, [_dense_f_power(V, i, w, comp.k, u) for u in comp.primitives],
+                      [_dense_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]))
+    return walks
+
+
+def _rmat_vec(matrix, vec, nx):
+    """A RatFun matrix times a vector of Fractions."""
+    out = []
+    for row in matrix:
+        acc = RatFun.zero(nx)
+        for e, x in zip(row, vec, strict=True):
+            if x:
+                acc = acc + e.scale(x)
+        out.append(acc)
+    return out
 
 
 def _divided_power_block(V, i, nu, xi):
@@ -205,38 +216,44 @@ STRING_IRREPS = [
 
 
 def test_string_data_matches_dense_divided_powers():
-    """Each column f_i^(k) u and image f_i^(m-k) u against the dense
-    f_i^j / j!, each transfer map against the one assembled from those, and
-    sum c(m,k,xi) * transfer against simple_reflection_block and the
-    divided-power oracle at a generic xi."""
-    compared = 0
+    """Each transfer map against the one assembled from the dense f_i^j / j!
+    columns f_i^(k) u and images f_i^(m-k) u, sum c(m,k,xi) * transfer
+    against simple_reflection_block and the divided-power oracle at a
+    generic xi, and, at each dominant nu, word_operator_block(V, (i,), nu)
+    against c(m,k,x_i) f_i^(m-k) u on each column f_i^(k) u."""
+    compared = one_letter = 0
     for algebra, hw in STRING_IRREPS:
         t = LieType.parse(algebra)
         V = build_irrep(t, Weight(hw))
         xi = DegreeOneForm.make([3, -2, 5, 7][: t.rank], F(1, 3))
         for i in range(1, t.rank + 1):
-            alpha = simple_root(t, i)
+            x_i = DegreeOneForm.make([int(a == i) for a in range(1, t.rank + 1)], 0)
             for nu in [nu for nu in V.weights() if nu[i - 1] >= 0]:
-                dec = sl2_strings(V, i, nu)
-                columns, expected = [], [[RatFun.zero(t.rank)] * V.weight_dim(nu)
-                                         for _ in range(V.weight_dim(nu))]
-                rows = iter(linalg.invert(dec.change_of_basis))
-                for comp in dec.components:
-                    w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
-                    columns += [_dense_f_power(V, i, w, comp.k, u) for u in comp.primitives]
-                    images = [_dense_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]
-                    assert comp.images == images, (algebra, hw, i, nu, comp.m, comp.k)
+                walks = _dense_string_walks(V, i, nu)
+                change = linalg.transpose([col for _, columns, _ in walks for col in columns])
+                rows = iter(linalg.invert(change))
+                expected = [[RatFun.zero(t.rank)] * V.weight_dim(nu)
+                            for _ in range(V.weight_dim(nu))]
+                for comp, _, images in walks:
                     inverse_rows = [next(rows) for _ in images]
                     transfer = linalg.mat_mul(linalg.transpose(images), inverse_rows)
                     assert comp.transfer == transfer, (algebra, hw, i, nu, comp.m, comp.k)
                     c = rank1_coefficient(comp.m, comp.k, xi)
                     for row, t_row in zip(expected, transfer):
                         row[:] = [e + c.scale(s) if s else e for e, s in zip(row, t_row)]
-                assert dec.change_of_basis == linalg.transpose(columns), (algebra, hw, i, nu)
                 block = simple_reflection_block(V, i, nu, xi).matrix
                 assert block == expected == _divided_power_block(V, i, nu, xi), (algebra, hw, i, nu)
                 compared += 1
-    assert compared == 223
+                if nu.is_dominant():
+                    letter_block = word_operator_block(V, (i,), nu).matrix
+                    for comp, columns, images in walks:
+                        c = rank1_coefficient(comp.m, comp.k, x_i)
+                        for column, image in zip(columns, images):
+                            scaled = [c.scale(x) for x in image]
+                            assert _rmat_vec(letter_block, column, t.rank) == scaled, (
+                                algebra, hw, i, nu, comp.m, comp.k)
+                    one_letter += 1
+    assert (compared, one_letter) == (223, 46)
 
 
 def test_divided_f_powers_are_fractions():
@@ -347,17 +364,14 @@ def _oracle_simple_block(V, i, nu, xi):
     """sum over primitives u of c(m,k,xi) f_i^(m-k) u (x) (row u of the
     inverse), with no string data kept between calls."""
     nx = V.type.rank
-    dec = sl2_strings(V, i, nu)
+    walks = _dense_string_walks(V, i, nu)
     rows, dim = V.weight_dim(simple_reflection(V.type, i, nu)), V.weight_dim(nu)
     matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
-    p_rows = iter(linalg.invert(dec.change_of_basis))
-    for comp in dec.components:
+    p_rows = iter(linalg.invert(linalg.transpose([col for _, cols, _ in walks for col in cols])))
+    for comp, _, images in walks:
         c = rank1_coefficient(comp.m, comp.k, xi)
-        w = nu
-        for _ in range(comp.k):
-            w = weight_add(w, simple_root(V.type, i))
-        for u in comp.primitives:
-            image, p_row = _dense_f_power(V, i, w, comp.m - comp.k, u), next(p_rows)
+        for image in images:
+            p_row = next(p_rows)
             for r in range(rows):
                 for col in range(dim):
                     s = image[r] * p_row[col]

@@ -430,17 +430,14 @@ def test_irrep_is_keyed_by_weights(tmp_path):
 
 def test_strings_sl2_adjoint():
     V = build_irrep(A1, Weight((2,)))
-    dec = sl2_strings(V, 1, Weight((0,)))
-    assert [(c.m, c.k) for c in dec.components] == [(2, 1)]
+    assert [(c.m, c.k) for c in sl2_strings(V, 1, Weight((0,)))] == [(2, 1)]
 
 
 def test_strings_a2():
     V = build_irrep(A2, Weight((1, 1)))
-    dec = sl2_strings(V, 1, Weight((0, 0)))
-    assert sorted((c.m, c.k) for c in dec.components) == [(0, 0), (2, 1)]
+    assert sorted((c.m, c.k) for c in sl2_strings(V, 1, Weight((0, 0)))) == [(0, 0), (2, 1)]
     V3 = build_irrep(A2, Weight((1, 0)))
-    dec3 = sl2_strings(V3, 1, Weight((1, 0)))
-    assert [(c.m, c.k) for c in dec3.components] == [(1, 0)]
+    assert [(c.m, c.k) for c in sl2_strings(V3, 1, Weight((1, 0)))] == [(1, 0)]
     with pytest.raises(RepError):
         sl2_strings(V3, 1, Weight((5, 5)))
 
@@ -449,8 +446,8 @@ def test_strings_fill_weight_space():
     V = build_irrep(G2, Weight((0, 1)))
     for i in (1, 2):
         for nu in V.weights():
-            dec = sl2_strings(V, i, nu)
-            assert sum(len(c.primitives) for c in dec.components) == V.weight_dim(nu)
+            strings = sl2_strings(V, i, nu)
+            assert sum(len(c.primitives) for c in strings) == V.weight_dim(nu)
 
 
 def test_string_primitives_killed_by_e():
@@ -461,10 +458,9 @@ def test_string_primitives_killed_by_e():
     V = build_irrep(B2, Weight((1, 1)))
     nu = Weight((-1, 1))
     for i in (1, 2):
-        dec = sl2_strings(V, i, nu)
         w = nu
         alpha = simple_root(B2, i)
-        by_k = {c.k: c for c in dec.components}
+        by_k = {c.k: c for c in sl2_strings(V, i, nu)}
         for k in range(max(by_k) + 1):
             if k in by_k:
                 blk = V.e_block(i, w)

@@ -68,7 +68,7 @@ def test_crossing_coroots_by_hand():
     # stored (1,2): s2 acts first, so gamma_1 = coroot_2,
     # gamma_2 = s2(coroot_1) = coroot_1 + coroot_2
     gammas = crossing_coroots(A2, (1, 2))
-    assert gammas == (CorootVector.make((0, 1)), CorootVector.make((1, 1)))
+    assert gammas == (CorootVector((0, 1)), CorootVector((1, 1)))
 
 
 def test_reducedness():
@@ -220,11 +220,10 @@ def test_positive_roots_and_coroots_of_every_type_through_rank_8():
 
 
 def test_coroot_coordinates_are_integers():
-    g = CorootVector.make((1, Fraction(2), 3.0))
-    assert g.coords == (1, 2, 3) and all(type(c) is int for c in g.coords)
+    for g in positive_coroots(G2):
+        assert all(type(c) is int for c in g.coords) and type(g.height()) is int
+    g = CorootVector((1, 2, 3))
     assert g.height() == 6 and type(g.height()) is int
-    with pytest.raises(RootDataError):
-        CorootVector.make((1, Fraction(1, 2)))
 
 
 def test_weight_coordinates_are_integers():
@@ -280,9 +279,15 @@ def test_weight_and_word_parsing():
     assert parse_word("") == ()
     with pytest.raises(RootDataError):
         Weight.parse("1", 2)
+    for text in ("1,x", ",", "1.5,0", "1_0,1"):
+        with pytest.raises(RootDataError, match="not a comma-separated list of integers"):
+            Weight.parse(text, 2)
+    for text in ("1,,2", "1,x", "2,"):
+        with pytest.raises(RootDataError, match=f"'{text}' is not a comma-separated list"):
+            parse_word(text)
 
 
 def test_pairing_is_an_int():
-    g = CorootVector.make((1, 1))
+    g = CorootVector((1, 1))
     p = pairing(Weight((2, 3)), g)
     assert p == 5 and type(p) is int
