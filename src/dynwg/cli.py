@@ -112,10 +112,11 @@ def _cocycle_case(args) -> dict:
 
 def _levi_case(args) -> dict:
     cfg, i, mu = args
-    report = geomsatake.levi_restriction_check(_suite_irrep(cfg), i, mu)
+    V = _suite_irrep(cfg)
+    report = geomsatake.levi_restriction_check(V, i, mu)
     key = f"levi:{cfg.algebra}:{list(cfg.hw.coords)}:i={i}:{list(mu.coords)}"
     problems = [] if report.ok else ["stringwise geometric/dynamical mismatch"]
-    problems.extend(_structural_checks(report.block))
+    problems.extend(_structural_checks(dynweyl.word_operator_block(V, (i,), mu)))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
             "strings": [[c.m, c.k] for c in report.cases]}
 

@@ -62,10 +62,6 @@ class OperatorBlock:
     target: Weight
     matrix: RatMatrix
 
-    @property
-    def nx(self) -> int:
-        return self.V.type.rank
-
     def equals(self, other: "OperatorBlock") -> bool:
         if (self.source, self.target) != (other.source, other.target):
             return False
@@ -255,7 +251,11 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     _, num, scale, den, cur = steps[-1] if steps else (None, None, 1, {}, mu)
     for step in range(shared, len(word)):
         letter, gamma = letters[step], gammas[step]
-        assert cur[letter - 1] == pairing(mu, gamma) >= 0, "negative intermediate pairing"
+        expected = pairing(mu, gamma)
+        if not cur[letter - 1] == expected >= 0:
+            raise DynWeylError(f"A_w on V_({mu}): step {step + 1} of {len(word)} has"
+                               f" <({cur}), coroot {letter}> = {cur[letter - 1]},"
+                               f" not <({mu}), ({gamma})> = {expected} >= 0")
         blk = simple_reflection_block(V, letter, cur, _step_variable(gamma))
         cur = blk.target
         blk_num, blk_scale, blk_den = _integer_block(blk.matrix)

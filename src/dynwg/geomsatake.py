@@ -1,12 +1,14 @@
-"""Geometric transition operators on rank-1 slices and the theorem verifiers.
+"""The rank-1 identification of dynamical and equivariant parameters.
 
 The geometric side enters purely through the linear torus weights at the fixed
-point of a rank-1 transversal slice.  The attracting/repelling costalk maps
-act by the product of those weights, so the transition operator between the
-two chambers is the ratio of the two products; the main identity says this
-ratio equals the dynamical reflection coefficient after the shift x -> -x - h.
+point of a rank-1 transversal slice, built at an equivariant parameter xi.
+The attracting/repelling costalk maps act by the product of those weights, so
+the transition operator between the two chambers is the ratio of the two
+products; the main identity says this ratio at xi equals the dynamical
+reflection coefficient c(m, k, xi) after the shift x -> -x - h.
 
-That identity has one implementation, _string_comparison(m, k, xi), read at
+That identity has one implementation, _string_comparison(m, k, xi), which
+builds both sides at xi and returns one RankOneComparison.  It is read at
 xi = x by verify_main_theorem_rank1 and at xi = x_i for each sl(2)_i-string
 through a weight by levi_restriction_check.
 """
@@ -17,13 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynweyl import (
-    OperatorBlock,
-    rank1_coefficient,
-    rho_shift_images,
-    string_data,
-    word_operator_block,
-)
+from .dynweyl import rank1_coefficient, rho_shift_images, string_data
 from .ratfun import DegreeOneForm, RatFun
 from .rep import Irrep
 from .rep import sl2_strings  # noqa: F401  kept bound: perfbench/test_perfbench.py patches it here
@@ -54,22 +50,26 @@ def _check_rank1_pair(lam: int, mu: int):
         raise GeomSatakeError(f"parity violation: lambda={lam}, mu={mu}")
 
 
-def costalk_weights(lam: int, mu: int, chamber: str) -> TorusWeightMultiset:
-    """Torus weights of the slice cell in the given chamber.
+# the rank-1 equivariant parameter x
+_X = DegreeOneForm.make([1], 0)
 
-    chamber "e": {-x + (j-1)h - ((lam+mu)/2)h : j = 1..(lam-mu)/2}
-    chamber "s": {x - j*h : j = 1..(lam-mu)/2}
+
+def costalk_weights(lam: int, mu: int, chamber: str, xi: DegreeOneForm = _X) -> TorusWeightMultiset:
+    """Torus weights of the slice cell in the given chamber, at x = xi.
+
+    chamber "e": {-xi + (j-1)h - ((lam+mu)/2)h : j = 1..(lam-mu)/2}
+    chamber "s": {xi - j*h : j = 1..(lam-mu)/2}
     """
     _check_rank1_pair(lam, mu)
     n = (lam - mu) // 2
     if chamber == "e":
-        shift = Fraction(lam + mu, 2)
-        forms = [DegreeOneForm.make([-1], (j - 1) - shift) for j in range(1, n + 1)]
+        first = DegreeOneForm.make([-c for c in xi.xcoeffs], -xi.hcoeff - Fraction(lam + mu, 2))
+        forms = [first.shift_h(j - 1) for j in range(1, n + 1)]
     elif chamber == "s":
-        forms = [DegreeOneForm.make([1], -j) for j in range(1, n + 1)]
+        forms = [xi.shift_h(-j) for j in range(1, n + 1)]
     else:
         raise GeomSatakeError(f"unknown chamber {chamber!r}")
-    return TorusWeightMultiset(nx=1, weights=forms)
+    return TorusWeightMultiset(nx=xi.nx, weights=forms)
 
 
 def generic_transition(a: TorusWeightMultiset, b: TorusWeightMultiset) -> RatFun:
@@ -79,31 +79,9 @@ def generic_transition(a: TorusWeightMultiset, b: TorusWeightMultiset) -> RatFun
     return RatFun.from_factors(1, b.weights, a.weights, a.nx)
 
 
-def hyperbolic_transition(lam: int, mu: int) -> RatFun:
-    """The e-to-s chamber transition scalar on the rank-1 slice."""
-    e_side = costalk_weights(lam, mu, "e")
-    s_side = costalk_weights(lam, mu, "s")
-    return generic_transition(e_side, s_side)
-
-
-@dataclass
-class MainTheoremReport:
-    lam: int
-    mu: int
-    geometric: RatFun
-    dynamical_shifted: RatFun
-    equal: bool
-
-
-def verify_main_theorem_rank1(lam: int, mu: int) -> MainTheoremReport:
-    """Compare the geometric transition with the shifted dynamical coefficient:
-    the string comparison at (lam, (lam - mu)/2, x).  Both sides are computed
-    independently; a mismatch is reported, not raised.
-    """
-    _check_rank1_pair(lam, mu)
-    case = _string_comparison(lam, (lam - mu) // 2, DegreeOneForm.make([1], 0))
-    return MainTheoremReport(lam=lam, mu=mu, geometric=case.geometric,
-                             dynamical_shifted=case.dynamical_shifted, equal=case.equal)
+def hyperbolic_transition(lam: int, mu: int, xi: DegreeOneForm = _X) -> RatFun:
+    """The e-to-s chamber transition scalar on the rank-1 slice, at x = xi."""
+    return generic_transition(costalk_weights(lam, mu, "e", xi), costalk_weights(lam, mu, "s", xi))
 
 
 def rank1_pairs(lambda_max: int) -> list[tuple[int, int]]:
@@ -112,7 +90,10 @@ def rank1_pairs(lambda_max: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class LeviCase:
+class RankOneComparison:
+    """The string (m, k) at xi: the geometric transition at (m, m-2k) against
+    the rho-shifted dynamical coefficient, and whether they are equal."""
+
     m: int
     k: int
     geometric: RatFun
@@ -121,20 +102,26 @@ class LeviCase:
 
 
 @lru_cache(maxsize=4096)
-def _string_comparison(m: int, k: int, xi: DegreeOneForm) -> LeviCase:
-    """The rank-1 geometric transition at (m, m-2k), with x replaced by xi,
-    against the rho-shifted dynamical coefficient c(m, k, xi).  It depends
+def _string_comparison(m: int, k: int, xi: DegreeOneForm) -> RankOneComparison:
+    """The rank-1 geometric transition at (m, m-2k), built at xi, against
+    the rho-shifted dynamical coefficient c(m, k, xi).  Both sides are
+    computed independently; a mismatch is reported, not raised.  It depends
     only on (m, k, xi), so it is kept for the last 4096 (m, k, xi) and the
-    frozen LeviCase is shared between reports."""
-    geo = hyperbolic_transition(m, m - 2 * k).substitute([xi])
+    frozen RankOneComparison is shared between callers."""
+    geo = hyperbolic_transition(m, m - 2 * k, xi)
     dyn = rank1_coefficient(m, k, xi).substitute(rho_shift_images(xi.nx))
-    return LeviCase(m=m, k=k, geometric=geo, dynamical_shifted=dyn, equal=geo == dyn)
+    return RankOneComparison(m=m, k=k, geometric=geo, dynamical_shifted=dyn, equal=geo == dyn)
+
+
+def verify_main_theorem_rank1(lam: int, mu: int) -> RankOneComparison:
+    """The string comparison at (lam, (lam - mu)/2, x)."""
+    _check_rank1_pair(lam, mu)
+    return _string_comparison(lam, (lam - mu) // 2, _X)
 
 
 @dataclass
 class LeviReport:
-    cases: list[LeviCase]
-    block: OperatorBlock  # A_{s_i} on V_mu, as word_operator_block(V, (i,), mu)
+    cases: list[RankOneComparison]
     ok: bool
 
 
@@ -142,15 +129,12 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
     """String-wise rank-1 comparison of the simple-reflection operator.
 
     mu must be dominant.  For each sl(2)-string (m, k) through V_mu, the
-    rank-1 geometric transition at (m, m-2k), with x replaced by
-    <x, coroot_i>, must agree with the rho-shifted dynamical coefficient;
-    ok says that every string does.  The block of A_{s_i} on V_mu, the sum
-    of those coefficients times the strings' transfer maps, is returned
-    unchecked, for the caller's structural checks.
+    rank-1 geometric transition at (m, m-2k), built at x_i = <x, coroot_i>,
+    must agree with the rho-shifted dynamical coefficient; ok says that
+    every string does.
     """
     if not mu.is_dominant():
         raise GeomSatakeError(f"source weight {mu} is not dominant")
     xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(V.type.rank)], 0)
     cases = [_string_comparison(comp.m, comp.k, xi) for comp in string_data(V, i, mu)]
-    block = word_operator_block(V, (i,), mu)
-    return LeviReport(cases=cases, block=block, ok=all(c.equal for c in cases))
+    return LeviReport(cases=cases, ok=all(c.equal for c in cases))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -110,9 +111,7 @@ def test_verify_failure_exit_code(capsys, cache_args, monkeypatch):
     original = geomsatake.verify_main_theorem_rank1
 
     def broken(lam, mu):
-        r = original(lam, mu)
-        r.equal = False
-        return r
+        return dataclasses.replace(original(lam, mu), equal=False)
 
     monkeypatch.setattr(geomsatake, "verify_main_theorem_rank1", broken)
     code, out, _ = run(capsys, "verify", "satake-rank1", "--lambda-max", "0", *cache_args)
@@ -403,8 +402,8 @@ def _sign_flipped(original):
 
 def _chambers_swapped(original):
     # the s-to-e transition in place of the e-to-s one
-    return lambda lam, mu: geomsatake.generic_transition(
-        geomsatake.costalk_weights(lam, mu, "s"), geomsatake.costalk_weights(lam, mu, "e"))
+    return lambda lam, mu, xi: geomsatake.generic_transition(
+        geomsatake.costalk_weights(lam, mu, "s", xi), geomsatake.costalk_weights(lam, mu, "e", xi))
 
 
 @pytest.mark.parametrize("name, mutate", [("rank1_coefficient", _sign_flipped),

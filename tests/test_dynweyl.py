@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from dynwg import linalg
+from dynwg import dynweyl, linalg
 from dynwg.dynweyl import (
     DynWeylError,
     OperatorBlock,
@@ -339,6 +342,40 @@ def test_word_operator_errors():
         word_operator_block(V, (1,), Weight((2, -1)))  # non-dominant
 
 
+# With the crossing coroots reversed, the first step of (1, 2, 1) at (2, 1)
+# pairs with coroot 1, to 2, where its crossing coroot, coroot 2, pairs to 1.
+_WRONG_PAIRING = ("A_w on V_(2,1): step 1 of 3 has <(2,1), coroot 1> = 2,"
+                  " not <(2,1), (0,1)> = 1 >= 0")
+_WRONG_PAIRING_PROBE = """
+from dynwg import dynweyl, rep, rootdata
+crossing = dynweyl.crossing_coroots
+dynweyl.crossing_coroots = lambda t, word: crossing(t, word)[::-1]
+V = rep.build_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((2, 1)))
+try:
+    dynweyl.word_operator_block(V, (1, 2, 1), rootdata.Weight((2, 1)))
+except dynweyl.DynWeylError as exc:
+    print(exc)
+"""
+
+
+def test_word_loop_check_raises_on_a_wrong_pairing(monkeypatch):
+    crossing = crossing_coroots
+    monkeypatch.setattr(dynweyl, "crossing_coroots", lambda t, word: crossing(t, word)[::-1])
+    V = build_irrep(A2, Weight((2, 1)))
+    with pytest.raises(DynWeylError) as err:
+        word_operator_block(V, (1, 2, 1), Weight((2, 1)))
+    assert str(err.value) == _WRONG_PAIRING
+
+
+def test_word_loop_check_survives_python_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dynweyl.__file__)), os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-O", "-c", _WRONG_PAIRING_PROBE],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == _WRONG_PAIRING + "\n"
+
+
 # ---------------------------------------------------------------------------
 # differential oracle for the composition: every entry reduced after every
 # product, from blocks assembled one primitive at a time
@@ -590,7 +627,7 @@ def _two_point_limit(b, rng):
     points, redrawn on accidental poles; the oracle of classical_limit."""
 
     def sample():
-        return [F(rng.randint(10**3, 10**6)) for _ in range(b.nx)] + [F(0)]
+        return [F(rng.randint(10**3, 10**6)) for _ in range(b.V.type.rank)] + [F(0)]
 
     results, points, attempts = [], [], 0
     while len(results) < 2:
