@@ -25,6 +25,11 @@ inner product scaled to integers.
 The builder, the Freudenthal recursion and the Chevalley-Serre check (one
 sparse integer operator per generator, over global basis indices) work on
 weights as plain coordinate tuples; Weights are made only for a returned Irrep.
+The Chevalley-Serre check computes the rank^2 brackets [e_i, f_j]; when they
+all hold, the Serre relations follow by the sl(2) argument (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 18.1), and the Serre
+brackets are computed only to name the failures of an irrep that fails.
+A broken invariant of the oracles or the builder raises RepError.
 
 sl2_strings owns the sl(2)-string data of a weight space: it walks each
 primitive down its alpha_i-string once, for its column of the change of basis
@@ -100,7 +105,8 @@ def _weyl_dimension(t: LieType, lam: Weight) -> int:
         num *= sum(c * (m + 1) for c, m in zip(g.coords, lam.coords))
         den *= g.height()
     d, r = divmod(num, den)
-    assert not r
+    if r:
+        raise RepError(f"Weyl dimension of V({lam}) is not an integer: {num}/{den}")
     return d
 
 
@@ -124,7 +130,8 @@ def _symmetrizers(t: LieType) -> tuple[Fraction, ...]:
             if i != j and a[i][j] and d[j] is None:
                 d[j] = d[i] * a[i][j] / a[j][i]
                 frontier.append(j)
-    assert all(x is not None for x in d)
+    if any(x is None for x in d):
+        raise RepError(f"the Dynkin graph of {t} is not connected")
     return tuple(d)
 
 
@@ -223,7 +230,9 @@ def _freudenthal(t: LieType, lam: Coords, mu: Coords) -> int:
         # (lam - mu, lam + mu + 2 rho) > 0 for a dominant mu below lam
         raise RepError(f"Freudenthal denominator {denom} at {Weight(mu)} in V({Weight(lam)})")
     mult, rem = divmod(2 * total * D, denom)
-    assert not rem and mult >= 0
+    if rem or mult < 0:
+        raise RepError(f"Freudenthal multiplicity {Fraction(2 * total * D, denom)} at"
+                       f" {Weight(mu)} in V({Weight(lam)}) is not a natural number")
     return mult
 
 
@@ -323,9 +332,12 @@ def _run_factorials(word: Word) -> int:
 
 
 def _level(t: LieType, hw: Weight, nu: Weight) -> int:
-    lv, rem = divmod(sum(_scaled_root_coords(t, weight_sub(hw, nu).coords)), _root_frame(t)[0])
-    assert not rem
-    return lv
+    """The height of hw - nu, which must lie in the root lattice."""
+    D = _root_frame(t)[0]
+    gap = _scaled_root_coords(t, weight_sub(hw, nu).coords)
+    if any(x % D for x in gap):
+        raise RepError(f"{nu} is not in the root lattice coset of {hw}")
+    return sum(gap) // D
 
 
 # A generator scaled to integers, over V's global basis indices: column -> {row: entry}.
@@ -334,19 +346,27 @@ Operator = dict[int, dict[int, int]]
 
 def _scaled_operators(V: Irrep, blocks, sign: int, offset: dict) -> dict[int, tuple[int, Operator]]:
     """i -> (D, D * g_i) for the e (sign +1) or f (sign -1) generators, D the lcm
-    of the denominators of g_i's entries; V_nu starts at global index offset[nu]."""
+    of the denominators of g_i's nonzero entries; V_nu starts at global index
+    offset[nu].  One pass over the blocks gathers the entries and their
+    denominators, and a second over the entries scales them."""
+    alphas = _simple_roots(V.type)
+    ops: dict[int, Operator] = {i: {} for i in range(1, len(alphas) + 1)}
+    dens: dict[int, set[int]] = {i: set() for i in ops}
+    for (i, nu), blk in blocks.items():
+        op, den = ops[i], dens[i]
+        source = offset[nu.coords]
+        target = offset.get(tuple(x + sign * y for x, y in zip(nu.coords, alphas[i - 1])))
+        for r, row in enumerate(blk):
+            for c, x in enumerate(row):
+                if x:
+                    op.setdefault(source + c, {})[target + r] = x
+                    den.add(x.denominator)
     out = {}
-    for i, alpha in enumerate(_simple_roots(V.type), 1):
-        mats = [(nu.coords, blk) for (j, nu), blk in blocks.items() if j == i]
-        d = lcm(*(x.denominator for _, blk in mats for row in blk for x in row))
-        op: Operator = {}
-        for nu, blk in mats:
-            source = offset[nu]
-            target = offset.get(tuple(x + sign * y for x, y in zip(nu, alpha)))
-            for r, row in enumerate(blk):
-                for c, x in enumerate(row):
-                    if x:
-                        op.setdefault(source + c, {})[target + r] = x.numerator * d // x.denominator
+    for i, op in ops.items():
+        d = lcm(*dens[i])
+        for col in op.values():
+            for r, x in col.items():
+                col[r] = x.numerator * (d // x.denominator)
         out[i] = (d, op)
     return out
 
@@ -366,6 +386,17 @@ def _bracket(a: Operator, b: Operator) -> Operator:
     return {col: nz for col, acc in out.items() if (nz := {r: v for r, v in acc.items() if v})}
 
 
+def _ef_relation_holds(E, F, i: int, j: int, weights: list[Coords]) -> bool:
+    """Whether [e_i, f_j] = delta_ij h_i, for the scaled operators E and F."""
+    comm = _bracket(E[i][1], F[j][1])
+    if i != j:
+        return not comm
+    # comm is D_e * D_f * [e_i, f_i], and must be D_e * D_f * nu_i on V_nu
+    d = E[i][0] * F[i][0]
+    return all(comm.get(c, {}) == ({c: d * nu[i - 1]} if nu[i - 1] else {})
+               for c, nu in enumerate(weights))
+
+
 def check_chevalley_serre(V: Irrep) -> list[str]:
     """Verify the defining relations on the generator matrices exactly.
 
@@ -374,11 +405,20 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
     global basis indices.  h_i acts by the weight grading, the scalar nu_i on
     V_nu, and every block of e_j (f_j) is keyed V_nu -> V_{nu + alpha_j}
     (V_{nu - alpha_j}); so [h_i, e_j] = a_ij e_j and [h_i, f_j] = -a_ij f_j
-    hold by how the blocks are keyed, and only [e_i, f_j] and the Serre
-    relations are checked.
+    hold by how the blocks are keyed.
+
+    The rank^2 relations [e_i, f_j] = delta_ij h_i are checked first.  When
+    they all hold, so do the Serre relations, and no Serre bracket is
+    computed (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 18.1): e_i, h_i, f_i then span a copy of sl(2), which acts by ad
+    on the finite-dimensional End(V).  For j != i, ad(f_i) e_j = -[e_j, f_i]
+    = 0 and ad(h_i) e_j = a_ij e_j, so e_j is a lowest-weight vector of
+    weight a_ij <= 0, and ad(e_i)^(1 - a_ij) e_j = 0; dually f_j is a
+    highest-weight vector of weight -a_ij, and ad(f_i)^(1 - a_ij) f_j = 0.
+    When some [e_i, f_j] relation fails, the Serre relations are checked as
+    well, and the list names every failing relation, ordered by (i, j).
     """
     a = cartan_matrix(V.type)
-    failures = []
     offset: dict[Coords, int] = {}
     weights: list[Coords] = []  # the weight of each global basis index
     for nu in V.weight_order:
@@ -386,26 +426,22 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
         weights += [nu.coords] * V.weight_dim(nu)
     E = _scaled_operators(V, V.e_blocks, +1, offset)
     F = _scaled_operators(V, V.f_blocks, -1, offset)
+    holds = {(i, j): _ef_relation_holds(E, F, i, j, weights) for i in E for j in E}
+    if all(holds.values()):
+        return []  # the Serre relations follow, as above
 
-    for i in E:
-        for j in E:
-            comm = _bracket(E[i][1], F[j][1])
-            if i == j:
-                # comm is D_e * D_f * [e_i, f_i], and must be D_e * D_f * nu_i on V_nu
-                d = E[i][0] * F[i][0]
-                if not all(comm.get(c, {}) == ({c: d * nu[i - 1]} if nu[i - 1] else {})
-                           for c, nu in enumerate(weights)):
-                    failures.append(f"[e_{i}, f_{i}] != h_{i}")
-            elif comm:
-                failures.append(f"[e_{i}, f_{j}] != 0")
-            if i != j:
-                n = 1 - a[i - 1][j - 1]
-                for kind, gens in (("e", E), ("f", F)):
-                    cur = gens[j][1]
-                    for _ in range(n):
-                        cur = _bracket(gens[i][1], cur)
-                    if cur:
-                        failures.append(f"Serre relation ad({kind}_{i})^{n}({kind}_{j}) != 0")
+    failures = []
+    for (i, j), ok in holds.items():
+        if not ok:
+            failures.append(f"[e_{i}, f_{i}] != h_{i}" if i == j else f"[e_{i}, f_{j}] != 0")
+        if i != j:
+            n = 1 - a[i - 1][j - 1]
+            for kind, gens in (("e", E), ("f", F)):
+                cur = gens[j][1]
+                for _ in range(n):
+                    cur = _bracket(gens[i][1], cur)
+                if cur:
+                    failures.append(f"Serre relation ad({kind}_{i})^{n}({kind}_{j}) != 0")
     return failures
 
 
@@ -482,7 +518,8 @@ class _IrrepBuilder:
                 gamma = eb[k][b2]
                 if gamma:
                     total += gamma * row[idx[(j,) + bk]]
-        assert total.denominator == 1  # the form is integral on f-monomials
+        if total.denominator != 1:  # the form is integral on f-monomials
+            raise RepError(f"contravariant form {total} on f-monomials is not an integer")
         return total.numerator
 
     def _candidate_gram(self, cands) -> Matrix:
@@ -522,8 +559,12 @@ class _IrrepBuilder:
             self.basis[nu] = [words[c] for c in chosen]
             self.cand_index[nu] = {w: k for k, w in enumerate(words)}
             self.cand_gram[nu] = gram
-            # candidate coordinates in the chosen basis (needed one level down)
+            # candidate coordinates in the chosen basis (needed one level down);
+            # the p-th chosen candidate has the unit vector e_p
+            n = len(chosen)
+            unit = {c: [0] * p + [1] + [0] * (n - 1 - p) for p, c in enumerate(chosen)}
             self.cand_coords[nu] = [
+                unit[c] if c in unit else
                 [_exact(Fraction(sum(x * gram[k][c] for x, k in zip(row, chosen)), det))
                  for row in adj]
                 for c in range(len(words))
@@ -564,12 +605,14 @@ class _IrrepBuilder:
         # which the rank-1 reflection coefficients appear verbatim as matrix
         # entries.  An entry x of a block V_nu -> V_target becomes
         # x * ft / fs, where fs and ft are the run-length factorial products of
-        # the source and target words: one Fraction per nonzero stored entry.
+        # the source and target words: one Fraction per nonzero stored entry,
+        # reduced only where ft != fs.
         fact = {nu: [_run_factorials(w) for w in words] for nu, words in self.basis.items()}
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(blk, nu, target):
-            return [[Fraction(x.numerator * ft, x.denominator * fs) if x else linalg.ZERO
+            return [[(Fraction(x) if ft == fs else Fraction(x.numerator * ft, x.denominator * fs))
+                     if x else linalg.ZERO
                      for x, fs in zip(row, fact[nu])] for row, ft in zip(blk, fact[target])]
 
         e_blocks = {(i, weight[nu]): rescale(blk, nu, self.up[nu][i - 1])

@@ -58,3 +58,13 @@ def test_no_floating_point_and_only_standard_library_imports():
             found += [f"{where}: import of {m}" for m in modules
                       if m.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so every check of the package
+    # raises its own error instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,12 +1,15 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -390,6 +393,151 @@ def test_chevalley_serre_matches_dense_oracle(t, hw):
         assert check_chevalley_serre(bad) == expected
 
 
+def _edited_copy(V, rng):
+    """A copy of V with one to three random edits of its e- and f-blocks:
+    shift one entry by a small Fraction, scale a whole block, zero a whole
+    block, or swap two rows of a block."""
+    copies = {kind: {k: [list(row) for row in blk] for k, blk in getattr(V, kind).items()}
+              for kind in ("e_blocks", "f_blocks")}
+    for _ in range(rng.randint(1, 3)):
+        blocks = copies[rng.choice(sorted(copies))]
+        key = rng.choice([k for k, blk in blocks.items() if blk and blk[0]])
+        blk = blocks[key]
+        edit = rng.choice(("shift", "scale", "zero", "swap") if len(blk) > 1 else
+                          ("shift", "scale", "zero"))
+        if edit == "shift":
+            row = rng.choice(blk)
+            c = rng.randrange(len(row))
+            row[c] += rng.choice((F(1), F(-1), F(1, 2), F(-1, 3), F(2, 3)))
+        elif edit == "scale":
+            factor = rng.choice((F(-1), F(2), F(1, 2), F(-3, 2)))
+            blocks[key] = [[factor * x for x in row] for row in blk]
+        elif edit == "zero":
+            blocks[key] = [[F(0)] * len(row) for row in blk]
+        else:
+            p, q = rng.sample(range(len(blk)), 2)
+            blk[p], blk[q] = blk[q], blk[p]
+    return dataclasses.replace(V, **copies)
+
+
+SWEEP_IRREPS = ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1)), (B3, (0, 0, 1)),
+                (C3, (0, 1, 0)))
+
+
+def _corruption_sweep(copies_per_irrep: int) -> tuple[int, int]:
+    """Compare check_chevalley_serre with the dense oracle, list and order,
+    on edited copies of SWEEP_IRREPS; returns (copies, copies that fail)."""
+    failing = 0
+    for t, hw in SWEEP_IRREPS:
+        V = build_irrep(t, Weight(hw))
+        rng = random.Random(f"sweep:{t}:{hw}")
+        for _ in range(copies_per_irrep):
+            bad = _edited_copy(V, rng)
+            expected = _dense_chevalley_serre(bad)
+            assert check_chevalley_serre(bad) == expected
+            # the sl(2) argument: a Serre relation fails only with some [e_i, f_j]
+            if any(x.startswith("Serre") for x in expected):
+                assert any(x.startswith("[e_") for x in expected)
+            failing += bool(expected)
+    return copies_per_irrep * len(SWEEP_IRREPS), failing
+
+
+def test_chevalley_serre_matches_dense_oracle_on_edited_copies():
+    copies, failing = _corruption_sweep(8)
+    assert copies == 48 and failing > copies // 2
+
+
+@pytest.mark.slow
+def test_chevalley_serre_matches_dense_oracle_on_edited_copies_sweep():
+    copies, failing = _corruption_sweep(90)
+    assert copies == 540 and failing > copies // 2
+
+
+@pytest.mark.parametrize("t,hw", ((A2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1))), ids=str)
+def test_serre_brackets_run_only_when_an_ef_relation_fails(t, hw, monkeypatch):
+    calls = []
+    bracket = rep._bracket
+    monkeypatch.setattr(rep, "_bracket", lambda x, y: calls.append(1) or bracket(x, y))
+    V = build_irrep(t, Weight(hw))
+    assert check_chevalley_serre(V) == []
+    assert len(calls) == t.rank ** 2  # the [e_i, f_j], and no Serre bracket
+    calls.clear()
+    key = (1, V.hw)  # f_1 on the highest weight space, where hw_1 > 0
+    bad = dataclasses.replace(V, f_blocks={**V.f_blocks, key: [[2 * x for x in row]
+                                                               for row in V.f_blocks[key]]})
+    assert "[e_1, f_1] != h_1" in check_chevalley_serre(bad)
+    a = cartan_matrix(t)
+    serre = sum(2 * (1 - a[i][j]) for i in range(t.rank) for j in range(t.rank) if i != j)
+    assert len(calls) == t.rank ** 2 + serre
+
+
+def _break_invariant(name: str, patch):
+    """The call that reaches one invariant check of dynwg.rep, after patch(attr,
+    value) has replaced the dynwg.rep attributes that its input needs."""
+    if name == "weyl_dimension":
+        # a coroot of height 3 makes the Weyl product 2/3
+        patch("positive_coroots", lambda t: [SimpleNamespace(coords=(1,), height=lambda: 3)])
+        return lambda: rep._weyl_dimension.__wrapped__(A1, Weight((1,)))
+    if name == "symmetrizers":
+        patch("cartan_matrix", lambda t: [[2, 0], [0, 2]])  # A1 x A1, not connected
+        return lambda: rep._symmetrizers.__wrapped__(A2)
+    if name == "freudenthal":
+        # a norm three times too large makes m_0 of V(2) equal to 1/3; a fresh
+        # memo keeps the value out of the shared one
+        patch("_freudenthal", functools.lru_cache(maxsize=None)(rep._freudenthal.__wrapped__))
+        patch("_scaled_norm", lambda t, c: 3 * c[0] ** 2)
+        return lambda: freudenthal_multiplicity(A1, Weight((2,)), Weight((0,)))
+    if name == "level":
+        # (0, 0) lies outside the root lattice coset of (1, 0): their gap is
+        # (2/3) alpha_1 + (1/3) alpha_2
+        return lambda: rep.Irrep(A2, Weight((1, 0)), {Weight((1, 0)): [()], Weight((0, 0)): []},
+                                 {}, {})
+    if name == "shap":
+        patch("_exact", lambda x: Fraction(x, 3))  # e-block entries divided by 3
+        return lambda: build_irrep(A1, Weight((2,)))
+    raise KeyError(name)
+
+
+INVARIANT_CHECKS = {
+    "weyl_dimension": r"Weyl dimension of V\(1\) is not an integer",
+    "symmetrizers": "Dynkin graph of A2 is not connected",
+    "freudenthal": r"Freudenthal multiplicity 1/3 at 0 in V\(2\) is not a natural number",
+    "level": "0,0 is not in the root lattice coset of 1,0",
+    "shap": "contravariant form 4/3 on f-monomials is not an integer",
+}
+
+_BREAK_INVARIANT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_rep
+from dynwg import rep
+call = test_rep._break_invariant(sys.argv[2], lambda attr, value: setattr(rep, attr, value))
+try:
+    call()
+except rep.RepError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CHECKS))
+def test_invariant_checks_raise(name, monkeypatch):
+    call = _break_invariant(name, lambda attr, value: monkeypatch.setattr(rep, attr, value))
+    with pytest.raises(RepError, match=INVARIANT_CHECKS[name]):
+        call()
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_CHECKS))
+def test_invariant_checks_raise_under_python_O(name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rep.__file__)), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _BREAK_INVARIANT,
+                          os.path.dirname(__file__), name],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    optimize, message = out.stdout.strip().split(" ", 1)
+    assert optimize == "1" and re.search(INVARIANT_CHECKS[name], message)
+
+
 def test_errors():
     with pytest.raises(RepError):
         build_irrep(A2, Weight((-1, 0)))
@@ -533,9 +681,18 @@ def _fault_non_integer_weight(text):
     return json.dumps(obj)
 
 
+def _fault_weight_off_the_lattice(text):
+    # an empty weight space whose gap to the highest weight (1, 0) is
+    # (2/3) alpha_1 + (1/3) alpha_2
+    obj = json.loads(text)
+    obj["weights"].append({"coords": [0, 0], "words": []})
+    return json.dumps(obj)
+
+
 CACHE_FAULTS = {
     "negative-index": _fault_negative_index,
     "non-integer-weight": _fault_non_integer_weight,
+    "off-lattice-weight": _fault_weight_off_the_lattice,
     "other-irrep": _fault_other_irrep,
     "other-version": _fault_other_version,
     "truncated": lambda text: text[: len(text) // 2],
