@@ -11,7 +11,6 @@ from .dynweyl import (
 )
 from .geomsatake import (
     costalk_weights,
-    generic_transition,
     hyperbolic_transition,
     levi_restriction_check,
     verify_main_theorem_rank1,
@@ -42,7 +41,6 @@ __all__ = [
     "costalk_weights",
     "crossing_coroots",
     "freudenthal_multiplicity",
-    "generic_transition",
     "hyperbolic_transition",
     "is_reduced",
     "levi_restriction_check",

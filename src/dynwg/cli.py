@@ -113,12 +113,12 @@ def _cocycle_case(args) -> dict:
 def _levi_case(args) -> dict:
     cfg, i, mu = args
     V = _suite_irrep(cfg)
-    report = geomsatake.levi_restriction_check(V, i, mu)
+    cases = geomsatake.levi_restriction_check(V, i, mu)
     key = f"levi:{cfg.algebra}:{list(cfg.hw.coords)}:i={i}:{list(mu.coords)}"
-    problems = [] if report.ok else ["stringwise geometric/dynamical mismatch"]
+    problems = [] if all(c.equal for c in cases) else ["stringwise geometric/dynamical mismatch"]
     problems.extend(_structural_checks(dynweyl.word_operator_block(V, (i,), mu)))
     return {"case": key, "ok": not problems, "problems": sorted(set(problems)),
-            "strings": [[c.m, c.k] for c in report.cases]}
+            "strings": [[c.m, c.k] for c in cases]}
 
 
 def _rep_case(args) -> dict:
@@ -234,8 +234,6 @@ def cmd_op(cfg: RunConfig) -> int:
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    if suite not in _SUITES:
-        raise UsageError(f"unknown suite {suite!r} (choose from {sorted(_SUITES)})")
     cases = _SUITES[suite](cfg)
     ok = all(c["ok"] for c in cases)
     if cfg.fmt == "json":
@@ -348,9 +346,7 @@ def main(argv=None) -> int:
             return cmd_op(cfg)
         if args.command == "verify":
             return cmd_verify(args.suite, cfg)
-        if args.command == "rep-info":
-            return cmd_rep_info(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_rep_info(cfg)
     except (UsageError, RootDataError, rep.RepError, dynweyl.DynWeylError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -204,6 +204,10 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     """A_w on V_mu for a reduced word, composed right-to-left: the rightmost
     stored letter acts first.
 
+    Each step checks the rank-one closed form's condition <mu, gamma_t> >= 0
+    (every dominant mu meets it) and raises DynWeylError if it fails.  The
+    empty word is the identity on any weight of V.
+
     The Weyl group acts on the dynamical parameter through the shifted action
     w*x = w(x + h rho) - h rho, so the t-th step uses the variable
     xi_t = <x, gamma_t> + (ht(gamma_t) - 1) h with gamma_t the t-th crossing
@@ -227,8 +231,6 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     """
     word = tuple(word)
     t = V.type
-    if not mu.is_dominant():
-        raise DynWeylError(f"source weight {mu} is not dominant")
     if mu not in V.basis:
         raise DynWeylError(f"{mu} is not a weight of V({V.hw})")
     gammas = crossing_coroots(t, word)  # raises on a non-reduced word

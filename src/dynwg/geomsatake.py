@@ -9,8 +9,8 @@ reflection coefficient c(m, k, xi) after the shift x -> -x - h.
 
 That identity has one implementation, _string_comparison(m, k, xi), which
 builds both sides at xi and returns one RankOneComparison.  It is read at
-xi = x by verify_main_theorem_rank1 and at xi = x_i for each sl(2)_i-string
-through a weight by levi_restriction_check.
+xi = x by verify_main_theorem_rank1, and at xi = x_i for each sl(2)_i-string
+through a weight by levi_restriction_check, which returns the list of them.
 """
 
 from __future__ import annotations
@@ -30,19 +30,6 @@ class GeomSatakeError(Exception):
     pass
 
 
-@dataclass
-class TorusWeightMultiset:
-    """Multiset of degree-one torus weights (single x variable in rank 1)."""
-
-    nx: int
-    weights: list[DegreeOneForm]
-
-    def __post_init__(self):
-        for w in self.weights:
-            if w.is_zero():
-                raise GeomSatakeError("zero torus weight")
-
-
 def _check_rank1_pair(lam: int, mu: int):
     if not (0 <= mu <= lam):
         raise GeomSatakeError(f"need 0 <= mu <= lambda, got lambda={lam}, mu={mu}")
@@ -54,11 +41,12 @@ def _check_rank1_pair(lam: int, mu: int):
 _X = DegreeOneForm.make([1], 0)
 
 
-def costalk_weights(lam: int, mu: int, chamber: str, xi: DegreeOneForm = _X) -> TorusWeightMultiset:
+def costalk_weights(lam: int, mu: int, chamber: str, xi: DegreeOneForm = _X) -> list[DegreeOneForm]:
     """Torus weights of the slice cell in the given chamber, at x = xi.
 
     chamber "e": {-xi + (j-1)h - ((lam+mu)/2)h : j = 1..(lam-mu)/2}
     chamber "s": {xi - j*h : j = 1..(lam-mu)/2}
+    A zero weight, which only a xi with no x part gives, raises.
     """
     _check_rank1_pair(lam, mu)
     n = (lam - mu) // 2
@@ -69,19 +57,15 @@ def costalk_weights(lam: int, mu: int, chamber: str, xi: DegreeOneForm = _X) -> 
         forms = [xi.shift_h(-j) for j in range(1, n + 1)]
     else:
         raise GeomSatakeError(f"unknown chamber {chamber!r}")
-    return TorusWeightMultiset(nx=xi.nx, weights=forms)
-
-
-def generic_transition(a: TorusWeightMultiset, b: TorusWeightMultiset) -> RatFun:
-    """prod(b) / prod(a)."""
-    if a.nx != b.nx:
-        raise GeomSatakeError("mixed variable counts")
-    return RatFun.from_factors(1, b.weights, a.weights, a.nx)
+    if any(f.is_zero() for f in forms):
+        raise GeomSatakeError("zero torus weight")
+    return forms
 
 
 def hyperbolic_transition(lam: int, mu: int, xi: DegreeOneForm = _X) -> RatFun:
-    """The e-to-s chamber transition scalar on the rank-1 slice, at x = xi."""
-    return generic_transition(costalk_weights(lam, mu, "e", xi), costalk_weights(lam, mu, "s", xi))
+    """The e-to-s transition scalar on the rank-1 slice at x = xi: prod(s) / prod(e)."""
+    return RatFun.from_factors(1, costalk_weights(lam, mu, "s", xi),
+                               costalk_weights(lam, mu, "e", xi), xi.nx)
 
 
 def rank1_pairs(lambda_max: int) -> list[tuple[int, int]]:
@@ -119,22 +103,14 @@ def verify_main_theorem_rank1(lam: int, mu: int) -> RankOneComparison:
     return _string_comparison(lam, (lam - mu) // 2, _X)
 
 
-@dataclass
-class LeviReport:
-    cases: list[RankOneComparison]
-    ok: bool
-
-
-def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> LeviReport:
+def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> list[RankOneComparison]:
     """String-wise rank-1 comparison of the simple-reflection operator.
 
     mu must be dominant.  For each sl(2)-string (m, k) through V_mu, the
     rank-1 geometric transition at (m, m-2k), built at x_i = <x, coroot_i>,
-    must agree with the rho-shifted dynamical coefficient; ok says that
-    every string does.
+    compared with the rho-shifted dynamical coefficient; all must be equal.
     """
     if not mu.is_dominant():
         raise GeomSatakeError(f"source weight {mu} is not dominant")
     xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(V.type.rank)], 0)
-    cases = [_string_comparison(comp.m, comp.k, xi) for comp in string_data(V, i, mu)]
-    return LeviReport(cases=cases, ok=all(c.equal for c in cases))
+    return [_string_comparison(comp.m, comp.k, xi) for comp in string_data(V, i, mu)]

@@ -807,12 +807,10 @@ def save_irrep(V: Irrep, cache_dir: str):
 def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
     """The cached V(hw), or None if there is none.  Entries are published by
     an atomic rename (save_irrep), so the entry is read as it stands.  An
-    entry that is not JSON, does not decode, or holds another type, highest
-    weight or format version counts as missing, so that build_irrep rebuilds
-    and replaces it."""
+    entry that cannot be read, is not JSON, does not decode, or holds another
+    type, highest weight or format version counts as missing, so that
+    build_irrep rebuilds and replaces it."""
     path = os.path.join(cache_dir, cache_filename(t, hw))
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -820,5 +818,5 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
         if not isinstance(obj, dict) or any(obj.get(k) != v for k, v in want.items()):
             return None
         return irrep_from_json(obj)
-    except (ValueError, KeyError, TypeError, IndexError, RepError, RootDataError):
+    except (OSError, ValueError, KeyError, TypeError, IndexError, RepError, RootDataError):
         return None

@@ -3,7 +3,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -378,6 +380,19 @@ def test_unwritable_cache_is_a_usage_error(capsys, tmp_path):
     assert [p.name for p in tmp_path.rglob("*")] == ["file"]
 
 
+@pytest.mark.parametrize("command", [["rep-info"], ["verify", "rep"]])
+def test_cache_entry_that_is_a_directory_is_a_usage_error(capsys, tmp_path, command):
+    entry = tmp_path / rep.cache_filename(rootdata.LieType.parse("A2"), rootdata.Weight((1, 1)))
+    entry.mkdir()
+    assert rep.load_cached_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((1, 1)),
+                                 str(tmp_path)) is None
+    code, out, err = run(capsys, *command, "--algebra", "A2", "--hw", "1,1",
+                         "--cache-dir", str(tmp_path), "--jobs", "1")
+    assert code == 2 and not out
+    assert err == f"error: cannot write the irrep cache entry {entry}: Is a directory\n"
+    assert [p.name for p in tmp_path.rglob("*")] == [entry.name]
+
+
 def test_rank1_memos_are_bounded():
     for memo in (dynweyl.rank1_coefficient, geomsatake._string_comparison):
         assert memo.cache_info().maxsize == 4096
@@ -402,8 +417,9 @@ def _sign_flipped(original):
 
 def _chambers_swapped(original):
     # the s-to-e transition in place of the e-to-s one
-    return lambda lam, mu, xi: geomsatake.generic_transition(
-        geomsatake.costalk_weights(lam, mu, "s", xi), geomsatake.costalk_weights(lam, mu, "e", xi))
+    return lambda lam, mu, xi: RatFun.from_factors(
+        1, geomsatake.costalk_weights(lam, mu, "e", xi),
+        geomsatake.costalk_weights(lam, mu, "s", xi), xi.nx)
 
 
 @pytest.mark.parametrize("name, mutate", [("rank1_coefficient", _sign_flipped),
@@ -491,3 +507,31 @@ def test_golden_cli_output(capsys):
             assert code == 0 and not err
             digest.update(f"{command} {fmt}\n{out}".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples():
+    """(argv, printed lines) for each `$ dynwg ...` line of the README's text
+    blocks; the lines up to the next command are its printed output."""
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL):
+        for line in block.splitlines():
+            if line.startswith("$ dynwg "):
+                examples.append((shlex.split(line)[2:], []))
+            else:
+                examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_command_line_examples(capsys, tmp_path):
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv, printed in examples:
+        argv = [str(tmp_path) if a == "~/dynwg-cache" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and not err, argv
+        if printed:
+            assert out.splitlines() == printed, argv
+    assert sum(bool(printed) for _, printed in examples) == 1  # the op example

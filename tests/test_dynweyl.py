@@ -26,6 +26,7 @@ from dynwg.rootdata import (
     Weight,
     act,
     all_reduced_words,
+    cartan_matrix,
     crossing_coroots,
     longest_element,
     simple_reflection,
@@ -339,22 +340,45 @@ def test_word_operator_errors():
     with pytest.raises(Exception):
         word_operator_block(V, (1, 1), Weight((0, 0)))  # non-reduced
     with pytest.raises(DynWeylError):
-        word_operator_block(V, (1,), Weight((2, -1)))  # non-dominant
+        word_operator_block(V, (1,), Weight((-1, 2)))  # <mu, coroot 1> = -1
 
 
+def test_source_condition_is_the_step_pairing():
+    # the source needs <mu, gamma_t> >= 0 for each crossing coroot, not
+    # dominance; test_word_operator_errors has (1,) at (-1, 2) raising
+    V = build_irrep(A2, Weight((1, 1)))
+    with pytest.raises(DynWeylError) as err:
+        word_operator_block(V, (1, 2), Weight((2, -1)))
+    assert str(err.value) == _NEGATIVE_PAIRING
+    single = word_operator_block(V, (1,), Weight((2, -1)))
+    x1 = DegreeOneForm.make([1, 0], 0)
+    assert single.equals(simple_reflection_block(V, 1, Weight((2, -1)), x1))
+    empty = word_operator_block(V, (), Weight((-1, 2)))
+    assert empty.target == Weight((-1, 2)) and empty.matrix == [[RatFun.one(2)]]
+
+
+# The first step of (1, 2) at (2, -1) is s_2, whose crossing coroot pairs to -1.
+_NEGATIVE_PAIRING = ("A_w on V_(2,-1): step 1 of 2 has <(2,-1), coroot 2> = -1,"
+                     " not <(2,-1), (0,1)> = -1 >= 0")
 # With the crossing coroots reversed, the first step of (1, 2, 1) at (2, 1)
 # pairs with coroot 1, to 2, where its crossing coroot, coroot 2, pairs to 1.
 _WRONG_PAIRING = ("A_w on V_(2,1): step 1 of 3 has <(2,1), coroot 1> = 2,"
                   " not <(2,1), (0,1)> = 1 >= 0")
 _WRONG_PAIRING_PROBE = """
 from dynwg import dynweyl, rep, rootdata
+A2 = rootdata.LieType.parse("A2")
+
+def probe(hw, word, mu):
+    V = rep.build_irrep(A2, rootdata.Weight(hw))
+    try:
+        dynweyl.word_operator_block(V, word, rootdata.Weight(mu))
+    except dynweyl.DynWeylError as exc:
+        print(exc)
+
+probe((1, 1), (1, 2), (2, -1))
 crossing = dynweyl.crossing_coroots
 dynweyl.crossing_coroots = lambda t, word: crossing(t, word)[::-1]
-V = rep.build_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((2, 1)))
-try:
-    dynweyl.word_operator_block(V, (1, 2, 1), rootdata.Weight((2, 1)))
-except dynweyl.DynWeylError as exc:
-    print(exc)
+probe((2, 1), (1, 2, 1), (2, 1))
 """
 
 
@@ -373,7 +397,7 @@ def test_word_loop_check_survives_python_optimize():
     probe = subprocess.run([sys.executable, "-O", "-c", _WRONG_PAIRING_PROBE],
                            capture_output=True, text=True, env=env, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == _WRONG_PAIRING + "\n"
+    assert probe.stdout == _NEGATIVE_PAIRING + "\n" + _WRONG_PAIRING + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +478,61 @@ def test_word_block_matches_reduce_every_step_oracle():
                 assert blk.to_json() == oracle.to_json(), (algebra, hw, mu, word)
                 compared += 1
     assert compared == 232
+
+
+# ---------------------------------------------------------------------------
+# the cocycle factorization A_{uv}(x) = A_u(v*x) A_v(x), v*x = v(x + h rho) - h rho
+
+
+FACTORIZATION_IRREPS = [("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 0)), ("A3", (1, 0, 1)),
+                        ("B2", (2, 1))]
+
+
+def _shifted_variables(t, v):
+    """The images <x, g> + (ht(g) - 1) h of x_i under v*, g = v^-1 coroot_i:
+    coroot_i reflected by s_{a_1} first and s_{a_p} last for v = (a_1, ..., a_p),
+    with s_j acting as g -> g - <alpha_j, g> coroot_j."""
+    a = cartan_matrix(t)
+    images = []
+    for i in range(t.rank):
+        g = [int(k == i) for k in range(t.rank)]
+        for j in v:
+            g[j - 1] -= sum(c * a[k][j - 1] for k, c in enumerate(g))
+        images.append(DegreeOneForm.make(g, sum(g) - 1))
+    return images
+
+
+def _factorization_sweep():
+    """(checks, failures) over every split w = u v, u and v not empty, of the
+    first 4 reduced words of w0, at every dominant weight."""
+    checks = failures = 0
+    for name, hw in FACTORIZATION_IRREPS:
+        t = LieType.parse(name)
+        V = build_irrep(t, Weight(hw))
+        for w in all_reduced_words(t, longest_element(t), cap=4):
+            for c in range(1, len(w)):
+                u, v = w[:c], w[c:]
+                images = _shifted_variables(t, v)
+                for mu in [nu for nu in V.weights() if nu.is_dominant()]:
+                    a_v = word_operator_block(V, v, mu).matrix
+                    a_u = [[e.substitute(images) for e in row]
+                           for row in word_operator_block(V, u, act(t, v, mu)).matrix]
+                    product = _rmat_mul(a_u, a_v, t.rank)
+                    checks += 1
+                    failures += product != word_operator_block(V, w, mu).matrix
+    return checks, failures
+
+
+def test_cocycle_factorization_at_every_split():
+    # A_u acts at the weight v mu, which is not dominant in most splits
+    assert _factorization_sweep() == (114, 0)
+
+
+def test_cocycle_factorization_needs_the_rho_shift(monkeypatch):
+    monkeypatch.setattr(dynweyl, "_step_variable",
+                        lambda gamma: DegreeOneForm.make(gamma.coords, 0))
+    checks, failures = _factorization_sweep()
+    assert checks == 114 and failures > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ import pytest
 
 from dynwg.geomsatake import (
     GeomSatakeError,
-    TorusWeightMultiset,
     costalk_weights,
-    generic_transition,
     hyperbolic_transition,
     levi_restriction_check,
     rank1_pairs,
@@ -26,21 +24,21 @@ def rf1(text):
 
 
 def test_costalk_weights_known():
-    assert costalk_weights(2, 0, "e").weights == [DegreeOneForm.make([-1], -1)]
-    assert costalk_weights(2, 0, "s").weights == [DegreeOneForm.make([1], -1)]
-    assert costalk_weights(3, 3, "e").weights == []
-    assert costalk_weights(3, 3, "s").weights == []
+    assert costalk_weights(2, 0, "e") == [DegreeOneForm.make([-1], -1)]
+    assert costalk_weights(2, 0, "s") == [DegreeOneForm.make([1], -1)]
+    assert costalk_weights(3, 3, "e") == []
+    assert costalk_weights(3, 3, "s") == []
     # slice dimension (lam - mu)/2 on both sides
     for lam in range(7):
         for mu in range(lam % 2, lam + 1, 2):
             for ch in ("e", "s"):
-                assert len(costalk_weights(lam, mu, ch).weights) == (lam - mu) // 2
+                assert len(costalk_weights(lam, mu, ch)) == (lam - mu) // 2
 
 
 def test_costalk_weights_lists_match_products():
     # lam=4, mu=0: e-side product (-x-2h)(-x-h), s-side (x-h)(x-2h)
-    e = RatFun.from_factors(1, costalk_weights(4, 0, "e").weights, [], 1)
-    s = RatFun.from_factors(1, costalk_weights(4, 0, "s").weights, [], 1)
+    e = RatFun.from_factors(1, costalk_weights(4, 0, "e"), [], 1)
+    s = RatFun.from_factors(1, costalk_weights(4, 0, "s"), [], 1)
     assert e == rf1("(-x1-2*h)*(-x1-h)")
     assert s == rf1("(x1-h)*(x1-2*h)")
 
@@ -74,18 +72,19 @@ def test_transition_built_at_xi_is_the_substituted_transition(xi):
         assert at_xi == substituted and at_xi.format() == substituted.format(), (lam, mu)
 
 
-def test_generic_transition():
-    a = TorusWeightMultiset(1, [DegreeOneForm.make([-1], -1)])
-    b = TorusWeightMultiset(1, [DegreeOneForm.make([1], -1)])
-    assert generic_transition(a, a) == rf1("1")
-    assert generic_transition(a, b) == rf1("(x1-h)/(-x1-h)")
-    empty = TorusWeightMultiset(1, [])
-    x = TorusWeightMultiset(1, [DegreeOneForm.make([1], 0)])
-    assert generic_transition(empty, x) == rf1("x1")
+def test_transition_through_costalk_weights_and_from_factors():
+    e, s = costalk_weights(2, 0, "e"), costalk_weights(2, 0, "s")
+    assert RatFun.from_factors(1, e, e, 1) == rf1("1")
+    assert RatFun.from_factors(1, s, e, 1) == rf1("(x1-h)/(-x1-h)")
+    # the empty chamber of lam = mu, against one weight x
+    x = [DegreeOneForm.make([1], 0)]
+    assert RatFun.from_factors(1, x, costalk_weights(3, 3, "e"), 1) == rf1("x1")
     # the two-chamber cocycle
-    assert generic_transition(a, b) * generic_transition(b, a) == rf1("1")
-    with pytest.raises(GeomSatakeError):
-        TorusWeightMultiset(1, [DegreeOneForm.make([0], 0)])
+    assert RatFun.from_factors(1, s, e, 1) * RatFun.from_factors(1, e, s, 1) == rf1("1")
+    # at xi = h the first s-weight xi - h is zero
+    with pytest.raises(GeomSatakeError, match="zero torus weight"):
+        costalk_weights(2, 0, "s", DegreeOneForm.make([0], 1))
+    assert costalk_weights(2, 0, "e", DegreeOneForm.make([0], 1)) == [DegreeOneForm.make([0], -2)]
 
 
 def test_main_theorem_examples():
@@ -116,30 +115,30 @@ def test_report_json_schema():
 
 def test_levi_restriction_a2_adjoint():
     V = build_irrep(A2, Weight((1, 1)))
-    r = levi_restriction_check(V, 1, Weight((0, 0)))
-    assert r.ok
-    assert sorted((c.m, c.k) for c in r.cases) == [(0, 0), (2, 1)]
-    geo = {(c.m, c.k): c.geometric for c in r.cases}
+    cases = levi_restriction_check(V, 1, Weight((0, 0)))
+    assert all(c.equal for c in cases)
+    assert sorted((c.m, c.k) for c in cases) == [(0, 0), (2, 1)]
+    geo = {(c.m, c.k): c.geometric for c in cases}
     assert geo[(0, 0)] == parse_ratfun("1", 2)
     assert geo[(2, 1)] == parse_ratfun("(x1-h)/(-x1-h)", 2)
 
 
 def test_levi_restriction_standard_and_b2():
     V3 = build_irrep(A2, Weight((1, 0)))
-    r = levi_restriction_check(V3, 1, Weight((1, 0)))
-    assert r.ok and [(c.m, c.k) for c in r.cases] == [(1, 0)]
+    cases = levi_restriction_check(V3, 1, Weight((1, 0)))
+    assert all(c.equal for c in cases) and [(c.m, c.k) for c in cases] == [(1, 0)]
     W = build_irrep(B2, Weight((0, 1)))
     for i in (1, 2):
         for mu in [w for w in W.weights() if w.is_dominant()]:
-            assert levi_restriction_check(W, i, mu).ok
+            assert all(c.equal for c in levi_restriction_check(W, i, mu))
 
 
 def test_levi_errors_and_json():
     V = build_irrep(A2, Weight((1, 1)))
     with pytest.raises(GeomSatakeError):
         levi_restriction_check(V, 1, Weight((-1, 2)))
-    r = levi_restriction_check(V, 2, Weight((1, 1)))
-    assert r.ok is True
+    cases = levi_restriction_check(V, 2, Weight((1, 1)))
+    assert cases and all(c.equal is True for c in cases)
 
 
 def test_levi_rejects_non_dominant_mu():
@@ -151,8 +150,8 @@ def test_levi_rejects_non_dominant_mu():
 
 def test_levi_cases_are_shared_and_frozen():
     V = build_irrep(A2, Weight((1, 1)))
-    first = levi_restriction_check(V, 1, Weight((0, 0))).cases
-    second = levi_restriction_check(V, 1, Weight((0, 0))).cases
+    first = levi_restriction_check(V, 1, Weight((0, 0)))
+    second = levi_restriction_check(V, 1, Weight((0, 0)))
     assert all(a is b for a, b in zip(first, second, strict=True))
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].equal = False
