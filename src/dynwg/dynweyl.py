@@ -127,7 +127,8 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     """
     target = simple_reflection(V.type, i, nu)  # raises on an index out of range
     if nu[i - 1] < 0:
-        raise DynWeylError(f"<{nu}, coroot {i}> < 0: outside the dominant regime")
+        raise DynWeylError(f"A_w on V_({nu}): step 1 of 1 has <({nu}), coroot {i}> ="
+                           f" {nu[i - 1]}, not >= 0")
     nx = V.type.rank
     matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
               for _ in range(V.weight_dim(target))]

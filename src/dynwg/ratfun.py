@@ -12,7 +12,9 @@ that products, sums and trial divisions run on ints rather than Fractions
 a heap", J. Symbolic Comput. 2011).  Formatting and evaluation run on those
 integer coefficients too: text is rendered from the content's numerator and
 denominator times each integer coefficient, and a denominator form is
-evaluated from its integer coefficients.
+evaluated from its integer coefficients.  A substitution x_i -> images[i],
+h -> h is one memoized object per images tuple: a polynomial is substituted
+in one pass over its terms, reading each x-monomial's image from a table.
 
 Variables: x1..xr are coordinates on the Cartan subalgebra (pairings with
 simple coroots), h is the loop-rotation equivariant parameter.
@@ -150,14 +152,10 @@ class DegreeOneForm:
         return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
 
     def substitute(self, images: "list[DegreeOneForm]") -> "DegreeOneForm":
-        """Apply x_i -> images[i]; h maps to itself.  The result is kept for
-        the last 4096 (form, images), so a repeated substitution returns the
-        same instance, with its cached data."""
-        if len(images) != self.nx:
-            raise ValueError("need one image per x variable")
-        if images and any(img.nx != images[0].nx for img in images):
-            raise ValueError("images have mixed variable counts")
-        return _substitute_form(self, tuple(images))
+        """Apply x_i -> images[i]; h maps to itself.  The result is kept in
+        the images' substitution memo (`_Substitution`), so a repeated
+        substitution returns the same instance, with its cached data."""
+        return _substitutions(tuple(images), self.nx).form(self)
 
     def canonical(self) -> "tuple[Fraction, DegreeOneForm]":
         """Return (s, f) with self == s*f, f primitive-integer with positive
@@ -222,23 +220,6 @@ class DegreeOneForm:
 
     def __str__(self) -> str:
         return _format_poly(self.to_polynomial())
-
-
-@lru_cache(maxsize=4096)
-def _substitute_form(form: DegreeOneForm, images: tuple[DegreeOneForm, ...]) -> DegreeOneForm:
-    """form.substitute(images), for images of one variable count."""
-    nx = images[0].nx if images else form.nx
-    d, own = form._scaled
-    image_den = lcm(*(img._scaled[0] for img in images))
-    out = [0] * nx + [own[-1] * image_den]
-    for c, img in zip(own, images):
-        if c:
-            img_d, img_ints = img._scaled
-            c *= image_den // img_d
-            for j in range(nx + 1):
-                out[j] += c * img_ints[j]
-    d *= image_den
-    return DegreeOneForm(tuple(Fraction(c, d) for c in out[:-1]), Fraction(out[-1], d))
 
 
 # ---------------------------------------------------------------------------
@@ -457,50 +438,10 @@ class Polynomial:
         return self.content.numerator * total, den
 
     def substitute(self, images: list[DegreeOneForm]) -> "Polynomial":
-        """Ring homomorphism x_i -> images[i], h -> h."""
-        if len(images) != self.nx:
-            raise ValueError("need one image per x variable")
-        nx_out = images[0].nx if images else self.nx
-        if any(img.nx != nx_out for img in images):
-            raise ValueError("images have mixed variable counts")
-        # image i is (integer polynomial image_ints[i]) / image_dens[i]
-        image_ints, image_dens = [], []
-        for img in images:
-            p = img.to_polynomial()
-            image_ints.append({e: p.content.numerator * c for e, c in p.coeffs.items()})
-            image_dens.append(p.content.denominator)
-        exps = [(_unpack(e, self.nx), c) for e, c in self.coeffs.items()]
-        tops = [max((e[i] for e, _ in exps), default=0) for i in range(self.nx)]
-        powers = [[{0: 1}] for _ in range(self.nx)]  # powers[i][k] == image_ints[i]^k
-
-        def power(i: int, k: int) -> dict[int, int]:
-            cache = powers[i]
-            while len(cache) <= k:
-                cache.append(_mul_coeffs(cache[-1], image_ints[i]))
-            return cache[k]
-
-        # sum of c * prod(image_i^e_i) * h^e_h, times prod(d_i^tops_i) to keep it integral
-        h_key = _unit_key(nx_out, nx_out)
-        out: dict[int, int] = {}
-        get = out.get
-        for e, c in exps:
-            for i, d in enumerate(image_dens):
-                if d != 1:
-                    c *= d ** (tops[i] - e[i])
-            term = {e[-1] * h_key: c}
-            for i in range(self.nx):
-                if e[i]:
-                    term = _mul_coeffs(term, power(i, e[i]))
-            for m, v in term.items():
-                s = get(m, 0) + v
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        den = self.content.denominator
-        for d, top in zip(image_dens, tops):
-            den *= d ** top
-        return _normalized(nx_out, out, self.content.numerator, den)
+        """Ring homomorphism x_i -> images[i], h -> h: one pass over the
+        terms, with each x-monomial's image read from the images'
+        substitution memo (`_Substitution`)."""
+        return _substitutions(tuple(images), self.nx).polynomial(self)
 
     def divide_by_form(self, form: DegreeOneForm) -> "Polynomial | None":
         """Exact quotient self/form, or None if form does not divide self.
@@ -565,6 +506,101 @@ class Polynomial:
 
     def __str__(self) -> str:
         return _format_poly(self)
+
+
+# ---------------------------------------------------------------------------
+# substitutions
+
+_MEMO_SIZE = 4096  # entries a _Substitution's monomial table or form map holds
+
+
+class _Substitution:
+    """The homomorphism x_i -> images[i], h -> h for one tuple of degree-one
+    images in one variable count: whether it is an automorphism (the
+    images' x-coefficients form a square matrix of full rank), each image as
+    an integer dict over the common denominator den, and two tables filled
+    on demand and cleared once they hold _MEMO_SIZE entries: the image of
+    each x-monomial (by packed key, an integer dict over den^degree) and
+    each substituted form."""
+
+    def __init__(self, images: tuple[DegreeOneForm, ...], nx_in: int):
+        if len(images) != nx_in:
+            raise ValueError("need one image per x variable")
+        nx = self.nx = images[0].nx if images else 0
+        if any(img.nx != nx for img in images):
+            raise ValueError("images have mixed variable counts")
+        den = self.den = lcm(*(img._scaled[0] for img in images))
+        self.rows = [[c * (den // d) for c in ints] for d, ints in (img._scaled for img in images)]
+        self.ints = [{_unit_key(nx, j): c for j, c in enumerate(row) if c} for row in self.rows]
+        self.monomials: dict[int, dict[int, int]] = {}
+        self.forms: dict[DegreeOneForm, DegreeOneForm] = {}
+        rows = [row[:-1] for row in self.rows]  # integer elimination
+        for col in range(nx if nx == nx_in else 0):
+            pivot = next((row for row in rows if row[col]), None)
+            if pivot is None:
+                break
+            rows = [[pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
+                    for row in rows if row is not pivot]
+        self.automorphism = not rows
+
+    def form(self, f: DegreeOneForm) -> DegreeOneForm:
+        found = self.forms.get(f)
+        if found is None:
+            d, own = f._scaled
+            out = [sum(c * row[j] for c, row in zip(own, self.rows)) for j in range(self.nx + 1)]
+            out[-1] += own[-1] * self.den
+            d *= self.den
+            found = DegreeOneForm(tuple(Fraction(c, d) for c in out[:-1]), Fraction(out[-1], d))
+            if len(self.forms) >= _MEMO_SIZE:
+                self.forms.clear()
+            self.forms[f] = found
+        return found
+
+    def monomial(self, key: int) -> dict[int, int]:
+        """The image of the x-monomial with this packed key: the image of the
+        monomial one variable lower times that variable's image."""
+        table = self.monomials
+        found = table.get(key)
+        if found is None:
+            nx_in, chain = len(self.ints), []
+            while key and key not in table:
+                i = next(i for i in range(nx_in) if key >> _W * (nx_in - i) & _MASK)
+                chain.append((key, i))
+                key -= _unit_key(nx_in, i)
+            found = table[key] if key else {0: 1}
+            for key, i in reversed(chain):
+                found = _mul_coeffs(found, self.ints[i])
+                if len(table) >= _MEMO_SIZE:
+                    table.clear()
+                table[key] = found
+        return found
+
+    def polynomial(self, p: Polynomial) -> Polynomial:
+        shift = _W * (p.nx + 1)
+        h_in, h_out = _unit_key(p.nx, p.nx), _unit_key(self.nx, self.nx)
+        # each term over den^top, top the largest x-degree
+        top = max(((e >> shift) - (e & _MASK) for e in p.coeffs), default=0) if self.den != 1 else 0
+        pows = [self.den**k for k in range(top, -1, -1)]
+        out: dict[int, int] = {}
+        get = out.get
+        for e, c in p.coeffs.items():
+            k = e & _MASK
+            x = e - k * h_in
+            if top:
+                c *= pows[x >> shift]
+            k *= h_out
+            for m, v in self.monomial(x).items():
+                m += k
+                s = get(m, 0) + c * v
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return _normalized(self.nx, out, p.content.numerator, p.content.denominator * pows[0])
+
+
+# the last 16 (images tuple, number of x variables)
+_substitutions = lru_cache(maxsize=16)(_Substitution)
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +793,15 @@ class RatFun:
     @staticmethod
     def _over_forms(num: Polynomial, pairs, candidates=None) -> "RatFun":
         """num / prod(f^m for (f, m) in pairs), for nonzero forms f in any
-        scaling, reduced by trial division as in `_make`."""
+        scaling, reduced by trial division as in `_make`.  num is divided by
+        the product of the forms' canonical scales once."""
         den: dict[DegreeOneForm, int] = {}
+        scale = _ONE
         for f, m in pairs:
             s, canon = f.canonical()
-            if s != 1:
-                num = num.scale(1 / s**m)
+            scale *= s**m
             den[canon] = den.get(canon, 0) + m
-        return RatFun._make(num, den, candidates)
+        return RatFun._make(num if scale == 1 else num.scale(1 / scale), den, candidates)
 
     @staticmethod
     def zero(nx: int) -> "RatFun":
@@ -915,16 +952,17 @@ class RatFun:
         """Apply x_i -> images[i] (degree-one images); h maps to itself.
 
         An invertible substitution is a ring automorphism, which keeps num
-        coprime to every denominator form: then no trial division is needed."""
-        images = tuple(images)
-        num = self.num.substitute(images)
+        coprime to every denominator form: then no trial division is needed.
+        The numerator and the forms go through one memoized `_Substitution`."""
+        sub = _substitutions(tuple(images), self.nx)
         pairs = []
         for f, m in self.den:
-            g = f.substitute(images)
+            g = sub.form(f)
             if g.is_zero():
                 raise PoleCollapseError(f"substitution annihilates denominator factor {f}")
             pairs.append((g, m))
-        return RatFun._over_forms(num, pairs, () if _is_automorphism(images) else None)
+        return RatFun._over_forms(sub.polynomial(self.num), pairs,
+                                  () if sub.automorphism else None)
 
     # -- io
 
@@ -942,25 +980,6 @@ class RatFun:
 
     def __repr__(self) -> str:
         return f"RatFun({self.format()!r})"
-
-
-@lru_cache(maxsize=4096)
-def _is_automorphism(images: tuple[DegreeOneForm, ...]) -> bool:
-    """Whether x_i -> images[i], h -> h is invertible, i.e. the images'
-    x-coefficients form a square matrix of full rank (by integer elimination).
-    Kept for the last 4096 images tuples."""
-    n = len(images)
-    rows = [img._scaled[1][:-1] for img in images]
-    if any(len(row) != n for row in rows):
-        return False
-    for col in range(n):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            return False
-        p = pivot[col]
-        rows = [[p * a - row[col] * b for a, b in zip(row, pivot)]
-                for row in rows if row is not pivot]
-    return True
 
 
 EVAL_TRIALS = 3  # sample points per comparison

@@ -339,8 +339,9 @@ def test_word_operator_errors():
     V = build_irrep(A2, Weight((1, 1)))
     with pytest.raises(Exception):
         word_operator_block(V, (1, 1), Weight((0, 0)))  # non-reduced
-    with pytest.raises(DynWeylError):
-        word_operator_block(V, (1,), Weight((-1, 2)))  # <mu, coroot 1> = -1
+    with pytest.raises(DynWeylError) as err:
+        word_operator_block(V, (1,), Weight((-1, 2)))
+    assert str(err.value) == _SINGLE_LETTER_PAIRING
 
 
 def test_source_condition_is_the_step_pairing():
@@ -357,6 +358,8 @@ def test_source_condition_is_the_step_pairing():
     assert empty.target == Weight((-1, 2)) and empty.matrix == [[RatFun.one(2)]]
 
 
+# The one step of (1,) at (-1, 2) pairs with coroot 1 to -1.
+_SINGLE_LETTER_PAIRING = "A_w on V_(-1,2): step 1 of 1 has <(-1,2), coroot 1> = -1, not >= 0"
 # The first step of (1, 2) at (2, -1) is s_2, whose crossing coroot pairs to -1.
 _NEGATIVE_PAIRING = ("A_w on V_(2,-1): step 1 of 2 has <(2,-1), coroot 2> = -1,"
                      " not <(2,-1), (0,1)> = -1 >= 0")
@@ -376,6 +379,7 @@ def probe(hw, word, mu):
         print(exc)
 
 probe((1, 1), (1, 2), (2, -1))
+probe((1, 1), (1,), (-1, 2))
 crossing = dynweyl.crossing_coroots
 dynweyl.crossing_coroots = lambda t, word: crossing(t, word)[::-1]
 probe((2, 1), (1, 2, 1), (2, 1))
@@ -397,7 +401,8 @@ def test_word_loop_check_survives_python_optimize():
     probe = subprocess.run([sys.executable, "-O", "-c", _WRONG_PAIRING_PROBE],
                            capture_output=True, text=True, env=env, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == _NEGATIVE_PAIRING + "\n" + _WRONG_PAIRING + "\n"
+    assert probe.stdout == "".join(
+        line + "\n" for line in (_NEGATIVE_PAIRING, _SINGLE_LETTER_PAIRING, _WRONG_PAIRING))
 
 
 # ---------------------------------------------------------------------------

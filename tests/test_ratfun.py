@@ -77,31 +77,88 @@ def test_form_substitution_rejects_mixed_variable_counts():
 
 
 def test_substitution_memos_are_bounded():
-    for memo in (ratfun._substitute_form, ratfun._is_automorphism):
-        assert memo.cache_info().maxsize == 4096
+    assert ratfun._substitutions.cache_info().maxsize == 16
+    assert ratfun._MEMO_SIZE == 4096
+    # x_i -> 2*x_i on the 5456 monomials of degree <= 30 in x1..x3: more
+    # x-monomials than a table holds, each image a single term
+    images = [DegreeOneForm.make([2 * (j == i) for j in range(3)]) for i in range(3)]
+    sub = ratfun._substitutions(tuple(images), 3)
+    sub.monomials.clear()
+    exps = [(i, j, k, 0) for i in range(31) for j in range(31 - i) for k in range(31 - i - j)]
+    assert Polynomial(3, dict.fromkeys(exps, 1)).substitute(images) == \
+        Polynomial(3, {e: 2 ** sum(e) for e in exps})
+    assert 0 < len(sub.monomials) <= ratfun._MEMO_SIZE < len(exps)
+    for n in range(5000):
+        DegreeOneForm.make([1, 0, -1], n).substitute(images)
+    assert 0 < len(sub.forms) <= ratfun._MEMO_SIZE
 
 
 def test_memoized_substitution_equals_a_fresh_one():
-    ratfun._substitute_form.cache_clear()
-    ratfun._is_automorphism.cache_clear()
+    ratfun._substitutions.cache_clear()
     images = [DegreeOneForm.make([F(1, 2), -1], 1), DegreeOneForm.make([0, 3], F(-2, 3))]
     f = DegreeOneForm.make([2, F(-1, 3)], 5)
     first = f.substitute(images)
     again = DegreeOneForm.make([2, F(-1, 3)], 5).substitute(list(images))
     assert again is first
-    assert first == ratfun._substitute_form.__wrapped__(f, tuple(images))
+    assert first == ratfun._Substitution(tuple(images), 2).form(f)
     assert first == DegreeOneForm.make([1, -3], F(65, 9))
     a = rf("(x1 - 2*h)/((x2 + h)*(x1 + x2)^2)")
     memoized = a.substitute(images)
-    assert ratfun._substitute_form.cache_info().hits > 0
-    ratfun._substitute_form.cache_clear()
-    ratfun._is_automorphism.cache_clear()
+    assert ratfun._substitutions.cache_info().hits > 0
+    ratfun._substitutions.cache_clear()
     assert a.substitute(images) == memoized
     # a pole collapse is raised on every call, though the substituted form is kept
     collapse = [DegreeOneForm.make([0, 0], 1), DegreeOneForm.make([0, 0], -1)]
     for _ in range(2):
         with pytest.raises(PoleCollapseError):
             a.substitute(collapse)
+
+
+def test_substitution_matches_evaluation():
+    """a.substitute(images) at p is a at the images' values at p: evaluate
+    never substitutes, so it is an independent oracle.  One images tuple in
+    one variable, with denominators 2 and 3, is reused for every input in 3
+    variables, whose x-monomials overflow its monomial table mid-sample;
+    every fifth step also sends a small input through new images in 2 or 4
+    variables."""
+    rng = random.Random(25)
+
+    def fraction():
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def form(nx):
+        while True:
+            f = DegreeOneForm.make([fraction() for _ in range(nx)], fraction())
+            if not f.is_zero():
+                return f
+
+    def value(f, point):
+        return sum(c * v for c, v in zip(f.coeffs, point))
+
+    def check(a, images):
+        p = [F(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(images[0].nx + 1)]
+        expected = a.evaluate([value(img, p) for img in images] + [p[-1]])
+        assert a.substitute(images).evaluate(p) == expected
+
+    shared = [DegreeOneForm.make([F(1, 2)], -1), DegreeOneForm.make([-1], F(2, 3)),
+              DegreeOneForm.make([F(-3, 2)], F(1, 3))]
+    sub = ratfun._substitutions(tuple(shared), 3)
+    sub.monomials.clear()
+    sizes = []
+    for n in range(40):
+        num = Polynomial(3, {tuple(rng.randint(0, 24) for _ in range(4)): fraction()
+                             for _ in range(12)})
+        den = RatFun.from_factors(1, [], [form(3) for _ in range(rng.randint(0, 2))], 3)
+        check(RatFun(num, ()) * den, shared)
+        sizes.append(len(sub.monomials))
+        if n % 5 == 0:
+            small = Polynomial(3, {tuple(rng.randint(0, 3) for _ in range(4)): fraction()
+                                   for _ in range(6)})
+            nx = rng.choice((2, 4))
+            check(RatFun(small, ()) * den, [form(nx) for _ in range(3)])
+    assert ratfun._substitutions(tuple(shared), 3) is sub
+    assert max(sizes) <= ratfun._MEMO_SIZE
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
 
 
 def test_factor_into_forms():
@@ -305,6 +362,9 @@ def test_field_operations_match_sympy_cancel():
 
     coeff = st.integers(-2, 2)
     forms = st.tuples(coeff, coeff, coeff)
+    # rational image coefficients reach the substitution's denominator path
+    image_coeff = st.fractions(-2, 2, max_denominator=3)
+    rational_forms = st.tuples(image_coeff, image_coeff, image_coeff)
     nonzero_forms = forms.filter(any)
     # (const, numerator forms, denominator forms); sympy work stays out of
     # data generation, which hypothesis times
@@ -331,7 +391,7 @@ def test_field_operations_match_sympy_cancel():
         return a, (p, q)
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
-    @hypothesis.given(general, general, factored, st.tuples(forms, forms))
+    @hypothesis.given(general, general, factored, st.tuples(rational_forms, rational_forms))
     def check(a_spec, b_spec, c_spec, images):
         (a, (p, q)), (b, (r, s)) = build_sum(a_spec), build_sum(b_spec)
         c, (u, v) = build(c_spec)
