@@ -95,15 +95,17 @@ class OperatorBlock:
 
 @lru_cache(maxsize=4096)
 def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
-    """The closed-form sl(2) coefficient on the string component (m, k):
+    """The closed-form sl(2) coefficient on the string component (m, k),
+    0 <= k <= m, on either half of the string:
 
         (-1)^k * prod_{j=1..k} (xi + (j+1)h) / (xi + (j-m+k)h)
 
+    In lowest terms its denominator forms are xi + s*h, s <= min(1, 2k - m).
     Kept for the last 4096 (m, k, xi) (about 2 KB each); RatFun is
     immutable, so the callers share the result.
     """
-    if k < 0 or m - 2 * k < 0:
-        raise DynWeylError(f"string component (m={m}, k={k}) outside the dominant regime")
+    if k < 0 or k > m:
+        raise DynWeylError(f"string component (m={m}, k={k}) needs 0 <= k <= m")
     num_forms = [xi.shift_h(j + 1) for j in range(1, k + 1)]
     den_forms = [xi.shift_h(j - m + k) for j in range(1, k + 1)]
     return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
@@ -119,16 +121,13 @@ def string_data(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
 
 
 def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
-    """Block of A_{s_i}: V_nu -> V_{s_i nu} with dynamical variable xi.
+    """Block of A_{s_i}: V_nu -> V_{s_i nu}, nu any weight, at variable xi.
 
     The sum over the string components (m, k) of V_nu of c(m,k,xi) times the
     component's transfer map: the column f_i^(k) u of the change of basis
     goes to c(m,k,xi) f_i^(m-k) u.
     """
     target = simple_reflection(V.type, i, nu)  # raises on an index out of range
-    if nu[i - 1] < 0:
-        raise DynWeylError(f"A_w on V_({nu}): step 1 of 1 has <({nu}), coroot {i}> ="
-                           f" {nu[i - 1]}, not >= 0")
     nx = V.type.rank
     matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
               for _ in range(V.weight_dim(target))]
@@ -202,12 +201,13 @@ def _step_variable(gamma: CorootVector) -> DegreeOneForm:
 
 
 def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
-    """A_w on V_mu for a reduced word, composed right-to-left: the rightmost
-    stored letter acts first.
+    """A_w on V_mu for a reduced word and any weight mu of V, composed
+    right-to-left: the rightmost stored letter acts first.  The empty word
+    is the identity.
 
-    Each step checks the rank-one closed form's condition <mu, gamma_t> >= 0
-    (every dominant mu meets it) and raises DynWeylError if it fails.  The
-    empty word is the identity on any weight of V.
+    Each step checks that its current weight pairs with its letter's coroot
+    as mu pairs with gamma_t, and raises DynWeylError if not; so a wrong
+    crossing coroot is caught, also under python -O.
 
     The Weyl group acts on the dynamical parameter through the shifted action
     w*x = w(x + h rho) - h rho, so the t-th step uses the variable
@@ -255,10 +255,10 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     for step in range(shared, len(word)):
         letter, gamma = letters[step], gammas[step]
         expected = pairing(mu, gamma)
-        if not cur[letter - 1] == expected >= 0:
+        if cur[letter - 1] != expected:
             raise DynWeylError(f"A_w on V_({mu}): step {step + 1} of {len(word)} has"
                                f" <({cur}), coroot {letter}> = {cur[letter - 1]},"
-                               f" not <({mu}), ({gamma})> = {expected} >= 0")
+                               f" not <({mu}), ({gamma})> = {expected}")
         blk = simple_reflection_block(V, letter, cur, _step_variable(gamma))
         cur = blk.target
         blk_num, blk_scale, blk_den = _integer_block(blk.matrix)
@@ -315,15 +315,17 @@ def _value_at_h0(e: RatFun) -> Fraction:
 
 
 def denominators_are_local(b: OperatorBlock) -> bool:
-    """Every denominator factor must be <x + h rho, gamma> - m*h with gamma a
-    coroot that the block's word crosses and m a positive integer;
-    equivalently <x, gamma> + c*h with c an integer < ht(gamma).  For a
-    single letter i this is the familiar x_i - m*h, m >= 0.
+    """Every denominator factor must be <x + h rho, gamma> - M*h with gamma a
+    coroot that the block's word crosses and M an integer with
+    M >= max(0, 1 + <source, gamma>), the bound of rank1_coefficient at the
+    step variable of gamma; that is, <x, gamma> + c*h with c an integer,
+    c <= ht(gamma) - max(0, 1 + <source, gamma>).
 
     Denominator forms are canonical (primitive integer, first coefficient
     positive), and so is a positive coroot, so a local form's x-part is
     gamma itself: one lookup per form."""
-    heights = {g.coords: g.height() for g in crossing_coroots(b.V.type, b.word)}
-    return all((ht := heights.get(form.xcoeffs)) is not None
-               and form.hcoeff.denominator == 1 and form.hcoeff < ht
+    top = {g.coords: g.height() - max(0, 1 + pairing(b.source, g))
+           for g in crossing_coroots(b.V.type, b.word)}
+    return all((c := top.get(form.xcoeffs)) is not None
+               and form.hcoeff.denominator == 1 and form.hcoeff <= c
                for row in b.matrix for e in row for form, _ in e.den)

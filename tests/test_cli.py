@@ -57,7 +57,7 @@ def test_op_json_and_identity(capsys, cache_args):
 def test_op_usage_errors(capsys, cache_args):
     code, _, err = run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu", "0,-1",
                        "--word", "1", *cache_args)
-    assert code == 2 and "dominant" in err
+    assert code == 2 and err == "error: --mu 0,-1 is not a weight of V(1,1)\n"
     code, _, err = run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu", "0,0",
                        "--word", "1,1", *cache_args)
     assert code == 2 and "reduced" in err
@@ -71,6 +71,16 @@ def test_op_usage_errors(capsys, cache_args):
                            "--word", word, *cache_args)
         assert code == 2 and f"'{bad}' is not a comma-separated list of integers" in err
         assert "invalid literal" not in err
+
+
+def test_op_at_a_negative_weight(capsys, cache_args):
+    # argparse reads "--mu -1,-1" as a missing value; "--mu=-1,-1" passes it
+    code, out, _ = run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu=-1,-1",
+                       "--word", "1,2,1", *cache_args)
+    V = rep.build_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((1, 1)))
+    block = dynweyl.word_operator_block(V, (1, 2, 1), rootdata.Weight((-1, -1)))
+    assert code == 0 and out == block.format() + "\n"
+    assert "V_(-1,-1) -> V_(1,1)" in out
 
 
 def test_verify_satake_rank1(capsys, cache_args):
@@ -281,6 +291,23 @@ def test_verify_rep_stores_an_irrep_only_once_it_passes(capsys, tmp_path, monkey
     monkeypatch.setattr(rep, "check_chevalley_serre", lambda V: ["injected Serre failure"])
     code, out, _ = run(capsys, *args)
     assert code == 1 and "injected Serre failure" in out
+
+
+@pytest.mark.parametrize("oracle, wrong, problem", [
+    ("weyl_dimension", lambda original, t, hw: original(t, hw) + 1, "dim 8 != Weyl dimension 9"),
+    ("freudenthal_multiplicity",
+     lambda original, t, hw, nu: original(t, hw, nu) + (nu == rootdata.Weight((0, 0))),
+     "multiplicity at 0,0: 2 != 3"),
+])
+def test_verify_rep_reports_a_wrong_dimension_or_multiplicity(capsys, tmp_path, monkeypatch,
+                                                              oracle, wrong, problem):
+    original = getattr(rep, oracle)
+    monkeypatch.setattr(rep, oracle, lambda *args: wrong(original, *args))
+    code, out, _ = run(capsys, "verify", "rep", "--algebra", "A2", "--hw", "1,1",
+                       "--cache-dir", str(tmp_path), "--jobs", "1")
+    assert code == 1
+    assert out.splitlines() == ["FAIL  rep:A2:[1, 1]", f"      {problem}", "rep: 0/1 cases pass"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_case_without_held_irrep_builds_under_the_suite_cap(builds):

@@ -19,7 +19,7 @@ from dynwg.dynweyl import (
     word_operator_block,
 )
 from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
-from dynwg.rep import build_irrep, divided_f_powers, sl2_strings, weight_add, weight_sub
+from dynwg.rep import RepError, build_irrep, divided_f_powers, sl2_strings, weight_add, weight_sub
 from dynwg.rootdata import (
     LieType,
     RootDataError,
@@ -30,6 +30,7 @@ from dynwg.rootdata import (
     crossing_coroots,
     longest_element,
     simple_reflection,
+    pairing,
     simple_root,
 )
 from ratfun_text import parse_ratfun, var
@@ -62,16 +63,19 @@ def test_rank1_coefficient_known_values():
 
 
 def test_rank1_coefficient_domain():
-    with pytest.raises(DynWeylError):
-        rank1_coefficient(2, 2, X1)
-    with pytest.raises(DynWeylError):
-        rank1_coefficient(1, -1, X1)
+    # one formula on the whole string 0 <= k <= m, past its middle too
+    assert rank1_coefficient(2, 2, X1) == rf1("(x1+3*h)/(x1+h)")
+    assert rank1_coefficient(3, 2, X1) == rf1("(x1+2*h)*(x1+3*h)/(x1*(x1+h))")
+    for m, k in ((1, -1), (2, 3), (0, 1)):
+        with pytest.raises(DynWeylError) as err:
+            rank1_coefficient(m, k, X1)
+        assert str(err.value) == f"string component (m={m}, k={k}) needs 0 <= k <= m"
 
 
 def test_rank1_coefficient_general_form():
     # direct product construction as an independent cross-check
     for m in range(9):
-        for k in range(m // 2 + 1):
+        for k in range(m + 1):
             expected = RatFun.const((-1) ** k, 1)
             for j in range(1, k + 1):
                 expected = expected * RatFun(DegreeOneForm.make([1], j + 1).to_polynomial(), ())
@@ -87,14 +91,18 @@ def _divided_power_coefficient(n, j, xi):
 
 def test_rank1_coefficient_triangular_identity():
     # f_i^(n+j) e_i^(j) sends f_i^(k) u, u primitive of sl(2)-weight m and
-    # n = m - 2k, to C(m-k+j, j) C(m-k, n+j) f_i^(m-k) u
+    # n = m - 2k, to C(m-k+j, j) C(m-k, n+j) f_i^(m-k) u; f_i^(n+j) exists
+    # from j = max(0, -n) on
+    pairs = 0
     for m in range(11):
-        for k in range(m // 2 + 1):
-            expected = RatFun.zero(1)
-            for j in range(k + 1):
-                a = _divided_power_coefficient(m - 2 * k, j, X1)
-                expected = expected + a.scale(comb(m - k + j, j) * comb(m - k, m - 2 * k + j))
+        for k in range(m + 1):
+            n, expected = m - 2 * k, RatFun.zero(1)
+            for j in range(max(0, -n), k + 1):
+                a = _divided_power_coefficient(n, j, X1)
+                expected = expected + a.scale(comb(m - k + j, j) * comb(m - k, n + j))
             assert rank1_coefficient(m, k, X1) == expected, (m, k)
+            pairs += 1
+    assert pairs == 66
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +182,13 @@ def _rmat_vec(matrix, vec, nx):
 
 def _divided_power_block(V, i, nu, xi):
     """A_{s_i}(xi) on V_nu as sum_j a_j f_i^(n+j) e_i^(j), n = <nu, coroot_i>,
-    with no sl(2)-strings: the sum runs while nu + j*alpha_i is a weight."""
+    with no sl(2)-strings: the sum runs from j = max(0, -n), where f_i^(n+j)
+    starts to exist, while nu + j*alpha_i is a weight."""
     n, alpha = nu[i - 1], simple_root(V.type, i)
     rows = V.weight_dim(simple_reflection(V.type, i, nu))
     matrix = [[RatFun.zero(V.type.rank)] * V.weight_dim(nu) for _ in range(rows)]
-    j, top = 0, nu
+    j = max(0, -n)
+    top = Weight(tuple(c + j * a for c, a in zip(nu.coords, alpha.coords)))
     while top in V.basis:
         a = _divided_power_coefficient(n, j, xi)
         op = linalg.mat_mul(_divided_power(V, i, top, n + j, raising=False),
@@ -198,19 +208,25 @@ DIVIDED_POWER_IRREPS = [
 ]
 
 
-def test_simple_reflection_block_matches_divided_power_oracle():
-    compared = 0
+def _divided_power_sweep():
+    """(compared, failures) of simple_reflection_block against the e/f
+    formula at every (i, nu) of DIVIDED_POWER_IRREPS."""
+    compared = failures = 0
     for algebra, hw in DIVIDED_POWER_IRREPS:
         t = LieType.parse(algebra)
         V = build_irrep(t, Weight(hw))
         for i in range(1, t.rank + 1):
             xi = DegreeOneForm.make([int(a == i) for a in range(1, t.rank + 1)], 0)
             for nu in V.weights():
-                if nu[i - 1] >= 0:
-                    block = simple_reflection_block(V, i, nu, xi)
-                    assert block.matrix == _divided_power_block(V, i, nu, xi), (algebra, hw, i, nu)
-                    compared += 1
-    assert compared == 396
+                block = simple_reflection_block(V, i, nu, xi)
+                failures += block.matrix != _divided_power_block(V, i, nu, xi)
+                compared += 1
+    return compared, failures
+
+
+def test_simple_reflection_block_matches_divided_power_oracle():
+    # 396 of the 640 (i, nu) have <nu, coroot_i> >= 0
+    assert _divided_power_sweep() == (640, 0)
 
 
 STRING_IRREPS = [
@@ -277,10 +293,17 @@ def test_simple_reflection_block_checks_the_index_first():
 
 
 def test_block_preconditions():
+    # any weight of V is a source, <nu, coroot_i> < 0 included; a weight
+    # outside V is not
     V = build_irrep(A2, Weight((1, 1)))
     xi = DegreeOneForm.make([1, 0], 0)
-    with pytest.raises(DynWeylError):
-        simple_reflection_block(V, 1, Weight((-2, 1)), xi)
+    nu = Weight((-2, 1))
+    block = simple_reflection_block(V, 1, nu, xi)
+    assert block.target == Weight((2, -1))
+    assert block.matrix == _divided_power_block(V, 1, nu, xi) == [[rf2("(x1+3*h)/(x1+h)")]]
+    with pytest.raises(RepError) as err:
+        simple_reflection_block(V, 1, Weight((0, -1)), xi)
+    assert str(err.value) == "0,-1 is not a weight of V(1,1)"
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +345,14 @@ def test_reduced_word_independence():
         V = build_irrep(t, hw)
         w0 = longest_element(t)
         words = all_reduced_words(t, w0)
-        for mu in [w for w in V.weights() if w.is_dominant()]:
+        for mu in V.weights():
             blocks = [word_operator_block(V, w, mu) for w in words]
             assert all(blocks[0].equals(b) for b in blocks[1:])
 
 
 def test_block_shape_and_denominators():
     V = build_irrep(B2, Weight((1, 0)))
-    for mu in [w for w in V.weights() if w.is_dominant()]:
+    for mu in V.weights():
         blk = word_operator_block(V, longest_element(B2), mu)
         assert blk.target == act(B2, blk.word, mu)
         assert denominators_are_local(blk)
@@ -337,36 +360,43 @@ def test_block_shape_and_denominators():
 
 def test_word_operator_errors():
     V = build_irrep(A2, Weight((1, 1)))
-    with pytest.raises(Exception):
+    with pytest.raises(RootDataError) as err:
         word_operator_block(V, (1, 1), Weight((0, 0)))  # non-reduced
+    assert str(err.value) == "word [1, 1] is not reduced"
     with pytest.raises(DynWeylError) as err:
-        word_operator_block(V, (1,), Weight((-1, 2)))
-    assert str(err.value) == _SINGLE_LETTER_PAIRING
+        word_operator_block(V, (1,), Weight((0, -1)))
+    assert str(err.value) == "0,-1 is not a weight of V(1,1)"
+    # a negative pairing is no error: (1,) at (-1, 2) pairs with coroot 1 to -1
+    x1 = DegreeOneForm.make([1, 0], 0)
+    single = word_operator_block(V, (1,), Weight((-1, 2)))
+    assert single.equals(simple_reflection_block(V, 1, Weight((-1, 2)), x1))
+    assert single.target == Weight((1, 1)) and single.matrix == [[rf2("-(x1+2*h)/(x1+h)")]]
 
 
 def test_source_condition_is_the_step_pairing():
-    # the source needs <mu, gamma_t> >= 0 for each crossing coroot, not
-    # dominance; test_word_operator_errors has (1,) at (-1, 2) raising
+    # the only source condition is the loop's check that each step's weight
+    # pairs with its letter as mu pairs with gamma_t; (1, 2) at (2, -1)
+    # crosses coroot 2 first, to which (2, -1) pairs to -1, and its block is
+    # the product of its two steps
     V = build_irrep(A2, Weight((1, 1)))
-    with pytest.raises(DynWeylError) as err:
-        word_operator_block(V, (1, 2), Weight((2, -1)))
-    assert str(err.value) == _NEGATIVE_PAIRING
-    single = word_operator_block(V, (1,), Weight((2, -1)))
-    x1 = DegreeOneForm.make([1, 0], 0)
-    assert single.equals(simple_reflection_block(V, 1, Weight((2, -1)), x1))
+    mu = Weight((2, -1))
+    first = simple_reflection_block(V, 2, mu, DegreeOneForm.make([0, 1], 0))
+    second = simple_reflection_block(V, 1, first.target, DegreeOneForm.make([1, 1], 1))
+    block = word_operator_block(V, (1, 2), mu)
+    assert first.target == Weight((1, 1))
+    assert block.target == second.target == Weight((-1, 2))
+    assert block.matrix == _rmat_mul(second.matrix, first.matrix, 2)
+    assert block.matrix == [[rf2("-(x2+2*h)/(x2+h)")]]
     empty = word_operator_block(V, (), Weight((-1, 2)))
     assert empty.target == Weight((-1, 2)) and empty.matrix == [[RatFun.one(2)]]
 
 
-# The one step of (1,) at (-1, 2) pairs with coroot 1 to -1.
-_SINGLE_LETTER_PAIRING = "A_w on V_(-1,2): step 1 of 1 has <(-1,2), coroot 1> = -1, not >= 0"
-# The first step of (1, 2) at (2, -1) is s_2, whose crossing coroot pairs to -1.
-_NEGATIVE_PAIRING = ("A_w on V_(2,-1): step 1 of 2 has <(2,-1), coroot 2> = -1,"
-                     " not <(2,-1), (0,1)> = -1 >= 0")
 # With the crossing coroots reversed, the first step of (1, 2, 1) at (2, 1)
 # pairs with coroot 1, to 2, where its crossing coroot, coroot 2, pairs to 1.
 _WRONG_PAIRING = ("A_w on V_(2,1): step 1 of 3 has <(2,1), coroot 1> = 2,"
-                  " not <(2,1), (0,1)> = 1 >= 0")
+                  " not <(2,1), (0,1)> = 1")
+# (1, 2) at (2, -1) and (1,) at (-1, 2) have negative pairings, and are the
+# blocks to (-1, 2) and (1, 1)
 _WRONG_PAIRING_PROBE = """
 from dynwg import dynweyl, rep, rootdata
 A2 = rootdata.LieType.parse("A2")
@@ -374,7 +404,7 @@ A2 = rootdata.LieType.parse("A2")
 def probe(hw, word, mu):
     V = rep.build_irrep(A2, rootdata.Weight(hw))
     try:
-        dynweyl.word_operator_block(V, word, rootdata.Weight(mu))
+        print(dynweyl.word_operator_block(V, word, rootdata.Weight(mu)).target)
     except dynweyl.DynWeylError as exc:
         print(exc)
 
@@ -401,8 +431,7 @@ def test_word_loop_check_survives_python_optimize():
     probe = subprocess.run([sys.executable, "-O", "-c", _WRONG_PAIRING_PROBE],
                            capture_output=True, text=True, env=env, timeout=120)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == "".join(
-        line + "\n" for line in (_NEGATIVE_PAIRING, _SINGLE_LETTER_PAIRING, _WRONG_PAIRING))
+    assert probe.stdout == "".join(line + "\n" for line in ("-1,2", "1,1", _WRONG_PAIRING))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +536,10 @@ def _shifted_variables(t, v):
     return images
 
 
-def _factorization_sweep():
+def _factorization_sweep(every_weight=True):
     """(checks, failures) over every split w = u v, u and v not empty, of the
-    first 4 reduced words of w0, at every dominant weight."""
+    first 4 reduced words of w0, at every weight, or only at the dominant
+    ones."""
     checks = failures = 0
     for name, hw in FACTORIZATION_IRREPS:
         t = LieType.parse(name)
@@ -518,7 +548,7 @@ def _factorization_sweep():
             for c in range(1, len(w)):
                 u, v = w[:c], w[c:]
                 images = _shifted_variables(t, v)
-                for mu in [nu for nu in V.weights() if nu.is_dominant()]:
+                for mu in [nu for nu in V.weights() if every_weight or nu.is_dominant()]:
                     a_v = word_operator_block(V, v, mu).matrix
                     a_u = [[e.substitute(images) for e in row]
                            for row in word_operator_block(V, u, act(t, v, mu)).matrix]
@@ -529,15 +559,86 @@ def _factorization_sweep():
 
 
 def test_cocycle_factorization_at_every_split():
-    # A_u acts at the weight v mu, which is not dominant in most splits
-    assert _factorization_sweep() == (114, 0)
+    # 114 of the 634 checks are at a dominant mu
+    assert _factorization_sweep() == (634, 0)
 
 
 def test_cocycle_factorization_needs_the_rho_shift(monkeypatch):
     monkeypatch.setattr(dynweyl, "_step_variable",
                         lambda gamma: DegreeOneForm.make(gamma.coords, 0))
-    checks, failures = _factorization_sweep()
+    checks, failures = _factorization_sweep(every_weight=False)
     assert checks == 114 and failures > 0
+
+
+# ---------------------------------------------------------------------------
+# identities on every weight space of V
+
+
+EVERY_WEIGHT_IRREPS = [
+    ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 0)),
+    ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 0)), ("C3", (0, 1, 0)),
+]
+
+
+def _inversion_sweep():
+    """(checks, failures) of the inversion identity
+    A_{s_i}(s_i*x) A_{s_i}(x) = (-1)^n (x_i - (n-1)h)/(x_i + h) Id on V_nu,
+    n = <nu, coroot_i>, at every (i, nu) of EVERY_WEIGHT_IRREPS.  A_{s_i}(x)
+    is the block at xi = x_i, and <s_i*x, coroot_i> = -x_i - 2h."""
+    checks = failures = 0
+    for name, hw in EVERY_WEIGHT_IRREPS:
+        t = LieType.parse(name)
+        V, nx = build_irrep(t, Weight(hw)), t.rank
+        for i in range(1, nx + 1):
+            x_i = DegreeOneForm.make([int(a == i) for a in range(1, nx + 1)], 0)
+            back = DegreeOneForm.make([-int(a == i) for a in range(1, nx + 1)], -2)
+            for nu in V.weights():
+                n, there = nu[i - 1], simple_reflection_block(V, i, nu, x_i)
+                product = _rmat_mul(simple_reflection_block(V, i, there.target, back).matrix,
+                                    there.matrix, nx)
+                scalar = RatFun.from_factors((-1) ** n, [x_i.shift_h(1 - n)], [x_i.shift_h(1)], nx)
+                checks += 1
+                failures += product != [[scalar if r == c else RatFun.zero(nx) for c in range(
+                    V.weight_dim(nu))] for r in range(V.weight_dim(nu))]
+    return checks, failures
+
+
+def test_inversion_identity_at_every_weight():
+    assert _inversion_sweep() == (297, 0)
+
+
+def test_word_blocks_at_every_weight():
+    # the first 4 reduced words of w0 agree at every weight, and each block
+    # has a classical limit and meets the locality rule, whose bound M =
+    # max(0, 1 + <mu, gamma>) a form of most blocks attains
+    blocks = attained = 0
+    for name, hw in EVERY_WEIGHT_IRREPS:
+        t = LieType.parse(name)
+        V = build_irrep(t, Weight(hw))
+        words = all_reduced_words(t, longest_element(t), cap=4)
+        for mu in V.weights():
+            reference = word_operator_block(V, words[0], mu)
+            assert denominators_are_local(reference), (name, hw, mu)
+            classical_limit(reference)
+            assert all(word_operator_block(V, w, mu).equals(reference) for w in words[1:])
+            tops = {g.coords: g.height() - max(0, 1 + pairing(mu, g))
+                    for g in crossing_coroots(t, words[0])}
+            attained += any(form.hcoeff == tops[form.xcoeffs]
+                            for row in reference.matrix for e in row for form, _ in e.den)
+            blocks += 1
+    assert (blocks, attained) == (132, 123)
+
+
+def _mirror_coefficient(m, k, xi):
+    """The wrong continuation past the middle of a string: c(m, m - k, xi)."""
+    return rank1_coefficient(m, m - k if 2 * k > m else k, xi)
+
+
+def test_every_weight_checks_reject_the_mirror_continuation(monkeypatch):
+    monkeypatch.setattr(dynweyl, "rank1_coefficient", _mirror_coefficient)
+    for sweep, checks in ((_divided_power_sweep, 640), (_inversion_sweep, 297)):
+        done, failures = sweep()
+        assert done == checks and failures > 0, sweep.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +875,32 @@ def test_locality_depends_on_the_word():
         blk = block(t, word)
         blk.matrix = [[rf2("1"), rf2("x2/(x1+2*h)")]]
         assert not denominators_are_local(blk)
+
+
+def test_locality_bound_depends_on_the_source():
+    # <x + h rho, gamma> - M*h needs M >= max(0, 1 + <source, gamma>): so
+    # <x, gamma> + c*h needs c <= ht(gamma) - max(0, 1 + <source, gamma>)
+    V, form = build_irrep(A2, Weight((1, 1))), DegreeOneForm.make
+
+    def local(source, word, den):
+        mu = Weight(source)
+        entry = RatFun(Polynomial.const(1, 2), ((den, 1),))  # den as given, not canonical
+        return denominators_are_local(OperatorBlock(V=V, word=word, source=mu,
+                                                    target=act(A2, word, mu), matrix=[[entry]]))
+
+    # (1, 1) pairs to 1 with coroot_1: M >= 2
+    assert local((1, 1), (1,), form([1, 0], -1))
+    assert not local((1, 1), (1,), form([1, 0], 0))  # M = 1, the bound less one
+    # (0, 0) pairs to 0 with coroot_1: M >= 1
+    assert local((0, 0), (1,), form([1, 0], 0))
+    assert not local((0, 0), (1,), form([1, 0], 1))  # M = 0
+    # (-1, -1) pairs to -2 with coroot_1 + coroot_2, of height 2, and to -1
+    # with coroot_1: M >= 0 for both
+    assert local((-1, -1), (1, 2, 1), form([1, 1], 2))
+    assert local((-1, -1), (1, 2, 1), form([1, 0], 1))
+    assert not local((-1, -1), (1, 2, 1), form([1, 1], 3))  # M = -1
+    assert not local((-1, -1), (1,), form([1, 0], F(1, 2)))  # M = 1/2
+    assert not local((-1, -1), (1,), form([0, 1], -5))  # (1,) does not cross coroot_2
 
 
 def test_json_and_text_rendering():

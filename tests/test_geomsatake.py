@@ -141,6 +141,18 @@ def test_levi_errors_and_json():
     assert cases and all(c.equal is True for c in cases)
 
 
+def test_levi_compares_at_x_i():
+    # for i = 2 both sides are built at xi = x_2, never at x_1
+    V = build_irrep(A2, Weight((1, 1)))
+    x2 = DegreeOneForm.make([0, 1], 0)
+    cases = [c for mu in (Weight((1, 1)), Weight((0, 0))) for c in levi_restriction_check(V, 2, mu)]
+    assert sorted((c.m, c.k) for c in cases) == [(0, 0), (1, 0), (2, 1)]
+    for c in cases:
+        assert c.geometric == hyperbolic_transition(c.m, c.m - 2 * c.k, x2), (c.m, c.k)
+    forms = {f.xcoeffs for c in cases for e in (c.geometric, c.dynamical_shifted) for f, _ in e.den}
+    assert forms == {(0, 1)}
+
+
 def test_levi_rejects_non_dominant_mu():
     # <mu, coroot_2> = 2 >= 0, but mu = alpha_2 is not dominant
     V = build_irrep(A2, Weight((1, 1)))

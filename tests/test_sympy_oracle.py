@@ -3,7 +3,7 @@
 Each step block is read into sympy from its text rendering, and the steps
 are multiplied in sympy's field Q(x_1, ..., x_r, h), which keeps each entry
 in lowest terms by its own polynomial gcd; neither the product nor the
-reduction goes through RatFun.  The longer sweep is marked slow: run it with
+reduction goes through RatFun.  The longer sweeps are marked slow: run them with
 python -m pytest -m slow.
 """
 
@@ -41,10 +41,10 @@ def _sympy_mismatches(V, word, mu):
     return [(r, c) for r in range(diff.rows) for c in range(diff.cols) if diff[r, c] != 0]
 
 
-def _sympy_sweep(algebra, hw, cap, subwords=False):
-    """Compare the first cap reduced words of w0 at every dominant weight,
-    and with subwords also each single letter and each proper suffix of the
-    first word."""
+def _sympy_sweep(algebra, hw, cap, subwords=False, every_weight=False):
+    """Compare the first cap reduced words of w0 at every dominant weight, or
+    with every_weight at every weight, and with subwords also each single
+    letter and each proper suffix of the first word."""
     t = LieType.parse(algebra)
     V = build_irrep(t, Weight(hw))
     words = all_reduced_words(t, longest_element(t), cap=cap)
@@ -52,7 +52,7 @@ def _sympy_sweep(algebra, hw, cap, subwords=False):
         words += [(i,) for i in range(1, t.rank + 1)]
         words += [words[0][-k:] for k in range(2, len(words[0]))]
     compared = 0
-    for mu in [w for w in V.weights() if w.is_dominant()]:
+    for mu in [w for w in V.weights() if every_weight or w.is_dominant()]:
         for word in words:
             assert _sympy_mismatches(V, word, mu) == [], (algebra, hw, mu, word)
             compared += 1
@@ -74,3 +74,11 @@ def test_word_block_matches_sympy_oracle(algebra, hw, compared):
 ])
 def test_word_block_matches_sympy_oracle_sweep(algebra, hw, compared):
     assert _sympy_sweep(algebra, hw, cap=8, subwords=True) == compared
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, hw, compared", [
+    ("A2", (1, 1), 14), ("B2", (1, 1), 24), ("B2", (2, 1), 48), ("A3", (1, 0, 1), 52),
+])
+def test_word_block_matches_sympy_oracle_at_every_weight(algebra, hw, compared):
+    assert _sympy_sweep(algebra, hw, cap=4, every_weight=True) == compared
