@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -274,8 +275,16 @@ def cmd_rep_info(cfg: RunConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # a weight such as -1,-1 is a value, never an option
+        if re.fullmatch(r"-\d+(,-?\d+)*", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynwg",
         description="Exact dynamical Weyl group operators and their geometric verification.",
     )

@@ -3,7 +3,7 @@
 Matrices are lists of row lists of Fractions or ints (a Cartan matrix, an
 integer weight block).  invert and nullspace return Fractions; mat_mul keeps
 int matrices int.  Everything here is small (weight-space dimensions), so
-plain Gauss-Jordan is fine.
+plain Gauss-Jordan is fine: invert, nullspace and rank share one, _reduce.
 """
 
 from __future__ import annotations
@@ -50,33 +50,16 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
 
 
-def invert(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ValueError on singular input."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = ONE / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def nullspace(a: Matrix, cols: int) -> list[Vector]:
-    """Deterministic basis of the kernel of the (rows x cols) matrix a."""
-    if not a:
-        return [[ONE if j == i else ZERO for j in range(cols)] for i in range(cols)]
-    m = [list(row) for row in a]
-    rows = len(m)
+def _reduce(m: Matrix, cols: int) -> list[int]:
+    """Gauss-Jordan on the first cols columns of m, in place: m becomes
+    reduced row echelon there, with its other columns carried along.
+    Returns the pivot columns; pivot row k is row k of m."""
     pivots: list[int] = []
-    r = 0
+    rows = len(m)
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
@@ -88,9 +71,23 @@ def nullspace(a: Matrix, cols: int) -> list[Vector]:
                 ci = m[i][c]
                 m[i] = [x - ci * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return pivots
+
+
+def invert(a: Matrix) -> Matrix:
+    """Inverse by Gauss-Jordan on [a | I]; raises ValueError on singular input."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(a)]
+    if len(_reduce(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in aug]
+
+
+def nullspace(a: Matrix, cols: int) -> list[Vector]:
+    """Deterministic basis of the kernel of the (rows x cols) matrix a: one
+    vector per non-pivot column f, with 1 at f."""
+    m = [list(row) for row in a]
+    pivots = _reduce(m, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -100,6 +97,11 @@ def nullspace(a: Matrix, cols: int) -> list[Vector]:
             v[p] = -m[i][f]
         basis.append(v)
     return basis
+
+
+def rank(a: Matrix, cols: int) -> int:
+    """Rank of the (rows x cols) matrix a."""
+    return len(_reduce([list(row) for row in a], cols))
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
+
+from . import linalg
 
 
 class RatFunError(Exception):
@@ -51,21 +53,6 @@ def _frac(x) -> Fraction:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class _cached:
-    """A computed attribute stored on the instance at first use; like
-    functools.cached_property, without its lock (the objects are immutable)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +114,7 @@ class DegreeOneForm:
     def __hash__(self) -> int:
         return self._hash
 
-    @_cached
+    @cached_property
     def _hash(self) -> int:
         return hash((self.xcoeffs, self.hcoeff))
 
@@ -145,7 +132,7 @@ class DegreeOneForm:
     def shift_h(self, c) -> "DegreeOneForm":
         return DegreeOneForm(self.xcoeffs, self.hcoeff + _frac(c))
 
-    @_cached
+    @cached_property
     def _scaled(self) -> tuple[int, tuple[int, ...]]:
         """(d, ints) with coeffs[i] == ints[i] / d, d the lcm of their denominators."""
         d = lcm(*(c.denominator for c in self.coeffs))
@@ -163,7 +150,7 @@ class DegreeOneForm:
         found = self._canonical
         return (_ONE, self) if found is None else found
 
-    @_cached
+    @cached_property
     def _canonical(self) -> "tuple[Fraction, DegreeOneForm] | None":
         """canonical(), or None when self is canonical (a cached (1, self)
         would be a reference cycle, which only the cyclic collector frees)."""
@@ -180,7 +167,7 @@ class DegreeOneForm:
         canon.__dict__["_canonical"] = None
         return Fraction(num_gcd, den_lcm), canon
 
-    @_cached
+    @cached_property
     def _division(self) -> tuple[Fraction, int, int, int, tuple[tuple[int, int], ...]]:
         """(s, pivot key, pivot shift, pivot coefficient, other (key, coefficient)
         pairs) of the canonical form f with self == s*f; all coefficients are
@@ -198,14 +185,14 @@ class DegreeOneForm:
         """The form with h set to 0."""
         return self._at_h0
 
-    @_cached
+    @cached_property
     def _at_h0(self) -> "DegreeOneForm":
         return DegreeOneForm(self.xcoeffs, _ZERO)
 
     def to_polynomial(self) -> "Polynomial":
         return self._polynomial
 
-    @_cached
+    @cached_property
     def _polynomial(self) -> "Polynomial":
         nx = self.nx
         if self.is_zero():
@@ -516,12 +503,12 @@ _MEMO_SIZE = 4096  # entries a _Substitution's monomial table or form map holds
 
 class _Substitution:
     """The homomorphism x_i -> images[i], h -> h for one tuple of degree-one
-    images in one variable count: whether it is an automorphism (the
-    images' x-coefficients form a square matrix of full rank), each image as
-    an integer dict over the common denominator den, and two tables filled
-    on demand and cleared once they hold _MEMO_SIZE entries: the image of
-    each x-monomial (by packed key, an integer dict over den^degree) and
-    each substituted form."""
+    images in one variable count: each image as an integer row and dict over
+    the common denominator den; whether it is an automorphism (the rows'
+    x-coefficients form a square matrix of full rank, by `linalg.rank`); and
+    two tables filled on demand and cleared once they hold _MEMO_SIZE
+    entries: the image of each x-monomial (by packed key, an integer dict
+    over den^degree) and each substituted form."""
 
     def __init__(self, images: tuple[DegreeOneForm, ...], nx_in: int):
         if len(images) != nx_in:
@@ -534,14 +521,7 @@ class _Substitution:
         self.ints = [{_unit_key(nx, j): c for j, c in enumerate(row) if c} for row in self.rows]
         self.monomials: dict[int, dict[int, int]] = {}
         self.forms: dict[DegreeOneForm, DegreeOneForm] = {}
-        rows = [row[:-1] for row in self.rows]  # integer elimination
-        for col in range(nx if nx == nx_in else 0):
-            pivot = next((row for row in rows if row[col]), None)
-            if pivot is None:
-                break
-            rows = [[pivot[col] * a - row[col] * b for a, b in zip(row, pivot)]
-                    for row in rows if row is not pivot]
-        self.automorphism = not rows
+        self.automorphism = nx == nx_in and linalg.rank([row[:-1] for row in self.rows], nx) == nx
 
     def form(self, f: DegreeOneForm) -> DegreeOneForm:
         found = self.forms.get(f)
@@ -646,8 +626,9 @@ def _rational_roots(coeffs: list[Fraction]) -> set[Fraction]:
 _CANDIDATE_CAP = 4096
 
 
-def _find_linear_factor(p: Polynomial) -> DegreeOneForm:
-    """One linear factor of a homogeneous p (degree >= 1), else raise."""
+def _find_linear_factor(p: Polynomial) -> tuple[DegreeOneForm, Polynomial]:
+    """(f, p / f) for one linear factor f of a homogeneous p (degree >= 1),
+    else raise."""
     nx = p.nx
     nvars = nx + 1
     terms = p.terms
@@ -656,7 +637,7 @@ def _find_linear_factor(p: Polynomial) -> DegreeOneForm:
         coeffs = [Fraction(0)] * nvars
         for e, c in terms.items():
             coeffs[e.index(1)] = c
-        return DegreeOneForm(tuple(coeffs[:nx]), coeffs[nx])
+        return DegreeOneForm(tuple(coeffs[:nx]), coeffs[nx]), Polynomial.const(1, nx)
     present = sorted({i for e in terms for i, k in enumerate(e) if k})
     v = present[0]
     k = max(e[v] for e in terms)
@@ -664,10 +645,11 @@ def _find_linear_factor(p: Polynomial) -> DegreeOneForm:
     lead_poly = Polynomial(nx, lead)
     if not lead_poly.is_constant():
         # factors not involving the pivot variable live in the leading coefficient
-        f = _find_linear_factor(lead_poly)
-        if p.divide_by_form(f) is None:
+        f, _ = _find_linear_factor(lead_poly)
+        q = p.divide_by_form(f)
+        if q is None:
             raise NotInvertibleError("numerator is not a product of degree-one forms")
-        return f
+        return f, q
     # every factor involves the pivot; harvest slope candidates per variable
     slope_sets: list[list[Fraction]] = []
     others = [j for j in range(nvars) if j != v]
@@ -698,8 +680,9 @@ def _find_linear_factor(p: Polynomial) -> DegreeOneForm:
         for j, s in zip(others, combo):
             coeffs[j] = s
         f = DegreeOneForm(tuple(coeffs[:nx]), coeffs[nx])
-        if p.divide_by_form(f) is not None:
-            return f
+        q = p.divide_by_form(f)
+        if q is not None:
+            return f, q
     raise NotInvertibleError("numerator is not a product of degree-one forms")
 
 
@@ -710,16 +693,13 @@ def factor_into_forms(p: Polynomial) -> tuple[Fraction, list[DegreeOneForm]]:
     if not p.is_homogeneous():
         raise NotInvertibleError("numerator is not a product of degree-one forms")
     forms: list[DegreeOneForm] = []
-    cur = p
+    const, cur = _ONE, p
     while cur.total_degree() > 0:
-        f = _find_linear_factor(cur)
+        f, cur = _find_linear_factor(cur)
         s, canon = f.canonical()
-        nxt = cur.divide_by_form(canon)
-        if nxt is None:
-            raise NotInvertibleError("numerator is not a product of degree-one forms")
         forms.append(canon)
-        cur = nxt
-    return cur.constant_value(), forms
+        const *= s
+    return const * cur.constant_value(), forms
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from itertools import groupby
+from math import factorial, lcm, prod
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -136,18 +137,13 @@ def _symmetrizers(t: LieType) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(t: LieType) -> Matrix:
-    return linalg.invert(cartan_matrix(t))
-
-
-@lru_cache(maxsize=None)
 def _root_frame(t: LieType) -> tuple[int, tuple[Coords, ...], int, Coords]:
     """(D, adj, L, dl), all integers, with D * A^-1 = adj and L * d = dl.
 
     adj maps fundamental coordinates to D times simple-root coordinates, and
     the W-invariant inner product is (mu, nu) = sum_j (adj nu)_j dl_j mu_j / (D L).
     """
-    inv = _cartan_inverse(t)
+    inv = linalg.invert(cartan_matrix(t))
     D = lcm(*(x.denominator for row in inv for x in row))
     d = _symmetrizers(t)
     L = lcm(*(x.denominator for x in d))
@@ -292,17 +288,8 @@ class Irrep:
 
     def basis_labels(self, nu: Weight) -> list[str]:
         """Divided-power monomial labels, e.g. f1^(2)*f2*v."""
-        labels = []
-        for word in self.basis.get(nu, []):
-            parts = []
-            for letter in word:
-                if parts and parts[-1][0] == letter:
-                    parts[-1][1] += 1
-                else:
-                    parts.append([letter, 1])
-            text = "*".join(f"f{i}" if n == 1 else f"f{i}^({n})" for i, n in parts)
-            labels.append(f"{text}*v" if text else "v")
-        return labels
+        return ["*".join([f"f{i}" if n == 1 else f"f{i}^({n})" for i, n in _runs(word)] + ["v"])
+                for word in self.basis.get(nu, [])]
 
     def e_block(self, i: int, nu: Weight) -> Matrix:
         target = weight_add(nu, simple_root(self.type, i))
@@ -319,16 +306,9 @@ class Irrep:
         return blk
 
 
-def _run_factorials(word: Word) -> int:
-    """Product of the factorials of the run lengths of the word."""
-    out = 1
-    run = 0
-    prev = None
-    for letter in word:
-        run = run + 1 if letter == prev else 1
-        prev = letter
-        out *= run
-    return out
+def _runs(word: Word) -> list[tuple[int, int]]:
+    """(letter, length) for each run of one letter in the word, in order."""
+    return [(letter, len(list(run))) for letter, run in groupby(word)]
 
 
 def _level(t: LieType, hw: Weight, nu: Weight) -> int:
@@ -607,7 +587,8 @@ class _IrrepBuilder:
         # x * ft / fs, where fs and ft are the run-length factorial products of
         # the source and target words: one Fraction per nonzero stored entry,
         # reduced only where ft != fs.
-        fact = {nu: [_run_factorials(w) for w in words] for nu, words in self.basis.items()}
+        fact = {nu: [prod(factorial(n) for _, n in _runs(w)) for w in words]
+                for nu, words in self.basis.items()}
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(blk, nu, target):

@@ -74,13 +74,29 @@ def test_op_usage_errors(capsys, cache_args):
 
 
 def test_op_at_a_negative_weight(capsys, cache_args):
-    # argparse reads "--mu -1,-1" as a missing value; "--mu=-1,-1" passes it
     code, out, _ = run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu=-1,-1",
                        "--word", "1,2,1", *cache_args)
     V = rep.build_irrep(rootdata.LieType.parse("A2"), rootdata.Weight((1, 1)))
     block = dynweyl.word_operator_block(V, (1, 2, 1), rootdata.Weight((-1, -1)))
     assert code == 0 and out == block.format() + "\n"
     assert "V_(-1,-1) -> V_(1,1)" in out
+    # the spaced form is read as the same value, not as an option
+    assert run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu", "-1,-1",
+               "--word", "1,2,1", *cache_args) == (0, out, "")
+
+
+USAGE_ERRORS = {
+    "verify rep": "verify rep requires --algebra",
+    "rep-info --algebra A2": "this command requires --algebra and --hw",
+    "rep-info --hw 1,1": "--hw requires --algebra",
+    "rep-info --algebra A2 --hw 1,-1": "--hw 1,-1 is not dominant",
+    "op --mu 0,0": "--mu requires --algebra",
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+def test_missing_or_non_dominant_arguments_are_usage_errors(capsys, argv):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {USAGE_ERRORS[argv]}\n")
 
 
 def test_verify_satake_rank1(capsys, cache_args):
@@ -393,6 +409,14 @@ def test_term_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
                          r" ([234]) of 4, over the cap of 10\n", err)
     assert found and int(found[3]) > 10, err
     assert cli._irrep_memo[1].word_steps == {}  # released by the case that stopped
+
+
+def test_degree_cap_stops_composition_with_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(dynweyl, "MAX_DEGREE", 1)
+    code, out, err = run(capsys, "op", "--algebra", "A2", "--hw", "1,1", "--mu=-1,-1",
+                         "--word", "1,2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: A_w on V_(-1,-1): numerator degree 2 after step 2 of 3, over 1\n"
 
 
 def test_unwritable_cache_is_a_usage_error(capsys, tmp_path):

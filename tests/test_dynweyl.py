@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -332,6 +333,16 @@ def test_single_letter_matches_simple_block():
     a = word_operator_block(V, (1,), Weight((0, 0)))
     b = simple_reflection_block(V, 1, Weight((0, 0)), xi)
     assert a.equals(b)
+
+
+def test_blocks_between_other_spaces_are_not_equal():
+    # the empty word's identity blocks: equal entries, other source and target
+    V = build_irrep(A2, Weight((1, 1)))
+    a = word_operator_block(V, (), Weight((1, 1)))
+    b = word_operator_block(V, (), Weight((-1, 2)))
+    assert a.matrix == b.matrix and a.equals(a)
+    assert not a.equals(b)
+    assert not a.equals(dataclasses.replace(a, target=b.target))
 
 
 def test_a1_v4_block():

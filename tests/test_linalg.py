@@ -39,6 +39,14 @@ def test_nullspace_full_and_trivial():
     assert linalg.nullspace(linalg.identity(2), 2) == []
 
 
+def test_rank_leaves_its_input_unchanged():
+    a = [[1, 2, 3], [2, 4, 6]]
+    assert linalg.rank(a, 3) == 1 and a == [[1, 2, 3], [2, 4, 6]]
+    assert linalg.rank(a, 1) == 1
+    assert linalg.rank([[F(1, 2), 1], [1, F(1, 3)]], 2) == 2
+    assert linalg.rank([], 2) == 0
+
+
 def test_mat_vec_and_arithmetic():
     a = [[F(1), F(2)], [F(3), F(4)]]
     assert linalg.mat_vec(a, [F(1), F(1)]) == [F(3), F(7)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from dynwg import ratfun
 from dynwg.ratfun import (
     DegreeOneForm,
+    NotInvertibleError,
     PoleCollapseError,
     PoleError,
     Polynomial,
@@ -17,6 +19,7 @@ from dynwg.ratfun import (
 from ratfun_text import parse_ratfun
 
 F = Fraction
+NOT_FORMS = "numerator is not a product of degree-one forms"
 
 
 def rf(text, nx=2):
@@ -51,6 +54,20 @@ def test_polynomial_degree_limit():
     assert (x1 ** 65535).total_degree() == 65535
     with pytest.raises(RatFunError):
         x1 ** 65536
+
+
+def test_exponent_vectors_out_of_range_are_rejected():
+    for e in ((-1, 0), (65536, 0)):
+        with pytest.raises(RatFunError, match=rf"^exponent vector \({e[0]}, 0\) out of range$"):
+            Polynomial(1, {e: 1})
+
+
+def test_mixed_variable_counts_are_rejected():
+    one, two = Polynomial.const(1, 1), Polynomial.const(1, 2)
+    for call in (lambda: one + two, lambda: one.divide_by_form(DegreeOneForm.make([1, 0])),
+                 lambda: RatFun.one(1) + RatFun.one(2)):
+        with pytest.raises(ValueError, match="^mixed variable counts$"):
+            call()
 
 
 def test_polynomial_powers_match_repeated_products():
@@ -171,7 +188,7 @@ def test_factor_into_forms():
     for f in forms:
         rebuilt = rebuilt * f.to_polynomial()
     assert rebuilt == p
-    with pytest.raises(Exception):
+    with pytest.raises(NotInvertibleError, match=f"^{NOT_FORMS}$"):
         # x1^2 + h^2 is irreducible over the rationals
         factor_into_forms(rf("x1^2 + h^2").num)
 
@@ -219,8 +236,12 @@ def test_inverse_and_division():
     a = rf("-(x1+2*h)/x1")
     assert a * a.inv() == rf("1")
     assert rf("(x1-h)") / rf("(x1-h)") == rf("1")
-    with pytest.raises(Exception):
+    with pytest.raises(NotInvertibleError, match=f"^{NOT_FORMS}$"):
         rf("(x1^2+h^2)/x2").inv()
+    with pytest.raises(NotInvertibleError, match="^zero has no reciprocal$"):
+        RatFun.zero(2).inv()
+    with pytest.raises(NotInvertibleError, match=f"^{NOT_FORMS}$"):
+        rf("x1 + 1").inv()  # not homogeneous
 
 
 def test_evaluate_and_pole():
@@ -233,6 +254,36 @@ def test_evaluate_and_pole():
         with pytest.raises(PoleError):
             b.evaluate(point)
     assert b.evaluate([F(1), F(0), F(1)]) == F(1, 9)
+
+
+def test_from_factors_rejects_zero_forms():
+    zero, x1 = DegreeOneForm.make([0], 0), DegreeOneForm.make([1], 0)
+    with pytest.raises(ValueError, match="^zero form in numerator factors$"):
+        RatFun.from_factors(1, [x1, zero], [], 1)
+    with pytest.raises(ValueError, match="^zero form in denominator factors$"):
+        RatFun.from_factors(1, [x1], [x1, zero], 1)
+
+
+class _Draws:
+    """A stand-in rng for eq_by_evaluation: randint returns the next
+    numerator, and 1 for each denominator (drawn from 1..997)."""
+
+    def __init__(self, numerators):
+        self.numerators = iter(numerators)
+
+    def randint(self, lo, hi):
+        return 1 if lo == 1 else next(self.numerators)
+
+
+def test_eq_by_evaluation_skips_poles_and_gives_up():
+    a = rf("1/x1", 1)
+    # the first point (0, 5) is a pole of a; the next three are compared
+    draws = _Draws([0, 5, 1, 2, 3, 4, 5, 6, 7])
+    assert eq_by_evaluation(a, a, draws)
+    assert next(draws.numerators) == 7
+    assert not eq_by_evaluation(a, rf("1/x1 + h", 1), _Draws([0, 5, 1, 2]))
+    with pytest.raises(RatFunError, match="^could not find enough non-pole sample points$"):
+        eq_by_evaluation(a, a, _Draws(itertools.repeat(0)))
 
 
 def test_evaluate_matches_fraction_arithmetic():
@@ -264,6 +315,8 @@ def test_substitute_cancels_only_when_not_invertible():
     # x1, x2 -> x2 is singular: numerator and denominator collapse together
     collapsed = a.substitute([DegreeOneForm.make([0, 1]), DegreeOneForm.make([0, 1])])
     assert collapsed == rf("1") and collapsed.den == ()
+    # into one variable, x1, x2 -> x1 has full rank 1 but is no automorphism
+    assert a.substitute([DegreeOneForm.make([1]), DegreeOneForm.make([1])]) == rf("1", 1)
     # the swap x1 <-> x2, scaled, is invertible and keeps the quotient reduced
     swapped = a.substitute([DegreeOneForm.make([0, 2]), DegreeOneForm.make([3, 0])])
     assert swapped == rf("(2*x2+h)/(3*x1+h)")

@@ -495,6 +495,16 @@ def _break_invariant(name: str, patch):
     if name == "shap":
         patch("_exact", lambda x: Fraction(x, 3))  # e-block entries divided by 3
         return lambda: build_irrep(A1, Weight((2,)))
+    if name == "positive_definite":
+        patch("_exact", lambda x: -x)  # e-block entries negated
+        return lambda: build_irrep(A1, Weight((2,)))
+    if name == "string_fill":
+        # a kernel that misses its first vector leaves V_0 of the adjoint
+        # representation of A2 without its two sl(2)_1-strings
+        V = build_irrep(A2, Weight((1, 1)))
+        patch("linalg", SimpleNamespace(**dict(
+            vars(linalg), nullspace=lambda a, cols: linalg.nullspace(a, cols)[1:])))
+        return lambda: sl2_strings(V, 1, Weight((0, 0)))
     raise KeyError(name)
 
 
@@ -504,6 +514,8 @@ INVARIANT_CHECKS = {
     "freudenthal": r"Freudenthal multiplicity 1/3 at 0 in V\(2\) is not a natural number",
     "level": "0,0 is not in the root lattice coset of 1,0",
     "shap": "contravariant form 4/3 on f-monomials is not an integer",
+    "positive_definite": "^contravariant form is not positive definite$",
+    "string_fill": r"^sl\(2\)-string decomposition does not fill the weight space$",
 }
 
 _BREAK_INVARIANT = """

@@ -113,6 +113,10 @@ def test_all_reduced_words():
     # A3 longest element famously has 16 reduced words
     assert len(all_reduced_words(A3, longest_element(A3))) == 16
     assert len(all_reduced_words(A3, longest_element(A3), cap=5)) == 5
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        all_reduced_words(A2, (1, 2), cap=0)
+    with pytest.raises(RootDataError, match=r"^word \[1, 2, 2\] is not reduced$"):
+        all_reduced_words(A2, (1, 2, 2))
 
 
 def canonical_word(t, word):
