@@ -8,9 +8,9 @@ variable xi twisted to the pairing of x against the t-th crossing coroot.
 The blocks are multiplied fraction-free, as matrices of packed integer
 polynomials over one integer and one product D of degree-one forms, and each
 entry is reduced once, at the end.  A word reuses the step products of its
-longest common suffix with the last word composed at the same weight, and a
-product of more than TERM_CAP terms stops the composition (see
-word_operator_block).
+longest common suffix with the last word composed at the same weight, and
+that word's reduced entries when its product is the same; a product of more
+than TERM_CAP terms stops the composition (see word_operator_block).
 """
 
 from __future__ import annotations
@@ -100,15 +100,23 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
 
         (-1)^k * prod_{j=1..k} (xi + (j+1)h) / (xi + (j-m+k)h)
 
-    In lowest terms its denominator forms are xi + s*h, s <= min(1, 2k - m).
-    Kept for the last 4096 (m, k, xi) (about 2 KB each); RatFun is
-    immutable, so the callers share the result.
+    The numerator shifts 2..k+1 and the denominator shifts k-m+1..2k-m share
+    2..2k-m, so in lowest terms its denominator forms are xi + s*h,
+    s <= min(1, 2k - m).  Distinct shifts of an xi with an x-part are coprime,
+    so the rest is built with no trial division; an h-only xi goes through
+    RatFun.from_factors, which reduces it and rejects a zero form.  Kept for
+    the last 4096 (m, k, xi) (about 2 KB each); callers share the result.
     """
     if k < 0 or k > m:
         raise DynWeylError(f"string component (m={m}, k={k}) needs 0 <= k <= m")
-    num_forms = [xi.shift_h(j + 1) for j in range(1, k + 1)]
-    den_forms = [xi.shift_h(j - m + k) for j in range(1, k + 1)]
-    return RatFun.from_factors((-1) ** k, num_forms, den_forms, xi.nx)
+    if not any(xi.xcoeffs):
+        return RatFun.from_factors((-1) ** k, [xi.shift_h(j + 1) for j in range(1, k + 1)],
+                                   [xi.shift_h(j - m + k) for j in range(1, k + 1)], xi.nx)
+    num = Polynomial.const((-1) ** k, xi.nx)
+    for s in range(max(2, 2 * k - m + 1), k + 2):
+        num = num * xi.shift_h(s).to_polynomial()
+    den = [(xi.shift_h(s), 1) for s in range(k - m + 1, min(1, 2 * k - m) + 1)]
+    return RatFun._over_forms(num, den, ())
 
 
 def string_data(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
@@ -128,16 +136,16 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     goes to c(m,k,xi) f_i^(m-k) u.
     """
     target = simple_reflection(V.type, i, nu)  # raises on an index out of range
-    nx = V.type.rank
-    matrix = [[RatFun.zero(nx) for _ in range(V.weight_dim(nu))]
-              for _ in range(V.weight_dim(target))]
+    matrix = [[None] * V.weight_dim(nu) for _ in range(V.weight_dim(target))]
     for comp in string_data(V, i, nu):
         c = rank1_coefficient(comp.m, comp.k, xi)
         for row, transfer_row in zip(matrix, comp.transfer):
             for col, s in enumerate(transfer_row):
-                if s:
-                    row[col] = row[col] + c.scale(s)
-    return OperatorBlock(V=V, word=(i,), source=nu, target=target, matrix=matrix)
+                if s:  # the first string's term, or a sum where strings meet
+                    row[col] = c.scale(s) if row[col] is None else row[col] + c.scale(s)
+    zero = RatFun.zero(V.type.rank)
+    return OperatorBlock(V=V, word=(i,), source=nu, target=target,
+                         matrix=[[zero if e is None else e for e in row] for row in matrix])
 
 
 def _integer_block(matrix: RatMatrix) -> tuple[IntMatrix, int, dict]:
@@ -195,8 +203,10 @@ def _imat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
+@lru_cache(maxsize=None)
 def _step_variable(gamma: CorootVector) -> DegreeOneForm:
-    """xi = <x, gamma> + (ht(gamma) - 1) h for a crossing coroot gamma."""
+    """xi = <x, gamma> + (ht(gamma) - 1) h for a crossing coroot gamma, one
+    instance each, so the rank-1 memo's keys compare by identity."""
     return DegreeOneForm.make(gamma.coords, gamma.height() - 1)
 
 
@@ -227,8 +237,9 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     The products after each step depend only on V, mu and the letters so far,
     so the step products of the last word composed at mu are kept on V
     (V.word_steps), and a word reuses those of its longest common suffix with
-    that word.  A product whose numerators hold more than TERM_CAP terms
-    raises DynWeylError.
+    that word; a word whose product and target equal that word's gets its
+    reduced entries, in fresh row lists.  A product whose numerators hold
+    more than TERM_CAP terms raises DynWeylError.
     """
     word = tuple(word)
     t = V.type
@@ -242,10 +253,11 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     if len(word) == 1:
         return simple_reflection_block(V, word[0], mu, _step_variable(gammas[0]))
     letters = word[::-1]
-    steps = V.word_steps.get(mu)
-    if steps is None:
+    memo = V.word_steps.get(mu)
+    if memo is None:
         V.word_steps.clear()  # products at another mu are never reused
-        steps = V.word_steps[mu] = []
+        memo = V.word_steps[mu] = [[], None]
+    steps = memo[0]
     # steps[s] = (letter, N, L, D, weight) after the first s + 1 letters
     shared = 0
     while shared < min(len(steps), len(word)) and steps[shared][0] == letters[shared]:
@@ -277,11 +289,16 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
         # two distinct reduced words of one element share at most len(word) - 2 letters
         if step < len(word) - 2:
             steps.append((letter, num, scale, den, cur))
-    # RatFun.__mul__ trial-divides the numerator by exactly the forms of D
-    over_d = RatFun.from_factors(1, [], [f for f, m in den.items() for _ in range(m)], nx)
-    matrix = [[RatFun(Polynomial.from_ints(nx, e, scale), ()) * over_d for e in row]
-              for row in num]
-    return OperatorBlock(V=V, word=word, source=mu, target=cur, matrix=matrix)
+    if memo[1] is not None and memo[1][:4] == (cur, scale, den, num):
+        matrix = memo[1][4]  # the same product as the last word: the same entries
+    else:
+        # RatFun.__mul__ trial-divides the numerator by exactly the forms of D
+        over_d = RatFun.from_factors(1, [], [f for f, m in den.items() for _ in range(m)], nx)
+        matrix = [[RatFun(Polynomial.from_ints(nx, e, scale), ()) * over_d for e in row]
+                  for row in num]
+        memo[1] = (cur, scale, den, num, matrix)
+    return OperatorBlock(V=V, word=word, source=mu, target=cur,
+                         matrix=[list(row) for row in matrix])
 
 
 def rho_shift_images(nx: int) -> list[DegreeOneForm]:

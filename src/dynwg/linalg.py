@@ -3,12 +3,14 @@
 Matrices are lists of row lists of Fractions or ints (a Cartan matrix, an
 integer weight block).  invert and nullspace return Fractions; mat_mul keeps
 int matrices int.  Everything here is small (weight-space dimensions), so
-plain Gauss-Jordan is fine: invert, nullspace and rank share one, _reduce.
+plain Gauss-Jordan is fine: invert, nullspace and rank share one, _reduce,
+which eliminates on ints and makes a Fraction only in the rows it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -19,13 +21,6 @@ ONE = Fraction(1)
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -50,10 +45,22 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
 
 
+def int_vector(v: Vector) -> tuple[list[int], int]:
+    """(ints, d) with v == ints / d, d > 0 the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _reduce(m: Matrix, cols: int) -> list[int]:
     """Gauss-Jordan on the first cols columns of m, in place: m becomes
     reduced row echelon there, with its other columns carried along.
-    Returns the pivot columns; pivot row k is row k of m."""
+    Returns the pivot columns; pivot row k is row k of m, in Fractions.
+
+    Fraction-free (Bareiss, Math. Comp. 1968): the rows are scaled to ints,
+    a row is cleared by an int combination with the pivot row and divided by
+    its gcd, and each pivot row is divided by its pivot once, at the end.
+    The other rows are left unnormalized; no caller reads them."""
+    m[:] = [int_vector(row)[0] for row in m]
     pivots: list[int] = []
     rows = len(m)
     for c in range(cols):
@@ -64,20 +71,27 @@ def _reduce(m: Matrix, cols: int) -> list[int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv_p = ONE / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
+        prow, p = m[r], m[r][c]
         for i in range(rows):
             if i != r and m[i][c]:
-                ci = m[i][c]
-                m[i] = [x - ci * y for x, y in zip(m[i], m[r])]
+                g = gcd(p, m[i][c])
+                a, b = p // g, m[i][c] // g
+                new = [a * x - b * y for x, y in zip(m[i], prow)]
+                g = gcd(*new)
+                m[i] = new if g <= 1 else [x // g for x in new]
         pivots.append(c)
+    for r, c in enumerate(pivots):
+        m[r] = [Fraction(x, m[r][c]) for x in m[r]]
     return pivots
 
 
 def invert(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan on [a | I]; raises ValueError on singular input."""
+    """Inverse by Gauss-Jordan on [a | I]; raises ValueError on non-square
+    or singular input."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + identity(n)[i] for i, row in enumerate(a)]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular matrix")
     return [row[n:] for row in aug]

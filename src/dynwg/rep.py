@@ -31,9 +31,9 @@ Introduction to Lie Algebras and Representation Theory, 18.1), and the Serre
 brackets are computed only to name the failures of an irrep that fails.
 A broken invariant of the oracles or the builder raises RepError.
 
-sl2_strings owns the sl(2)-string data of a weight space: it walks each
-primitive down its alpha_i-string once, for its column of the change of basis
-and its image, and keeps only the transfer map that it builds from them.
+sl2_strings owns the sl(2)-string data of a weight space.  It reads each
+primitive's column and image from the primitive's int f_i-walk, which the
+irrep keeps per (i, w) for every weight on the alpha_i-string to share.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import factorial, lcm, prod
+from operator import mul
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -266,8 +267,12 @@ class Irrep:
     # (i, nu) -> sl2_strings(V, i, nu), kept by dynweyl.string_data as long
     # as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # mu -> the step products of the last word that dynweyl.word_operator_block
-    # composed at mu, for the next word to reuse; one mu at a time
+    # (i, w) -> the kernel of e_i at w and each primitive's f_i-walk, and
+    # (i, w) -> f_i on V_w scaled to ints, for sl2_strings (_primitive_walks)
+    string_walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    f_ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # mu -> [step products, reduced product] of the last word that
+    # dynweyl.word_operator_block composed at mu, for the next word to reuse
     word_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -656,43 +661,57 @@ class StringComponent:
     transfer: Matrix
 
 
-def divided_f_powers(V: Irrep, i: int, w: Weight, vec: Vector, depths: tuple) -> list[Vector]:
-    """f_i^(j) vec = f_i^j vec / j! for each j in depths, as Fractions, with
-    vec in the V_w block: one walk down the alpha_i-string of w."""
-    alpha = simple_root(V.type, i)
-    walked = [vec]
-    for _ in range(max(depths)):
-        walked.append(linalg.mat_vec(V.f_block(i, w), walked[-1]))
-        w = weight_sub(w, alpha)
-    return [[Fraction(c, factorial(j)) for c in walked[j]] for j in depths]
+def _primitive_walks(V: Irrep, i: int, w: Weight, depth: int) -> tuple[list[Vector], list]:
+    """The kernel of e_i at w, and each primitive u's f_i-walk: walk[j] is
+    (ints, d) with f_i^j u == ints / d, for j <= depth.  Kept on V and
+    extended on demand, so every weight on the alpha_i-string shares it;
+    each f_i block is scaled to ints once."""
+    data = V.string_walks.get((i, w))
+    if data is None:
+        kernel = linalg.nullspace(V.e_block(i, w), V.weight_dim(w))
+        data = V.string_walks[(i, w)] = kernel, [[linalg.int_vector(u)] for u in kernel]
+    alpha = simple_root(V.type, i).coords
+    for walk in data[1]:
+        while len(walk) <= depth:
+            j = len(walk) - 1
+            key = (i, Weight(tuple(c - j * a for c, a in zip(w.coords, alpha))))
+            if key not in V.f_ints:
+                blk = V.f_block(*key)
+                d = lcm(*(x.denominator for row in blk for x in row))
+                V.f_ints[key] = [[x.numerator * (d // x.denominator) for x in r] for r in blk], d
+            (f, d), (v, den) = V.f_ints[key], walk[-1]
+            walk.append(([sum(map(mul, row, v)) for row in f], den * d))
+    return data
 
 
 def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
     """Decompose V_nu into sl(2)_i strings: V_nu = (+)_k f_i^(k)(ker e_i at nu+k*alpha_i).
 
-    Each primitive u is walked down its string once, for its column
-    f_i^(k) u of the change of basis and its image f_i^(m-k) u."""
+    The column f_i^(k) u of the change of basis and the image f_i^(m-k) u
+    of each primitive u are read from its int walk, so the change of basis
+    is inverted on ints."""
     if nu not in V.basis:
         raise RepError(f"{nu} is not a weight of V({V.hw})")
     alpha = simple_root(V.type, i)
-    found = []  # (m, k, primitives, [(column, image) per primitive])
+    found = []  # (m, k, primitives, walks)
     k, w = 0, nu
     while w in V.basis:
         m = nu[i - 1] + 2 * k
-        kernel = linalg.nullspace(V.e_block(i, w), V.weight_dim(w))
-        if kernel and k <= m:
-            found.append((m, k, kernel, [divided_f_powers(V, i, w, u, (k, m - k)) for u in kernel]))
+        if k <= m and (data := _primitive_walks(V, i, w, max(k, m - k)))[0]:
+            found.append((m, k, *data))
         k += 1
         w = weight_add(w, alpha)
-    cols = [col for *_, walks in found for col, _ in walks]
+    cols = [walk[k][0] for _, k, _, walks in found for walk in walks]
     if len(cols) != V.weight_dim(nu):
         raise RepError("sl(2)-string decomposition does not fill the weight space")
     rows = iter(linalg.invert(linalg.transpose(cols)))  # raises if singular
     components = []
     for m, k, kernel, walks in found:
-        images = [image for _, image in walks]
-        transfer = linalg.mat_mul(linalg.transpose(images), [next(rows) for _ in images])
-        components.append(StringComponent(m, k, kernel, transfer))
+        # column walk[k] / (d_k k!), image walk[m-k] / (d_(m-k) (m-k)!)
+        scaled = [[Fraction(walk[k][1] * factorial(k), walk[m - k][1] * factorial(m - k)) * x
+                   for x in next(rows)] for walk in walks]
+        images = linalg.transpose([walk[m - k][0] for walk in walks])
+        components.append(StringComponent(m, k, kernel, linalg.mat_mul(images, scaled)))
     return components
 
 

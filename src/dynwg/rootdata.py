@@ -219,9 +219,14 @@ def _crossing_coroots_raw(t: LieType, word: WeylWord) -> tuple[CorootVector, ...
 
 
 def is_reduced(t: LieType, word: WeylWord) -> bool:
+    return _is_reduced(t, tuple(word))
+
+
+@lru_cache(maxsize=None)
+def _is_reduced(t: LieType, word: WeylWord) -> bool:
     for i in word:
         _check_index(t, i)
-    gammas = _crossing_coroots_raw(t, tuple(word))
+    gammas = _crossing_coroots_raw(t, word)
     return len(set(gammas)) == len(gammas) and all(g.is_positive() for g in gammas)
 
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from dynwg import cli, dynweyl, geomsatake, rep, rootdata
+from dynwg import cli, dynweyl, geomsatake, ratfun, rep, rootdata
 from dynwg.ratfun import DegreeOneForm, RatFun
 from ratfun_text import parse_ratfun
 
@@ -390,6 +390,55 @@ def test_cocycle_composes_each_shared_suffix_once(monkeypatch):
     assert case["ok"] and case["words_checked"] == 16
     assert len(calls) <= 66
     assert not cli._irrep_memo[1].word_steps  # released at the end of the case
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Counts the calls of owner.name for the rest of the test."""
+    original, calls = getattr(owner, name), []
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cocycle_reduces_each_distinct_product_once(monkeypatch, fresh_rank1_memos):
+    # the 16 words of w0 in A3 have one unreduced product on V(1,0,0) at its
+    # highest weight, so the one entry is reduced, by one product, once
+    monkeypatch.setattr(cli, "_irrep_memo", None)
+    muls = _count_calls(monkeypatch, RatFun, "__mul__")
+    hw = rootdata.Weight((1, 0, 0))
+    words = tuple(rootdata.all_reduced_words(A3, rootdata.longest_element(A3)))
+    case = cli._cocycle_case((cli.RunConfig(algebra=A3, hw=hw), hw, words))
+    assert case["ok"] and case["words_checked"] == 16
+    assert len(muls) == 1
+
+
+def test_cocycle_trial_divisions_on_b2(capsys, monkeypatch, fresh_rank1_memos):
+    # 2,068 before the rank-1 coefficients were built in lowest terms and
+    # an equal product was reduced once
+    monkeypatch.setattr(cli, "_irrep_memo", None)
+    divisions = _count_calls(monkeypatch, ratfun.Polynomial, "divide_by_form")
+    code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
+                       "--jobs", "1")
+    assert code == 0 and "cases pass" in out
+    assert len(divisions) <= 1606
+
+
+def test_blocks_of_two_words_share_entries_but_no_row_list():
+    V = rep.build_irrep(A3, rootdata.Weight((1, 1, 0)))
+    mu = rootdata.Weight((0, 0, 1))
+    first, second = rootdata.all_reduced_words(A3, rootdata.longest_element(A3))[:2]
+    a = dynweyl.word_operator_block(V, first, mu)
+    b = dynweyl.word_operator_block(V, second, mu)
+    assert a.equals(b) and len(a.matrix) > 1
+    assert not {id(row) for row in a.matrix} & {id(row) for row in b.matrix}
+    a.matrix[0][0] = RatFun.zero(3)  # the next word's block is not changed through a
+    c = dynweyl.word_operator_block(V, first, mu)
+    assert c.equals(b) and all(x is y for rc, rb in zip(c.matrix, b.matrix)
+                               for x, y in zip(rc, rb))
 
 
 def test_cocycle_suite_releases_its_step_products(capsys, monkeypatch):

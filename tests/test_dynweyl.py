@@ -20,7 +20,14 @@ from dynwg.dynweyl import (
     word_operator_block,
 )
 from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
-from dynwg.rep import RepError, build_irrep, divided_f_powers, sl2_strings, weight_add, weight_sub
+from dynwg.rep import (
+    RepError,
+    _primitive_walks,
+    build_irrep,
+    sl2_strings,
+    weight_add,
+    weight_sub,
+)
 from dynwg.rootdata import (
     LieType,
     RootDataError,
@@ -84,6 +91,40 @@ def test_rank1_coefficient_general_form():
             assert rank1_coefficient(m, k, X1) == expected
 
 
+def _closed_form(m, k, xi):
+    """RatFun.from_factors of the closed form, every factor kept."""
+    return RatFun.from_factors((-1) ** k, [xi.shift_h(j + 1) for j in range(1, k + 1)],
+                               [xi.shift_h(j - m + k) for j in range(1, k + 1)], xi.nx)
+
+
+def test_rank1_coefficient_is_the_closed_form_at_every_xi():
+    # with an x-part, equal shifts cancel and the rest is built unreduced
+    for xi in (DegreeOneForm.make([1, 0], 0), DegreeOneForm.make([1, 1], -3),
+               DegreeOneForm.make([2, 1], 1)):
+        for m in range(13):
+            for k in range(m + 1):
+                assert rank1_coefficient(m, k, xi) == _closed_form(m, k, xi), (m, k, xi)
+    # an h-only xi goes through from_factors, which reduces to a constant or
+    # rejects a zero factor; the value or the error is the closed form's
+    errors = 0
+    for c in (3, 0, -3, 1, -2):
+        xi = DegreeOneForm.make([0], c)
+        for m in range(13):
+            for k in range(m + 1):
+                try:
+                    expected = _closed_form(m, k, xi)
+                except ValueError as err:
+                    errors += 1
+                    with pytest.raises(ValueError) as got:
+                        rank1_coefficient(m, k, xi)
+                    assert str(got.value) == str(err)
+                else:
+                    got = rank1_coefficient(m, k, xi)
+                    assert got == expected and got.num.is_constant() and not got.den
+    assert errors == 230
+    assert rank1_coefficient(2, 1, DegreeOneForm.make([0], 3)) == RatFun.const(F(-5, 3), 1)
+
+
 def _divided_power_coefficient(n, j, xi):
     """a_j = (-1)^j (xi - (n-1)h)/(xi - (n+j-1)h), the coefficient of
     f_i^(n+j) e_i^(j) in A_{s_i}(xi) on a weight space with <nu, coroot_i> = n."""
@@ -144,7 +185,8 @@ def test_a2_zero_weight_block_string_diagonal():
 
 def _divided_power(V, i, nu, k, raising):
     """e_i^k / k! (raising) or f_i^k / k! on V_nu, from the irrep's weight blocks."""
-    alpha, out = simple_root(V.type, i), linalg.identity(V.weight_dim(nu))
+    n = V.weight_dim(nu)
+    alpha, out = simple_root(V.type, i), [[int(r == c) for c in range(n)] for r in range(n)]
     for _ in range(k):
         if raising:
             out, nu = linalg.mat_mul(V.e_block(i, nu), out), weight_add(nu, alpha)
@@ -277,11 +319,30 @@ def test_string_data_matches_dense_divided_powers():
     assert (compared, one_letter) == (223, 46)
 
 
-def test_divided_f_powers_are_fractions():
+def test_primitive_walks_are_int_walks_shared_along_the_string():
+    # V(2) of A1 in the basis v, f v, f^(2) v: f sends v to f v and f v to
+    # 2 f^(2) v, so the walk of the primitive v is v, f v, 2 f^(2) v
     V = build_irrep(A1, Weight((2,)))
-    out = divided_f_powers(V, 1, Weight((2,)), [1], (0, 1, 2))
-    assert out == [[1], [1], [1]]
-    assert {type(c) for vec in out for c in vec} == {Fraction}
+    kernel, walks = _primitive_walks(V, 1, Weight((2,)), 2)
+    assert kernel == [[1]] and walks == [[([1], 1), ([1], 1), ([2], 1)]]
+    assert {type(x) for walk in walks for v, d in walk for x in v + [d]} == {int}
+    for nu in V.weights():  # every weight of the string reads the one walk
+        sl2_strings(V, 1, nu)
+    assert V.string_walks[(1, Weight((2,)))][1] is walks and len(walks[0]) == 3
+    # G2: f_i^j u == ints / d for every kept walk, against the dense powers
+    G2 = LieType.parse("G2")
+    V = build_irrep(G2, Weight((1, 1)))
+    for i in (1, 2):
+        for nu in V.weights():
+            sl2_strings(V, i, nu)
+    checked = 0
+    for (i, w), data in V.string_walks.items():
+        for u, walk in zip(*data):
+            for j, (ints, d) in enumerate(walk):
+                dense = [factorial(j) * x for x in _dense_f_power(V, i, w, j, u)]
+                assert [F(x, d) for x in ints] == dense
+                checked += 1
+    assert checked == 128
 
 
 def test_simple_reflection_block_checks_the_index_first():

@@ -602,6 +602,27 @@ def test_strings_a2():
         sl2_strings(V3, 1, Weight((5, 5)))
 
 
+def test_string_data_is_pinned_bit_for_bit():
+    # (m, k, primitives, transfer) at every (i, nu) of the 62 irreps of A2,
+    # B2, G2 and A3 of dim <= 48, hashed by repr, so each entry's type (a
+    # Fraction, or an int 0 where no string term lands) counts as well as its
+    # value; the digest is that of the Fraction elimination and the dense
+    # divided-power walk that the int walks replaced
+    digest, components = hashlib.sha256(), 0
+    for algebra in ("A2", "B2", "G2", "A3"):
+        t = LieType.parse(algebra)
+        for hw in dominant_weights_up_to_dim(t, 48):
+            V = build_irrep(t, hw)
+            for i in range(1, t.rank + 1):
+                for nu in V.weights():
+                    for c in sl2_strings(V, i, nu):
+                        digest.update(repr((algebra, hw.coords, i, nu.coords, c.m, c.k,
+                                            c.primitives, c.transfer)).encode())
+                        components += 1
+    assert components == 2942
+    assert digest.hexdigest() == "85c33acdeb28e91a1210c78ddda6d100e66b4216f7d81e0776e5cb11cd999ccb"
+
+
 def test_strings_fill_weight_space():
     V = build_irrep(G2, Weight((0, 1)))
     for i in (1, 2):
