@@ -144,11 +144,12 @@ def _rep_case(args) -> dict:
 
 
 def _run_cases(worker, case_args, jobs: int) -> list[dict]:
-    """Run worker on each case, in a pool of min(jobs, cases) processes if both exceed 1."""
-    if jobs > 1 and len(case_args) > 1:
+    """Run worker on each case, in a pool of min(jobs, cases, CPUs) processes if over 1."""
+    workers = min(jobs, len(case_args), os.cpu_count() or 1)
+    if workers > 1:
         # imported here, so that a process that starts no pool never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(case_args))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, case_args))
     else:
         results = [worker(a) for a in case_args]

@@ -22,7 +22,7 @@ from math import lcm
 
 from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
-from .rep import Irrep, StringComponent, sl2_strings
+from .rep import Irrep, sl2_strings
 from .rootdata import (
     CorootVector,
     Weight,
@@ -119,15 +119,6 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     return RatFun._over_forms(num, den, ())
 
 
-def string_data(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
-    """sl2_strings(V, i, nu): each string's (m, k) and transfer map.  None
-    of it depends on xi, so it is kept on V, once per (i, nu)."""
-    strings = V.string_parts.get((i, nu))
-    if strings is None:
-        strings = V.string_parts[(i, nu)] = sl2_strings(V, i, nu)
-    return strings
-
-
 def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:
     """Block of A_{s_i}: V_nu -> V_{s_i nu}, nu any weight, at variable xi.
 
@@ -137,7 +128,7 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     """
     target = simple_reflection(V.type, i, nu)  # raises on an index out of range
     matrix = [[None] * V.weight_dim(nu) for _ in range(V.weight_dim(target))]
-    for comp in string_data(V, i, nu):
+    for comp in sl2_strings(V, i, nu):
         c = rank1_coefficient(comp.m, comp.k, xi)
         for row, transfer_row in zip(matrix, comp.transfer):
             for col, s in enumerate(transfer_row):

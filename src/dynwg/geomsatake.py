@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynweyl import rank1_coefficient, rho_shift_images, string_data
+from .dynweyl import rank1_coefficient, rho_shift_images
 from .ratfun import DegreeOneForm, RatFun
-from .rep import Irrep
-from .rep import sl2_strings  # noqa: F401  kept bound: perfbench/test_perfbench.py patches it here
+from .rep import Irrep, sl2_strings
 from .rootdata import Weight
 
 
@@ -113,4 +112,4 @@ def levi_restriction_check(V: Irrep, i: int, mu: Weight) -> list[RankOneComparis
     if not mu.is_dominant():
         raise GeomSatakeError(f"source weight {mu} is not dominant")
     xi = DegreeOneForm.make([1 if j == i - 1 else 0 for j in range(V.type.rank)], 0)
-    return [_string_comparison(comp.m, comp.k, xi) for comp in string_data(V, i, mu)]
+    return [_string_comparison(comp.m, comp.k, xi) for comp in sl2_strings(V, i, mu)]

@@ -4,7 +4,9 @@ Matrices are lists of row lists of Fractions or ints (a Cartan matrix, an
 integer weight block).  invert and nullspace return Fractions; mat_mul keeps
 int matrices int.  Everything here is small (weight-space dimensions), so
 plain Gauss-Jordan is fine: invert, nullspace and rank share one, _reduce,
-which eliminates on ints and makes a Fraction only in the rows it returns.
+which eliminates on ints to row echelon form with zeros above and below each
+pivot and leaves the pivots unnormalized; a caller makes a Fraction only for
+an entry it returns.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ def int_vector(v: Vector) -> tuple[list[int], int]:
 
 
 def _reduce(m: Matrix, cols: int) -> list[int]:
-    """Gauss-Jordan on the first cols columns of m, in place: m becomes
-    reduced row echelon there, with its other columns carried along.
-    Returns the pivot columns; pivot row k is row k of m, in Fractions.
+    """Gauss-Jordan on the first cols columns of m, in place: m becomes an
+    int matrix in row echelon form there, with zeros above and below each
+    pivot and its other columns carried along.  Returns the pivot columns;
+    pivot row k is row k of m, its pivot not normalized to 1.
 
     Fraction-free (Bareiss, Math. Comp. 1968): the rows are scaled to ints,
-    a row is cleared by an int combination with the pivot row and divided by
-    its gcd, and each pivot row is divided by its pivot once, at the end.
-    The other rows are left unnormalized; no caller reads them."""
+    and a row is cleared by an int combination with the pivot row and
+    divided by its gcd.  No Fraction is made."""
     m[:] = [int_vector(row)[0] for row in m]
     pivots: list[int] = []
     rows = len(m)
@@ -80,8 +82,6 @@ def _reduce(m: Matrix, cols: int) -> list[int]:
                 g = gcd(*new)
                 m[i] = new if g <= 1 else [x // g for x in new]
         pivots.append(c)
-    for r, c in enumerate(pivots):
-        m[r] = [Fraction(x, m[r][c]) for x in m[r]]
     return pivots
 
 
@@ -94,7 +94,7 @@ def invert(a: Matrix) -> Matrix:
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular matrix")
-    return [row[n:] for row in aug]
+    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(aug)]
 
 
 def nullspace(a: Matrix, cols: int) -> list[Vector]:
@@ -107,8 +107,8 @@ def nullspace(a: Matrix, cols: int) -> list[Vector]:
     for f in free:
         v = [ZERO] * cols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -m[i][f]
+        for row, p in zip(m, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis
 

@@ -31,9 +31,10 @@ Introduction to Lie Algebras and Representation Theory, 18.1), and the Serre
 brackets are computed only to name the failures of an irrep that fails.
 A broken invariant of the oracles or the builder raises RepError.
 
-sl2_strings owns the sl(2)-string data of a weight space.  It reads each
-primitive's column and image from the primitive's int f_i-walk, which the
-irrep keeps per (i, w) for every weight on the alpha_i-string to share.
+sl2_strings owns the sl(2)-string data of a weight space, and keeps it on the
+irrep once per (i, nu).  It reads each primitive's column and image from the
+primitive's int f_i-walk, which the irrep keeps per (i, w) for every weight
+on the alpha_i-string to share.
 """
 
 from __future__ import annotations
@@ -264,8 +265,8 @@ class Irrep:
     e_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu+alpha_i}
     f_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu-alpha_i}
     weight_order: list[Weight] = field(default_factory=list)
-    # (i, nu) -> sl2_strings(V, i, nu), kept by dynweyl.string_data as long
-    # as this irrep
+    # (i, nu) -> sl2_strings(V, i, nu), which only sl2_strings reads and
+    # writes; kept as long as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (i, w) -> the kernel of e_i at w and each primitive's f_i-walk, and
     # (i, w) -> f_i on V_w scaled to ints, for sl2_strings (_primitive_walks)
@@ -689,7 +690,10 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
 
     The column f_i^(k) u of the change of basis and the image f_i^(m-k) u
     of each primitive u are read from its int walk, so the change of basis
-    is inverted on ints."""
+    is inverted on ints.  None of it depends on xi, so the list is kept on
+    V, once per (i, nu), and every caller shares it."""
+    if (strings := V.string_parts.get((i, nu))) is not None:
+        return strings
     if nu not in V.basis:
         raise RepError(f"{nu} is not a weight of V({V.hw})")
     alpha = simple_root(V.type, i)
@@ -712,6 +716,7 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
                    for x in next(rows)] for walk in walks]
         images = linalg.transpose([walk[m - k][0] for walk in walks])
         components.append(StringComponent(m, k, kernel, linalg.mat_mul(images, scaled)))
+    V.string_parts[(i, nu)] = components
     return components
 
 

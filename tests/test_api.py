@@ -68,3 +68,20 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_imports():
+    # a module imports only what it uses, so no import is kept for a test's
+    # sake; __init__ imports to re-export
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{path.name}:{node.lineno}: {bound}" for alias in node.names
+                          if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []

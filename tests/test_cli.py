@@ -240,9 +240,10 @@ def test_pool_output_matches_serial(capsys, tmp_path, suite):
     assert out1 == out2 and json.loads(out1)["ok"] is True
 
 
-def test_pool_is_sized_to_the_work(capsys, monkeypatch):
-    # the pool class is looked up only when a pool starts, so the fake is the one used
-    assert not hasattr(cli, "ProcessPoolExecutor")
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor by a pool that maps in-process and starts
+    no process; returns the list of the max_workers it was asked for."""
     sizes = []
 
     class SerialPool:
@@ -259,10 +260,28 @@ def test_pool_is_sized_to_the_work(capsys, monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_pool_is_sized_to_the_work(capsys, monkeypatch, pool_sizes):
+    # the pool class is looked up only when a pool starts, so the fake is the one used
+    assert not hasattr(cli, "ProcessPoolExecutor")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     code, out, _ = run(capsys, "verify", "levi", "--algebra", "A2", "--hw", "1,1",
                        "--jobs", "64")
     assert code == 0 and out.splitlines()[-1] == "levi: 4/4 cases pass"
-    assert sizes == [4]
+    assert pool_sizes == [4]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])])
+def test_pool_starts_at_most_one_worker_per_cpu(capsys, monkeypatch, pool_sizes, cpus, sizes):
+    # 10 cases and --jobs 64: one worker per CPU, and no pool on one CPU or
+    # where the count is unknown
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, _ = run(capsys, "verify", "rep", "--algebra", "B2", "--dim-cap", "35",
+                       "--jobs", "64")
+    assert code == 0 and out.splitlines()[-1] == "rep: 10/10 cases pass"
+    assert pool_sizes == sizes
 
 
 _POOL_PROBE = """
@@ -359,7 +378,8 @@ def test_levi_decomposes_each_weight_once(capsys, monkeypatch):
     calls = []
 
     def counted(V, i, nu):
-        calls.append((i, nu))
+        if (i, nu) not in V.string_parts:  # a call that decomposes, not a memo hit
+            calls.append((i, nu))
         return original(V, i, nu)
 
     for module in (cli, dynweyl, geomsatake, rep):

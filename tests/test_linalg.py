@@ -143,6 +143,31 @@ def test_rank_leaves_its_input_unchanged():
     assert linalg.rank([], 2) == 0
 
 
+def test_elimination_makes_only_the_fractions_it_returns(monkeypatch):
+    made = []
+
+    class Counted(F):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert linalg.rank(a, 3) == 3 and linalg.rank([[F(1, 2), 1], [1, F(1, 3)]], 2) == 2
+    assert made == []
+    m = [list(row) for row in a]
+    assert linalg._reduce(m, 3) == [0, 1, 2] and made == []
+    # int pivot rows in row echelon form, with zeros above and below each pivot
+    assert {type(x) for row in m for x in row} == {int}
+    assert all(m[r][c] == 0 for r in range(3) for c in range(3) if r != c)
+    assert all(m[r][r] for r in range(3))
+    assert linalg.invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert len(made) == 4  # the right half of [a | I] only
+    made.clear()
+    assert linalg.nullspace([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
+    assert len(made) == 2  # one per pivot and free column
+
+
 def test_mat_vec_and_arithmetic():
     a = [[F(1), F(2)], [F(3), F(4)]]
     assert linalg.mat_vec(a, [F(1), F(1)]) == [F(3), F(7)]

@@ -602,6 +602,23 @@ def test_strings_a2():
         sl2_strings(V3, 1, Weight((5, 5)))
 
 
+def test_sl2_strings_keeps_each_decomposition_on_the_irrep(monkeypatch):
+    V = build_irrep(A2, Weight((1, 1)))
+    nu = Weight((0, 0))
+    first = sl2_strings(V, 1, nu)
+    assert V.string_parts == {(1, nu): first}
+    calls = []
+    for name in ("invert", "nullspace"):
+        monkeypatch.setattr(linalg, name, lambda *a, _f=getattr(linalg, name):
+                            calls.append(a) or _f(*a))
+    assert sl2_strings(V, 1, nu) is first and calls == []  # no second decomposition
+    with pytest.raises(RepError, match="is not a weight"):
+        sl2_strings(V, 1, Weight((5, 5)))
+    assert V.string_parts == {(1, nu): first} and calls == []
+    sl2_strings(V, 2, nu)  # another (i, nu) is decomposed, and kept beside it
+    assert calls and list(V.string_parts) == [(1, nu), (2, nu)]
+
+
 def test_string_data_is_pinned_bit_for_bit():
     # (m, k, primitives, transfer) at every (i, nu) of the 62 irreps of A2,
     # B2, G2 and A3 of dim <= 48, hashed by repr, so each entry's type (a
