@@ -11,10 +11,12 @@ weight-space dimension.
 On raw f-monomials the form takes integer values (Kostant's Z-form), so the
 Gram entries are ints.  The sweep grows the determinant and the integer
 adjugate of the chosen Gram block by bordering (one Schur complement per
-pick, with exact integer division as in Bareiss's elimination).  Candidate
-coordinates and raw e-blocks are kept as ints when integral, as Fractions
-otherwise.  The final rescale to divided powers makes one Fraction per nonzero
-stored generator entry.
+pick, with exact integer division as in Bareiss's elimination).  Both
+generators are read off one int pairing P = <f_i V_{nu+alpha_i}, V_nu>, a
+block of the Gram matrix: f_i = G^-1 P^T, and e_i is its contravariant
+adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Raw
+blocks are ints when integral, Fractions otherwise; the final rescale to
+divided powers makes one Fraction per nonzero stored generator entry.
 
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
 implemented without reference to the constructed matrices.  Both run on
@@ -298,16 +300,15 @@ class Irrep:
                 for word in self.basis.get(nu, [])]
 
     def e_block(self, i: int, nu: Weight) -> Matrix:
-        target = weight_add(nu, simple_root(self.type, i))
-        blk = self.e_blocks.get((i, nu))
-        if blk is None:
-            blk = linalg.zeros(self.weight_dim(target), self.weight_dim(nu))
-        return blk
+        return self._block(self.e_blocks, weight_add, i, nu)
 
     def f_block(self, i: int, nu: Weight) -> Matrix:
-        target = weight_sub(nu, simple_root(self.type, i))
-        blk = self.f_blocks.get((i, nu))
+        return self._block(self.f_blocks, weight_sub, i, nu)
+
+    def _block(self, blocks, shift, i: int, nu: Weight) -> Matrix:
+        blk = blocks.get((i, nu))  # else zeros: V_nu -> V_{shift(nu, alpha_i)}
         if blk is None:
+            target = shift(nu, simple_root(self.type, i))
             blk = linalg.zeros(self.weight_dim(target), self.weight_dim(nu))
         return blk
 
@@ -435,14 +436,22 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
 # construction
 
 
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    return x.numerator if x.denominator == 1 else x
+def _quotient(x: int, d: int):
+    """x / d, as an int when d divides x, else as a Fraction."""
+    return Fraction(x, d) if x % d else x // d
+
+
+def _solve(adj: Matrix, det: int, m: Matrix) -> Matrix:
+    """G^-1 m for int matrices m and adj = det * G^-1."""
+    return [[_quotient(x, det) for x in row] for row in linalg.mat_mul(adj, m)]
 
 
 class _IrrepBuilder:
-    """Builds V(hw) on raw f-monomials.  Gram entries are ints; candidate
-    coordinates and raw e-blocks are ints when integral, Fractions otherwise."""
+    """Builds V(hw) on raw f-monomials.  Gram entries are ints.  At each
+    (i, nu), with sigma = nu + alpha_i, the int pairing P[b][v] = <f_i b, v>
+    of V_sigma with V_nu is a block of the Gram matrix at nu; f_i is
+    G_nu^-1 P^T, and e_i, its contravariant adjoint, is G_sigma^-1 P.  Raw
+    blocks are ints when integral, Fractions otherwise."""
 
     def __init__(self, t: LieType, hw: Weight):
         self.t = t
@@ -452,13 +461,16 @@ class _IrrepBuilder:
         self.up: dict[Coords, tuple[Coords, ...]] = {}  # nu -> (nu + alpha_i for each i)
         self.down: dict[Coords, tuple[Coords, ...]] = {}  # nu -> (nu - alpha_i for each i)
         self._add_shifts(top)
-        # per-weight state, kept for the weights with a nonzero weight space;
-        # basis is filled level by level, each in coordinate order: Irrep's weight order
+        # every weight with a nonzero weight space, filled level by level,
+        # each in coordinate order: Irrep's weight order
         self.basis: dict[Coords, list[Word]] = {top: [()]}
-        self.cand_index: dict[Coords, dict[Word, int]] = {top: {(): 0}}
-        self.cand_gram: dict[Coords, Matrix] = {top: [[1]]}
-        self.cand_coords: dict[Coords, list[Vector]] = {top: [[1]]}
-        self.eblocks: dict[tuple[int, Coords], Matrix] = {(i + 1, top): [] for i in range(t.rank)}
+        # per weight of the last two levels: (each candidate's index, the chosen
+        # rows of the candidate Gram matrix, adj G, det G) for the chosen block G
+        self.gram: dict[Coords, tuple[dict[Word, int], Matrix, Matrix, int]] = {
+            top: ({(): 0}, [[1]], [[1]], 1)}
+        # raw blocks keyed as in Irrep, kept where the block's target is a weight
+        self.eblocks: dict[tuple[int, Coords], Matrix] = {}
+        self.fblocks: dict[tuple[int, Coords], Matrix] = {}
 
     def _add_shifts(self, nu: Coords):
         self.up[nu], self.down[nu] = (
@@ -483,24 +495,25 @@ class _IrrepBuilder:
             cands = sorted(groups[nu], key=lambda c: c[0])
             if self._select(nu, [c[0] for c in cands], self._candidate_gram(cands)):
                 new_weights.append(nu)
-        # e-blocks of the new basis vectors
-        for nu in new_weights:
-            self._compute_eblocks(nu)
+                self._pair(nu)
+        for tau in prev_weights:  # the level below is built
+            del self.gram[tau]
         return new_weights
 
     def _shap(self, c1, c2) -> int:
         """Contravariant form of two candidates via the previous level's data."""
         _, i, tau1, b1 = c1
         _, j, tau2, b2 = c2
-        idx = self.cand_index[tau1]
-        row = self.cand_gram[tau1][idx[self.basis[tau1][b1]]]
+        idx, rows, _, _ = self.gram[tau1]
+        row = rows[b1]
         total = 0
         if i == j and tau1 == tau2:
             # <wt(b'), coroot_i> S(b, b')
             total += tau2[i - 1] * row[idx[self.basis[tau1][b2]]]
-        eb = self.eblocks[(i, tau2)]  # no rows when tau2 + alpha_i is not a weight
-        if eb:
-            for k, bk in enumerate(self.basis[self.up[tau2][i - 1]]):
+        sigma = self.up[tau2][i - 1]
+        if sigma in self.basis:
+            eb = self.eblocks[(i, tau2)]
+            for k, bk in enumerate(self.basis[sigma]):
                 gamma = eb[k][b2]
                 if gamma:
                     total += gamma * row[idx[(j,) + bk]]
@@ -513,9 +526,7 @@ class _IrrepBuilder:
         g = [[0] * n for _ in range(n)]
         for p in range(n):
             for q in range(p, n):
-                v = self._shap(cands[p], cands[q])
-                g[p][q] = v
-                g[q][p] = v
+                g[p][q] = g[q][p] = self._shap(cands[p], cands[q])
         return g
 
     def _select(self, nu: Coords, words: list[Word], gram: Matrix) -> list[int]:
@@ -543,46 +554,20 @@ class _IrrepBuilder:
         if chosen:
             self._add_shifts(nu)
             self.basis[nu] = [words[c] for c in chosen]
-            self.cand_index[nu] = {w: k for k, w in enumerate(words)}
-            self.cand_gram[nu] = gram
-            # candidate coordinates in the chosen basis (needed one level down);
-            # the p-th chosen candidate has the unit vector e_p
-            n = len(chosen)
-            unit = {c: [0] * p + [1] + [0] * (n - 1 - p) for p, c in enumerate(chosen)}
-            self.cand_coords[nu] = [
-                unit[c] if c in unit else
-                [_exact(Fraction(sum(x * gram[k][c] for x, k in zip(row, chosen)), det))
-                 for row in adj]
-                for c in range(len(words))
-            ]
+            self.gram[nu] = ({w: k for k, w in enumerate(words)}, [gram[c] for c in chosen],
+                             adj, det)
         return chosen
 
-    def _compute_eblocks(self, nu: Coords):
-        up = self.up[nu]
-        for i, sigma in enumerate(up, 1):
-            rows = len(self.basis.get(sigma, ()))
-            cols = len(self.basis[nu])
-            blk = [[0] * cols for _ in range(rows)]
-            if rows:
-                sig_basis_pos = {w: k for k, w in enumerate(self.basis[sigma])}
-                for col, word in enumerate(self.basis[nu]):
-                    j, bprime = word[0], word[1:]
-                    tau2 = up[j - 1]  # weight of b'
-                    if i == j:
-                        # delta term: sigma == tau2, b' is a basis word there
-                        blk[sig_basis_pos[bprime]][col] += tau2[i - 1]
-                    eb = self.eblocks[(i, tau2)]  # no rows when tau2 + alpha_i is not a weight
-                    if eb:
-                        bidx = self.basis[tau2].index(bprime)
-                        cidx = self.cand_index[sigma]
-                        ccoords = self.cand_coords[sigma]
-                        for k, bk in enumerate(self.basis[self.up[tau2][i - 1]]):
-                            gamma = eb[k][bidx]
-                            if gamma:
-                                vec = ccoords[cidx[(j,) + bk]]
-                                for r in range(rows):
-                                    blk[r][col] += gamma * vec[r]
-            self.eblocks[(i, nu)] = [[_exact(x) for x in row] for row in blk]
+    def _pair(self, nu: Coords):
+        """f_i on V_sigma and e_i on V_nu, for each weight sigma = nu + alpha_i,
+        from P^T[v][b] = <v, f_i b>, the Gram rows at nu at the candidates f_i b."""
+        idx, rows, adj, det = self.gram[nu]
+        for i, sigma in enumerate(self.up[nu], 1):
+            if sigma in self.basis:
+                pt = [[row[idx[(i,) + b]] for b in self.basis[sigma]] for row in rows]
+                _, _, adj_up, det_up = self.gram[sigma]
+                self.fblocks[(i, sigma)] = _solve(adj, det, pt)
+                self.eblocks[(i, nu)] = _solve(adj_up, det_up, linalg.transpose(pt))
 
     def _assemble(self) -> Irrep:
         # The echelon pivoting picks raw f-monomials; rescale each basis word
@@ -597,23 +582,19 @@ class _IrrepBuilder:
                 for nu, words in self.basis.items()}
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
-        def rescale(blk, nu, target):
-            return [[(Fraction(x) if ft == fs else Fraction(x.numerator * ft, x.denominator * fs))
-                     if x else linalg.ZERO
-                     for x, fs in zip(row, fact[nu])] for row, ft in zip(blk, fact[target])]
+        def rescale(raw, shifts):  # the blocks (i, nu) whose target shifts[nu][i - 1] is a weight
+            return {(i, weight[nu]): [[(Fraction(x) if ft == fs else
+                                        Fraction(x.numerator * ft, x.denominator * fs))
+                                       if x else linalg.ZERO for x, fs in zip(row, fact[nu])]
+                                      for row, ft in zip(raw[(i, nu)], fact[target])]
+                    for nu in self.basis for i, target in enumerate(shifts[nu], 1)
+                    if target in self.basis}
 
-        e_blocks = {(i, weight[nu]): rescale(blk, nu, self.up[nu][i - 1])
-                    for (i, nu), blk in self.eblocks.items() if blk}
-        f_blocks = {}
-        for nu, words in self.basis.items():
-            for i, target in enumerate(self.down[nu], 1):
-                if target in self.basis:
-                    cidx, ccoords = self.cand_index[target], self.cand_coords[target]
-                    cols = [ccoords[cidx[(i,) + b]] for b in words]
-                    f_blocks[(i, weight[nu])] = rescale(linalg.transpose(cols), nu, target)
         return Irrep(type=self.t, hw=self.hw,
                      basis={weight[nu]: words for nu, words in self.basis.items()},
-                     e_blocks=e_blocks, f_blocks=f_blocks, weight_order=list(weight.values()))
+                     e_blocks=rescale(self.eblocks, self.up),
+                     f_blocks=rescale(self.fblocks, self.down),
+                     weight_order=list(weight.values()))
 
 
 def check_dim_cap(hw: Weight, dim: int, dim_cap: int):
@@ -744,14 +725,13 @@ def _triplets_to_matrix(tr, rows: int, cols: int) -> Matrix:
 
 
 def irrep_to_json(V: Irrep) -> dict:
-    weights = []
-    for nu in V.weight_order:
-        weights.append({"coords": list(nu.coords), "words": [list(w) for w in V.basis[nu]]})
-    gens = {"e": [], "f": []}
-    for (i, nu), blk in sorted(V.e_blocks.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)):
-        gens["e"].append({"i": i, "weight": list(nu.coords), "entries": _matrix_to_triplets(blk)})
-    for (i, nu), blk in sorted(V.f_blocks.items(), key=lambda kv: (kv[0][0], kv[0][1].coords)):
-        gens["f"].append({"i": i, "weight": list(nu.coords), "entries": _matrix_to_triplets(blk)})
+    weights = [{"coords": list(nu.coords), "words": [list(w) for w in V.basis[nu]]}
+               for nu in V.weight_order]
+    gens = {}
+    for kind, blocks in (("e", V.e_blocks), ("f", V.f_blocks)):
+        gens[kind] = [{"i": i, "weight": list(nu.coords), "entries": _matrix_to_triplets(blk)}
+                      for (i, nu), blk in sorted(blocks.items(),
+                                                 key=lambda kv: (kv[0][0], kv[0][1].coords))]
     return {
         "version": CACHE_VERSION,
         "type": str(V.type),

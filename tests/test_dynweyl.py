@@ -272,6 +272,58 @@ def test_simple_reflection_block_matches_divided_power_oracle():
     assert _divided_power_sweep() == (640, 0)
 
 
+def _contravariant_forms(V):
+    """nu -> G_nu, the contravariant form on V_nu in V's basis, read off the
+    public e- and f-blocks alone (Shapovalov, Funct. Anal. Appl. 1972).
+
+    G_hw = [[1]].  Below it, <f_i u, v> = <u, e_i v> for u in V_sigma,
+    sigma = nu + alpha_i, says F_i^T G_nu = G_sigma E_i.  Stacked over the
+    sigma that are weights, F^T G_nu = H E, with H the block diagonal of the
+    G_sigma.  The f_i V_sigma span V_nu, so F F^T is invertible and the least
+    squares solution G_nu = (F F^T)^-1 F H E is the only candidate; asserts
+    that it solves the system, is symmetric and has positive leading minors."""
+    forms = {V.hw: [[F(1)]]}
+    for nu in V.weights()[1:]:
+        ft, he = [], []  # F^T and H E, one block row per sigma
+        for i in range(1, V.type.rank + 1):
+            sigma = weight_add(nu, simple_root(V.type, i))
+            if sigma in forms:
+                ft += linalg.transpose(V.f_block(i, sigma))
+                he += linalg.mat_mul(forms[sigma], V.e_block(i, nu))
+        f = linalg.transpose(ft)
+        g = linalg.mat_mul(linalg.invert(linalg.mat_mul(f, ft)), linalg.mat_mul(f, he))
+        assert linalg.mat_mul(ft, g) == he, f"no form at {nu} makes e adjoint to f"
+        assert g == linalg.transpose(g), f"the form at {nu} is not symmetric"
+        pivots = [list(row) for row in g]  # Gaussian elimination without swaps
+        for k, prow in enumerate(pivots):
+            assert prow[k] > 0, f"a leading minor of the form at {nu} is not positive"
+            for row in pivots[k + 1:]:
+                c = row[k] / prow[k]
+                row[:] = [x - c * y for x, y in zip(row, prow)]
+        forms[nu] = g
+    return forms
+
+
+def test_e_blocks_are_contravariant_adjoints_of_f_blocks():
+    for algebra, hw in DIVIDED_POWER_IRREPS:
+        V = build_irrep(LieType.parse(algebra), Weight(hw))
+        assert set(_contravariant_forms(V)) == set(V.weights())
+
+
+@pytest.mark.parametrize("nu,scale,message", [
+    ((0, 0), 2, "not symmetric"),  # two sigma of dimension 1 above V_0 of dimension 2
+    ((-1, -1), 2, "makes e adjoint to f"),  # two sigma above a V_nu of dimension 1
+    ((-1, 2), -1, "leading minor"),  # one sigma, the highest weight
+], ids=str)
+def test_contravariant_oracle_fails_on_a_scaled_e_block(nu, scale, message):
+    V = build_irrep(A2, Weight((1, 1)))
+    key = (1, Weight(nu))
+    bad = dataclasses.replace(V, e_blocks={**V.e_blocks, key: [[scale * x for x in row]
+                                                               for row in V.e_blocks[key]]})
+    with pytest.raises(AssertionError, match=message):
+        _contravariant_forms(bad)
+
+
 STRING_IRREPS = [
     ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 1)),
     ("C3", (0, 1, 0)), ("A4", (1, 0, 0, 1)),

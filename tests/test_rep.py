@@ -493,10 +493,10 @@ def _break_invariant(name: str, patch):
         return lambda: rep.Irrep(A2, Weight((1, 0)), {Weight((1, 0)): [()], Weight((0, 0)): []},
                                  {}, {})
     if name == "shap":
-        patch("_exact", lambda x: Fraction(x, 3))  # e-block entries divided by 3
+        patch("_quotient", lambda x, d: Fraction(x, 3 * d))  # generator entries divided by 3
         return lambda: build_irrep(A1, Weight((2,)))
     if name == "positive_definite":
-        patch("_exact", lambda x: -x)  # e-block entries negated
+        patch("_quotient", lambda x, d: -Fraction(x, d))  # generator entries negated
         return lambda: build_irrep(A1, Weight((2,)))
     if name == "string_fill":
         # a kernel that misses its first vector leaves V_0 of the adjoint
