@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
@@ -228,9 +228,10 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
     The products after each step depend only on V, mu and the letters so far,
     so the step products of the last word composed at mu are kept on V
     (V.word_steps), and a word reuses those of its longest common suffix with
-    that word; a word whose product and target equal that word's gets its
-    reduced entries, in fresh row lists.  A product whose numerators hold
-    more than TERM_CAP terms raises DynWeylError.
+    that word; a word whose product, with P / L in lowest terms, and target
+    equal that word's gets its reduced entries, in fresh row lists.  A
+    product whose numerators hold more than TERM_CAP terms raises
+    DynWeylError.
     """
     word = tuple(word)
     t = V.type
@@ -280,6 +281,9 @@ def word_operator_block(V: Irrep, word: WeylWord, mu: Weight) -> OperatorBlock:
         # two distinct reduced words of one element share at most len(word) - 2 letters
         if step < len(word) - 2:
             steps.append((letter, num, scale, den, cur))
+    # P / L in lowest terms: equal as rational matrices means equal term by term
+    if (g := gcd(scale, *(c for row in num for e in row for c in e.values()))) > 1:
+        num, scale = [[{m: c // g for m, c in e.items()} for e in row] for row in num], scale // g
     if memo[1] is not None and memo[1][:4] == (cur, scale, den, num):
         matrix = memo[1][4]  # the same product as the last word: the same entries
     else:

@@ -43,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
-
-
 def int_vector(v: Vector) -> tuple[list[int], int]:
     """(ints, d) with v == ints / d, d > 0 the lcm of the denominators."""
     d = lcm(*(x.denominator for x in v))

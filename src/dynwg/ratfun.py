@@ -138,12 +138,6 @@ class DegreeOneForm:
         d = lcm(*(c.denominator for c in self.coeffs))
         return d, tuple(c.numerator * (d // c.denominator) for c in self.coeffs)
 
-    def substitute(self, images: "list[DegreeOneForm]") -> "DegreeOneForm":
-        """Apply x_i -> images[i]; h maps to itself.  The result is kept in
-        the images' substitution memo (`_Substitution`), so a repeated
-        substitution returns the same instance, with its cached data."""
-        return _substitutions(tuple(images), self.nx).form(self)
-
     def canonical(self) -> "tuple[Fraction, DegreeOneForm]":
         """Return (s, f) with self == s*f, f primitive-integer with positive
         leading coefficient."""
@@ -361,9 +355,6 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return _poly(self.nx, {e: -c for e, c in self.coeffs.items()}, self.content)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -384,17 +375,13 @@ class Polynomial:
         return _poly(self.nx, {e: -v for e, v in self.coeffs.items()}, self.content * -c)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """self times itself, n factors; polynomials are never changed in
+        place, so self ** 1 is self."""
         if n < 0:
             raise ValueError("negative power")
-        if n == 1:
-            return self  # polynomials are never changed in place
-        out = Polynomial.const(1, self.nx)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        out = self if n else Polynomial.const(1, self.nx)
+        for _ in range(n - 1):
+            out = out * self
         return out
 
     def __eq__(self, other) -> bool:
@@ -403,7 +390,7 @@ class Polynomial:
 
     __hash__ = None  # mutable dict inside
 
-    # -- evaluation / substitution
+    # -- evaluation
 
     def _value(self, pt: list[Fraction]) -> tuple[int, int]:
         """(num, den) ints with value num/den, den > 0, at a point of Fractions."""
@@ -423,12 +410,6 @@ class Polynomial:
         for i, top in enumerate(tops):
             den *= den_pows[i][top]
         return self.content.numerator * total, den
-
-    def substitute(self, images: list[DegreeOneForm]) -> "Polynomial":
-        """Ring homomorphism x_i -> images[i], h -> h: one pass over the
-        terms, with each x-monomial's image read from the images'
-        substitution memo (`_Substitution`)."""
-        return _substitutions(tuple(images), self.nx).polynomial(self)
 
     def divide_by_form(self, form: DegreeOneForm) -> "Polynomial | None":
         """Exact quotient self/form, or None if form does not divide self.
@@ -892,14 +873,6 @@ class RatFun:
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         return self * other.inv()
-
-    def __pow__(self, n: int) -> "RatFun":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RatFun.one(self.nx)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- equality
 

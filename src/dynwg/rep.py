@@ -790,11 +790,11 @@ def save_irrep(V: Irrep, cache_dir: str):
 
 
 def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
-    """The cached V(hw), or None if there is none.  Entries are published by
-    an atomic rename (save_irrep), so the entry is read as it stands.  An
-    entry that cannot be read, is not JSON, does not decode, or holds another
-    type, highest weight or format version counts as missing, so that
-    build_irrep rebuilds and replaces it."""
+    """The cached V(hw), or None if there is none.  Entries are published by an atomic
+    rename (save_irrep), so the entry is read as it stands.  An entry that cannot be
+    read, is not JSON (or nests past the decoder's limit), does not decode (a zero
+    denominator included), or holds another type, highest weight or format version
+    counts as missing, so that build_irrep rebuilds and replaces it."""
     path = os.path.join(cache_dir, cache_filename(t, hw))
     try:
         with open(path) as fh:
@@ -803,5 +803,6 @@ def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
         if not isinstance(obj, dict) or any(obj.get(k) != v for k, v in want.items()):
             return None
         return irrep_from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError, IndexError, RepError, RootDataError):
+    except (OSError, ValueError, KeyError, TypeError, IndexError, ZeroDivisionError,
+            RecursionError, RepError, RootDataError):
         return None

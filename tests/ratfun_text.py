@@ -7,6 +7,7 @@ evaluated in RatFun arithmetic.
 """
 
 import ast
+import functools
 import re
 
 from dynwg.ratfun import Polynomial, RatFun
@@ -22,6 +23,11 @@ def var(i: int, nx: int) -> RatFun:
     return RatFun(Polynomial(nx, {tuple(int(j == i) for j in range(nx + 1)): 1}), ())
 
 
+def power(a: RatFun, n: int) -> RatFun:
+    """a times itself, n >= 0 factors."""
+    return functools.reduce(RatFun.__mul__, [a] * n, RatFun.const(1, a.nx))
+
+
 def parse_ratfun(text: str, nx: int) -> RatFun:
     """The RatFun in nx x-variables that the text denotes."""
 
@@ -30,7 +36,7 @@ def parse_ratfun(text: str, nx: int) -> RatFun:
             n = node.right
             if not (isinstance(n, ast.Constant) and type(n.value) is int and n.value >= 0):
                 raise ValueError("exponent must be a non-negative integer")
-            return value(node.left) ** n.value
+            return power(value(node.left), n.value)
         if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
             return _OPS[type(node.op)](value(node.left), value(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):

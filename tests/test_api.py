@@ -1,13 +1,17 @@
 """The public API is stated in one place: dynwg.__all__, which the README's
 "Library API" section lists name by name.  The README's claims about the
-package's source are checked on its syntax trees."""
+package's source are checked on its syntax trees, and the functions that no
+command reaches are listed here, each with its reason."""
 
 import ast
+import contextlib
+import io
 import pathlib
 import re
 import sys
 
 import dynwg
+from dynwg import cli, dynweyl, geomsatake, ratfun, rep, rootdata
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(dynwg.__file__).resolve().parent
@@ -85,3 +89,93 @@ def test_no_unused_imports():
                 found += [f"{path.name}:{node.lineno}: {bound}" for alias in node.names
                           if (bound := alias.asname or alias.name.split(".")[0]) not in used]
     assert found == []
+
+
+# Functions of the package that no command of test_commands_reach_every_function
+# enters, each with the reason it stays.  A function that leaves this list is
+# either reached or deleted.
+UNREACHED = {
+    # error messages and debugging: reports go through RatFun.format
+    "ratfun.DegreeOneForm.__str__": "names a form in a PoleCollapseError",
+    "ratfun.Polynomial.__str__": "debugging",
+    "ratfun.RatFun.__str__": "debugging",
+    "ratfun.RatFun.__repr__": "debugging",
+    "rootdata.CorootVector.__str__": "names a coroot in word_operator_block's step error",
+    # the exponent-tuple view, with which the tests build and read polynomials
+    "ratfun.Polynomial.__init__": "the tests' exponent-tuple constructor",
+    "ratfun._pack": "packs the exponent tuples of Polynomial.__init__",
+    "ratfun.Polynomial.terms": "the tests' exponent-tuple view",
+    # the field extras (ROADMAP item 12(a)), which only the tests and
+    # perfbench's ratfun-kernel identities reach
+    "ratfun.Polynomial.__neg__": "negation, for RatFun.__neg__",
+    "ratfun.RatFun.__neg__": "negation, for RatFun.__sub__",
+    "ratfun.RatFun.__sub__": "ratfun-kernel's a - a == 0",
+    "ratfun.RatFun.is_zero": "ratfun-kernel's division check",
+    "ratfun.RatFun.__truediv__": "ratfun-kernel's (a / b) * b == a",
+    "ratfun.RatFun.inv": "the reciprocal behind division",
+    "ratfun.factor_into_forms": "the factoriser behind RatFun.inv",
+    "ratfun._find_linear_factor": "the factoriser behind RatFun.inv",
+    "ratfun._rational_roots": "the factoriser behind RatFun.inv",
+    "ratfun._int_divisors": "the factoriser behind RatFun.inv",
+    "ratfun.Polynomial.total_degree": "the factoriser behind RatFun.inv",
+    "ratfun.Polynomial.is_homogeneous": "a predicate only the tests call",
+    "ratfun.eq_by_evaluation": "ratfun-kernel's randomized comparison",
+    "ratfun.RatFun.evaluate": "the evaluation behind eq_by_evaluation",
+    "ratfun.Polynomial._value": "the evaluation behind eq_by_evaluation",
+}
+
+
+def _package_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> dotted name for each def of the package; the
+    first line of a decorated def is its first decorator's, as in its code
+    object's co_firstlineno."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[str(path), line] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path, f"{path.stem}.")
+    return found
+
+
+def test_commands_reach_every_function(tmp_path, monkeypatch):
+    b2 = ["--algebra", "B2", "--hw", "1,1"]
+    commands = [["op", "--algebra", "A2", "--hw", "1,1", "--mu", "0,0", "--word", "1,2,1"],
+                ["op", *b2, "--mu", "1,1", "--word", ""],
+                ["rep-info", *b2],
+                ["verify", "satake-rank1", "--lambda-max", "3"],
+                ["verify", "cocycle", *b2],
+                ["verify", "levi", *b2],
+                ["verify", "rep", "--algebra", "A2", "--dim-cap", "8"]]
+    for module in (dynweyl, geomsatake, ratfun, rep, rootdata):  # memo hits enter nothing
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for command in commands:
+            for fmt in ("text", "json"):
+                for cache in ([], ["--cache-dir", str(tmp_path)]):
+                    monkeypatch.setattr(cli, "_irrep_memo", None)
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main([*command, "--format", fmt, *cache, "--jobs", "1"])
+                    assert code == 0, command
+    finally:
+        sys.setprofile(previous)
+    functions = _package_functions()
+    assert {name for key, name in functions.items() if key not in entered} == set(UNREACHED)

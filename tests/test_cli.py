@@ -438,13 +438,14 @@ def test_cocycle_reduces_each_distinct_product_once(monkeypatch, fresh_rank1_mem
 
 def test_cocycle_trial_divisions_on_b2(capsys, monkeypatch, fresh_rank1_memos):
     # 2,068 before the rank-1 coefficients were built in lowest terms and
-    # an equal product was reduced once
+    # an equal product was reduced once, and 1,606 before products were
+    # compared in lowest terms
     monkeypatch.setattr(cli, "_irrep_memo", None)
     divisions = _count_calls(monkeypatch, ratfun.Polynomial, "divide_by_form")
     code, out, _ = run(capsys, "verify", "cocycle", "--algebra", "B2", "--hw", "2,2",
                        "--jobs", "1")
     assert code == 0 and "cases pass" in out
-    assert len(divisions) <= 1606
+    assert len(divisions) <= 1472
 
 
 def test_blocks_of_two_words_share_entries_but_no_row_list():

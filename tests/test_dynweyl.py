@@ -195,9 +195,13 @@ def _divided_power(V, i, nu, k, raising):
     return [[Fraction(c, factorial(k)) for c in row] for row in out]
 
 
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in a]
+
+
 def _dense_f_power(V, i, nu, k, vec):
     """f_i^(k) vec for vec in the V_nu block, as the dense matrix f_i^k / k!."""
-    return linalg.mat_vec(_divided_power(V, i, nu, k, raising=False), vec)
+    return _mat_vec(_divided_power(V, i, nu, k, raising=False), vec)
 
 
 def _dense_string_walks(V, i, nu):

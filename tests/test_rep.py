@@ -143,9 +143,13 @@ def _oracle_symmetrizers(t):
     return d
 
 
+def _mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in a]
+
+
 def _oracle_root_coords(t, mu):
     inv = linalg.invert([[F(x) for x in row] for row in cartan_matrix(t)])
-    return linalg.mat_vec(inv, [F(c) for c in mu.coords])
+    return _mat_vec(inv, [F(c) for c in mu.coords])
 
 
 def _oracle_ip(t, mu, nu):
@@ -663,7 +667,7 @@ def test_string_primitives_killed_by_e():
             if k in by_k:
                 blk = V.e_block(i, w)
                 for u in by_k[k].primitives:
-                    assert not any(linalg.mat_vec(blk, u))
+                    assert not any(_mat_vec(blk, u))
             w = weight_add(w, alpha)
 
 
@@ -739,7 +743,19 @@ def _fault_weight_off_the_lattice(text):
     return json.dumps(obj)
 
 
+def _fault_zero_denominator(text):
+    obj = json.loads(text)
+    obj["generators"]["e"][0]["entries"][0][2] = "1/0"
+    return json.dumps(obj)
+
+
+def _fault_nested_past_the_decoder(text):
+    # json raises RecursionError, not ValueError, on nesting this deep
+    return text[:-1] + ', "extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 CACHE_FAULTS = {
+    "nested-past-the-decoder": _fault_nested_past_the_decoder,
     "negative-index": _fault_negative_index,
     "non-integer-weight": _fault_non_integer_weight,
     "off-lattice-weight": _fault_weight_off_the_lattice,
@@ -747,6 +763,7 @@ CACHE_FAULTS = {
     "other-version": _fault_other_version,
     "truncated": lambda text: text[: len(text) // 2],
     "undecodable": lambda text: "\udcff" + text,
+    "zero-denominator": _fault_zero_denominator,
 }
 
 
