@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -314,10 +314,6 @@ class Polynomial:
         return _normalized(self.nx, {e: c for e, c in self.coeffs.items() if not e & _MASK},
                            content.numerator, content.denominator)
 
-    def is_homogeneous(self) -> bool:
-        shift = _W * (self.nx + 1)
-        return len({e >> shift for e in self.coeffs}) <= 1
-
     # -- arithmetic
 
     def _check(self, other: "Polynomial"):
@@ -568,33 +564,23 @@ _substitutions = lru_cache(maxsize=16)(_Substitution)
 # linear-factor extraction (for reciprocals)
 
 
-def _int_divisors(n: int) -> list[int]:
+def _int_divisors(n: int) -> set[int]:
     n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
-def _rational_roots(coeffs: list[Fraction]) -> set[Fraction]:
-    """All rational roots of sum(coeffs[k] * v^k)."""
-    den = lcm(*(c.denominator for c in coeffs if c))
-    ic = [int(c * den) for c in coeffs]
+def _rational_roots(ic: list[int]) -> set[Fraction]:
+    """All rational roots of sum(ic[k] * v^k), for ints ic[k] with ic[-1] != 0."""
     roots: set[Fraction] = set()
-    while ic and ic[0] == 0:
-        roots.add(Fraction(0))
+    while ic[0] == 0:
+        roots.add(_ZERO)
         ic = ic[1:]
-    if len(ic) <= 1:
-        return roots
-    lead = ic[-1]
-    const = ic[0]
     n = len(ic) - 1
-    for p in _int_divisors(const):
-        for q in _int_divisors(lead):
+    if not n:
+        return roots
+    for p in _int_divisors(ic[0]):
+        for q in _int_divisors(ic[-1]):
             if gcd(p, q) != 1:
                 continue
             for sp in (p, -p):
@@ -604,75 +590,68 @@ def _rational_roots(coeffs: list[Fraction]) -> set[Fraction]:
     return roots
 
 
-_CANDIDATE_CAP = 4096
+_NOT_FORMS = "numerator is not a product of degree-one forms"
 
 
 def _find_linear_factor(p: Polynomial) -> tuple[DegreeOneForm, Polynomial]:
-    """(f, p / f) for one linear factor f of a homogeneous p (degree >= 1),
-    else raise."""
-    nx = p.nx
-    nvars = nx + 1
-    terms = p.terms
-    degree = p.total_degree()
-    if degree == 1:
-        coeffs = [Fraction(0)] * nvars
-        for e, c in terms.items():
-            coeffs[e.index(1)] = c
-        return DegreeOneForm(tuple(coeffs[:nx]), coeffs[nx]), Polynomial.const(1, nx)
-    present = sorted({i for e in terms for i, k in enumerate(e) if k})
+    """(f, p / f) for one degree-one form f that divides p (total degree >= 1),
+    else raise.
+
+    Let v be the first variable of p and k its top power.  If the coefficient
+    of v^k is not constant, a factor of it is a factor of p.  Otherwise every
+    factor involves v, and f = v + s_1 y_1 + ... + s_m y_m is built over p's
+    other variables y_j in turn: s_j is the first negated rational root of p
+    on the (v, y_j) plane (y_j = 1) for which f divides p with y_(j+1)..y_m
+    set to 0.  If p is a product of forms, a normalized form that divides such
+    a restriction of p is the restriction of one of p's factors, and that factor
+    supplies a root for the next variable, so the search never backtracks.
+    The last restriction is p itself, and its quotient is returned."""
+    nx, coeffs = p.nx, p.coeffs
+    if p.total_degree() == 1 and 0 not in coeffs:  # p is a form
+        row = [p.content * coeffs.get(_unit_key(nx, i), 0) for i in range(nx + 1)]
+        return DegreeOneForm(tuple(row[:nx]), row[nx]), Polynomial.const(1, nx)
+    fields = [_W * (nx - i) for i in range(nx + 1)]
+    present = [i for i in range(nx + 1) if any(e >> fields[i] & _MASK for e in coeffs)]
     v = present[0]
-    k = max(e[v] for e in terms)
-    lead = {e[:v] + (0,) + e[v + 1:]: c for e, c in terms.items() if e[v] == k}
-    lead_poly = Polynomial(nx, lead)
-    if not lead_poly.is_constant():
-        # factors not involving the pivot variable live in the leading coefficient
-        f, _ = _find_linear_factor(lead_poly)
+    k = max(e >> fields[v] & _MASK for e in coeffs)
+    top = k * _unit_key(nx, v)
+    lead = {e - top: c for e, c in coeffs.items() if e >> fields[v] & _MASK == k}
+    q = None
+    if any(lead):
+        f = _find_linear_factor(Polynomial.from_ints(nx, lead, 1))[0]
+    else:
+        form = [_ZERO] * (nx + 1)
+        form[v] = _ONE
+        f = DegreeOneForm(tuple(form[:nx]), form[nx])
+        for y in present[1:]:
+            # the fields of the variables other than v and y (none comes before v)
+            off_plane = ((1 << fields[v]) - 1) ^ (_MASK << fields[y])
+            plane = [0] * (k + 1)
+            for e, c in coeffs.items():
+                if not e & off_plane:
+                    plane[e >> fields[v] & _MASK] += c
+            later = (1 << fields[y]) - 1  # the fields of the variables after y
+            restricted = p if y == present[-1] else Polynomial.from_ints(
+                nx, {e: c for e, c in coeffs.items() if not e & later}, 1)
+            for s in sorted(-r for r in _rational_roots(plane)):
+                form[y] = s
+                f = DegreeOneForm(tuple(form[:nx]), form[nx])
+                q = restricted.divide_by_form(f)
+                if q is not None:
+                    break
+            else:
+                raise NotInvertibleError(_NOT_FORMS)
+    if q is None:  # f is not yet checked against p itself
         q = p.divide_by_form(f)
         if q is None:
-            raise NotInvertibleError("numerator is not a product of degree-one forms")
-        return f, q
-    # every factor involves the pivot; harvest slope candidates per variable
-    slope_sets: list[list[Fraction]] = []
-    others = [j for j in range(nvars) if j != v]
-    for j in others:
-        restricted = [Fraction(0)] * (k + 1)
-        ok = True
-        for e, c in terms.items():
-            if any(e[t] for t in range(nvars) if t not in (v, j)):
-                continue
-            restricted[e[v]] += c if e[j] + e[v] == degree else 0
-        # roots of the bivariate restriction in v (y_j set to 1)
-        if not restricted[k]:
-            ok = False
-        slopes = sorted(-r for r in _rational_roots(restricted)) if ok else []
-        if not slopes:
-            slopes = [Fraction(0)]
-        slope_sets.append(slopes)
-    count = 1
-    for s in slope_sets:
-        count *= len(s)
-        if count > _CANDIDATE_CAP:
-            raise NotInvertibleError("too many linear-factor candidates")
-    from itertools import product
-
-    for combo in product(*slope_sets):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[v] = Fraction(1)
-        for j, s in zip(others, combo):
-            coeffs[j] = s
-        f = DegreeOneForm(tuple(coeffs[:nx]), coeffs[nx])
-        q = p.divide_by_form(f)
-        if q is not None:
-            return f, q
-    raise NotInvertibleError("numerator is not a product of degree-one forms")
+            raise NotInvertibleError(_NOT_FORMS)
+    return f, q
 
 
 def factor_into_forms(p: Polynomial) -> tuple[Fraction, list[DegreeOneForm]]:
     """Write p = const * product(forms) with canonical forms, or raise."""
     if p.is_zero():
         raise NotInvertibleError("zero has no reciprocal")
-    if not p.is_homogeneous():
-        raise NotInvertibleError("numerator is not a product of degree-one forms")
     forms: list[DegreeOneForm] = []
     const, cur = _ONE, p
     while cur.total_degree() > 0:
@@ -714,8 +693,9 @@ class RatFun:
 
     A canonical degree-one form is prime in Q[x1..xr, h], so it divides a
     product only if it divides one of the factors.  `__add__` and `__mul__`
-    use this to trial-divide only by the forms that can cancel; every other
-    constructor trial-divides by every denominator form (`_make`)."""
+    use this to trial-divide only by the forms that can cancel, and `inv` by
+    none; every other constructor trial-divides by every denominator form
+    (`_make`)."""
 
     num: Polynomial
     den: tuple[tuple[DegreeOneForm, int], ...]
@@ -863,13 +843,15 @@ class RatFun:
         return RatFun(self.num.scale(c), self.den)
 
     def inv(self) -> "RatFun":
-        """Reciprocal; defined only when num = const * product of forms."""
+        """Reciprocal; defined only when num = const * product of forms.  The
+        new numerator is the product of the old denominator's forms, each
+        prime and none a factor of the old numerator, so no form of the new
+        denominator divides it."""
         const, forms = factor_into_forms(self.num)
         num = Polynomial.const(1 / const, self.nx)
         for f, m in self.den:
-            for _ in range(m):
-                num = num * f.to_polynomial()
-        return RatFun._make(num, {f: forms.count(f) for f in set(forms)})
+            num = num * f.to_polynomial() ** m
+        return RatFun(num, _sorted_den({f: forms.count(f) for f in set(forms)}))
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         return self * other.inv()

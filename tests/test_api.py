@@ -118,7 +118,6 @@ UNREACHED = {
     "ratfun._rational_roots": "the factoriser behind RatFun.inv",
     "ratfun._int_divisors": "the factoriser behind RatFun.inv",
     "ratfun.Polynomial.total_degree": "the factoriser behind RatFun.inv",
-    "ratfun.Polynomial.is_homogeneous": "a predicate only the tests call",
     "ratfun.eq_by_evaluation": "ratfun-kernel's randomized comparison",
     "ratfun.RatFun.evaluate": "the evaluation behind eq_by_evaluation",
     "ratfun.Polynomial._value": "the evaluation behind eq_by_evaluation",

@@ -1,4 +1,5 @@
-"""Exact work budgets for `dynwg verify cocycle --jobs 1`.
+"""Exact work budgets for `dynwg verify cocycle --jobs 1` and
+`dynwg verify rep --jobs 1`.
 
 A count of work is the same on every host, in every order of runs and under
 every hash seed, so it shows a change of cost that a timing on a shared host
@@ -11,7 +12,7 @@ import collections
 
 import pytest
 
-from dynwg import cli, dynweyl, linalg, ratfun
+from dynwg import cli, dynweyl, linalg, ratfun, rep
 
 # (algebra, highest weight): budget for each count of _count_work
 BUDGETS = {
@@ -26,6 +27,24 @@ BUDGETS = {
     ("F4", "0,0,0,1"): {"imat_mul": 1_072, "term_products": 2_663_164,
                         "divide_out": 60, "value_at_h0": 40, "invert": 40},
 }
+
+# (algebra, highest weight): budget for _IrrepBuilder._shap calls, the Gram
+# entries of the L2 build.  linalg.nullspace is not called by `verify rep`,
+# and check_chevalley_serre's _bracket makes exactly rank^2 calls on every
+# passing irrep, so neither measures L2 work.
+REP_BUDGETS = {("A2", "2,1"): 44, ("B2", "2,2"): 456, ("G2", "1,1"): 298,
+               ("A3", "1,1,1"): 480, ("B3", "1,0,1"): 275, ("D4", "0,1,0,0"): 160}
+
+
+def _count(monkeypatch, owner, name, tally):
+    """Call tally with the arguments of each call of owner.name."""
+    original = getattr(owner, name)
+
+    def wrapped(*args):
+        tally(*args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapped)
 
 
 def _count_work(monkeypatch, capsys, algebra, hw):
@@ -51,15 +70,6 @@ def _count_work(monkeypatch, capsys, algebra, hw):
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    def count(owner, name, tally):
-        original = getattr(owner, name)
-
-        def wrapped(*args):
-            tally(*args)
-            return original(*args)
-
-        monkeypatch.setattr(owner, name, wrapped)
-
     def products(a, b):
         counts["imat_mul"] += 1
         cols = list(zip(*b))
@@ -68,9 +78,10 @@ def _count_work(monkeypatch, capsys, algebra, hw):
 
     track(ratfun, "_divide_out")
     track(dynweyl, "_value_at_h0")
-    count(ratfun.Polynomial, "divide_by_form", lambda p, form: counts.update([within[-1]]))
-    count(dynweyl, "_imat_mul", products)
-    count(linalg, "invert", lambda a: counts.update(["invert"]))
+    _count(monkeypatch, ratfun.Polynomial, "divide_by_form",
+           lambda p, form: counts.update([within[-1]]))
+    _count(monkeypatch, dynweyl, "_imat_mul", products)
+    _count(monkeypatch, linalg, "invert", lambda a: counts.update(["invert"]))
     monkeypatch.setattr(cli, "_irrep_memo", None)
     dynweyl.rank1_coefficient.cache_clear()
     try:
@@ -88,3 +99,14 @@ def test_cocycle_work_within_budget(monkeypatch, capsys, algebra, hw):
     budget = BUDGETS[algebra, hw]
     assert set(counts) <= set(budget), f"divide_by_form from another caller: {counts}"
     assert {k: counts[k] for k in budget if counts[k] > budget[k]} == {}, dict(counts)
+
+
+@pytest.mark.parametrize("algebra,hw", list(REP_BUDGETS),
+                         ids=[f"{a}({h})" for a, h in REP_BUDGETS])
+def test_rep_work_within_budget(monkeypatch, capsys, algebra, hw):
+    counts = collections.Counter()
+    _count(monkeypatch, rep._IrrepBuilder, "_shap", lambda *args: counts.update(["shap"]))
+    code = cli.main(["verify", "rep", "--algebra", algebra, "--hw", hw, "--jobs", "1"])
+    out, _ = capsys.readouterr()
+    assert code == 0 and "cases pass" in out
+    assert counts["shap"] <= REP_BUDGETS[algebra, hw]

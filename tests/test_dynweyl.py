@@ -770,6 +770,53 @@ def test_every_weight_checks_reject_the_mirror_continuation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the contravariant-form identity A_w(x)^T G_{w mu} A_w(x'') = G_mu, with
+# x''_j = -x_j - 2h + mu_j h: each rank-1 step preserves the form under the
+# twist xi -> -xi - (2 - n) h, and the (ht - 1) h shift of the step variables
+# makes one x'' twist every step
+
+
+CONTRAVARIANT_IRREPS = [
+    ("A1", (4,)), ("A2", (1, 1)), ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0)),
+    ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 0)), ("C3", (0, 1, 0)),
+]
+
+
+def _contravariant_sweep(irreps):
+    """(checks, failures) of the identity for the first 3 reduced words of
+    w0 at every dominant mu, with G from _contravariant_forms."""
+    checks = failures = 0
+    for name, hw in irreps:
+        t = LieType.parse(name)
+        V, nx = build_irrep(t, Weight(hw)), t.rank
+        forms = {nu: [[RatFun.const(c, nx) for c in row] for row in g]
+                 for nu, g in _contravariant_forms(V).items()}
+        for mu in [nu for nu in V.weights() if nu.is_dominant()]:
+            twist = [DegreeOneForm.make([-int(a == j) for a in range(nx)], mu[j] - 2)
+                     for j in range(nx)]
+            for w in all_reduced_words(t, longest_element(t), cap=3):
+                blk = word_operator_block(V, w, mu)
+                twisted = [[e.substitute(twist) for e in row] for row in blk.matrix]
+                lhs = _rmat_mul(_rmat_mul(linalg.transpose(blk.matrix), forms[blk.target], nx),
+                                twisted, nx)
+                checks += 1
+                failures += lhs != forms[mu]
+    return checks, failures
+
+
+def test_contravariant_form_identity():
+    assert _contravariant_sweep(CONTRAVARIANT_IRREPS) == (51, 0)
+
+
+def test_contravariant_form_identity_needs_the_rho_shift(monkeypatch):
+    monkeypatch.setattr(dynweyl, "_step_variable",
+                        lambda gamma: DegreeOneForm.make(gamma.coords, 0))
+    for irrep, checks in ((("A2", (1, 1)), 4), (("B2", (1, 1)), 4), (("G2", (1, 0)), 6)):
+        done, failures = _contravariant_sweep([irrep])  # each on a fresh irrep
+        assert done == checks and failures > 0, irrep
+
+
+# ---------------------------------------------------------------------------
 # oracle for the integer composition: Polynomial matrices over one common
 # denominator, multiplied with Polynomial arithmetic, with no product kept
 # between words

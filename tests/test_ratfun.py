@@ -375,6 +375,48 @@ def test_structural_equality_matches_evaluation():
         assert same_struct == same_eval
 
 
+# x1 + x2 + ... + x6 + h, then x1 + 3x2 + ... + 7x6 + 2h, ...: every slope set
+# has six members, so 6^6 combinations of per-variable slopes
+SIX_FORMS = [(1, 1, 1, 1, 1, 1, 1), (1, 3, 4, 5, 6, 7, 2), (1, 5, 7, 2, 4, 6, 3),
+             (1, 7, 3, 6, 2, 5, 4), (1, 2, 6, 3, 7, 4, 5), (1, 4, 2, 7, 5, 3, 6)]
+
+
+def test_reciprocals_of_products_of_forms_in_many_variables():
+    rng = random.Random(38)
+
+    def form(nx):
+        while True:
+            coeffs = [rng.choice((0, 1, -1, 2, -3)) for _ in range(nx + 1)]
+            if any(coeffs):
+                return DegreeOneForm.make(coeffs[:nx], coeffs[nx]).canonical()[1]
+
+    cases = [RatFun.from_factors(1, [DegreeOneForm.make(c[:6], c[6]) for c in SIX_FORMS], [], 6)]
+    for _ in range(60):
+        nx = rng.choice((5, 6))
+        cases.append(RatFun.from_factors(F(rng.choice((1, -2, 3)), rng.randint(1, 4)),
+                                         [form(nx) for _ in range(rng.randint(5, 6))],
+                                         [form(nx) for _ in range(rng.randint(0, 2))], nx))
+    for r in cases:
+        assert r * r.inv() == RatFun.one(r.nx)
+
+
+def test_reciprocals_of_sums_invert_or_name_the_numerator():
+    rng = random.Random(1010)
+    inverted = 0
+    for _ in range(200):
+        a = random_ratfun(rng) + random_ratfun(rng) + RatFun.const(rng.choice((0, 0, 1, -2)), 2)
+        if a.is_zero():
+            continue
+        try:
+            b = a.inv()
+        except NotInvertibleError as err:
+            assert str(err) == NOT_FORMS
+        else:
+            assert a * b == RatFun.one(2)
+            inverted += 1
+    assert 0 < inverted < 200  # both outcomes occur
+
+
 # ---------------------------------------------------------------------------
 # differential test against sympy
 
@@ -382,31 +424,34 @@ def test_structural_equality_matches_evaluation():
 def test_field_operations_match_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
+    from sympy.polys.rings import ring
+
     st = hypothesis.strategies
-    X = sympy.symbols("x1 x2 h")
+    QQ = sympy.QQ
+    R, *X = ring("x1,x2,h", QQ)  # sparse polynomials, as dicts of monomials
 
-    def poly(expr):
-        return sympy.Poly(expr, *X, domain="QQ")
+    def rational(c):
+        return QQ(c.numerator, c.denominator)
 
-    def form_expr(coeffs):
-        return sum(c * v for c, v in zip(coeffs, X))
+    def form_poly(coeffs):
+        return sum((rational(c) * v for c, v in zip(coeffs, X)), R.zero)
+
+    def total_degree(pol):
+        return max(map(sum, pol.itermonoms()), default=0)
 
     def to_polys(a):
-        num = sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in a.num.terms.items()},
-            *X, domain="QQ")
-        den = poly(1)
+        num = R.from_dict({e: rational(c) for e, c in a.num.terms.items()})
+        den = R.one
         for f, m in a.den:
-            den *= poly(form_expr(f.coeffs)) ** m
+            den *= form_poly(f.coeffs) ** m
         return num, den
 
     def assert_matches(a, pq):
-        """a equals p/q, and is as reduced as sympy.cancel makes p/q."""
-        c, p, q = sympy.cancel(pq)
-        p, q = poly(p), poly(q)
+        """a equals p/q, and is as reduced as the ring's cancel makes p/q."""
+        p, q = pq[0].cancel(pq[1])
         num, den = to_polys(a)
-        assert num * q == p * den * c
-        assert den.total_degree() == q.total_degree()
+        assert num * q == p * den
+        assert total_degree(den) == total_degree(q)
         for f, _ in a.den:
             assert f.canonical() == (1, f)
             assert a.num.divide_by_form(f) is None
@@ -426,13 +471,16 @@ def test_field_operations_match_sympy_cancel():
     general = st.lists(factored, min_size=1, max_size=2)
 
     def build(spec):
-        """A RatFun from_factors, and the same quotient as a pair of sympy Polys."""
+        """A RatFun from_factors, and the same quotient as a pair of ring elements."""
         const, num, den = spec
         a = RatFun.from_factors(const, [DegreeOneForm.make(c[:2], c[2]) for c in num],
                                 [DegreeOneForm.make(c[:2], c[2]) for c in den], 2)
-        p = poly(sympy.Rational(const.numerator, const.denominator)
-                 * sympy.Mul(*map(form_expr, num)))
-        return a, (p, poly(sympy.Mul(*map(form_expr, den))))
+        p, q = R(rational(const)), R.one
+        for c in num:
+            p *= form_poly(c)
+        for c in den:
+            q *= form_poly(c)
+        return a, (p, q)
 
     def build_sum(specs):
         a, (p, q) = build(specs[0])
@@ -454,19 +502,18 @@ def test_field_operations_match_sympy_cancel():
         if not c.is_zero():
             assert_matches(a / c, (p * v, q * u))
         image_forms = [DegreeOneForm.make(i[:2], i[2]) for i in images]
-        subs = {X[0]: form_expr(images[0]), X[1]: form_expr(images[1])}
+        subs = [(X[0], form_poly(images[0])), (X[1], form_poly(images[1]))]
 
-        def substituted(pol):
-            return poly(pol.as_expr().subs(subs, simultaneous=True))
+        def substituted(pol):  # x1, x2 -> the images at once
+            return pol.compose(subs)
 
-        if any(substituted(poly(form_expr(f.coeffs))).is_zero for f, _ in a.den):
+        if any(substituted(form_poly(f.coeffs)).is_zero for f, _ in a.den):
             with pytest.raises(PoleCollapseError):
                 a.substitute(image_forms)
         else:
             # reduce first: a cancelled factor may map to zero
-            k, p, q = sympy.cancel((p, q))
-            assert_matches(a.substitute(image_forms),
-                           (substituted(poly(p) * k), substituted(poly(q))))
+            p, q = p.cancel(q)
+            assert_matches(a.substitute(image_forms), (substituted(p), substituted(q)))
 
     check()
 
