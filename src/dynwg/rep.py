@@ -14,9 +14,10 @@ adjugate of the chosen Gram block by bordering (one Schur complement per
 pick, with exact integer division as in Bareiss's elimination).  Both
 generators are read off one int pairing P = <f_i V_{nu+alpha_i}, V_nu>, a
 block of the Gram matrix: f_i = G^-1 P^T, and e_i is its contravariant
-adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Raw
-blocks are ints when integral, Fractions otherwise; the final rescale to
-divided powers makes one Fraction per nonzero stored generator entry.
+adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Each
+raw block is an int matrix over one int denominator, in lowest terms; the
+final rescale to divided powers makes the only Fractions, one per nonzero
+stored generator entry.
 
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
 implemented without reference to the constructed matrices.  Both run on
@@ -46,8 +47,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
-from math import factorial, lcm, prod
+from itertools import chain, groupby
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -436,22 +437,20 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
 # construction
 
 
-def _quotient(x: int, d: int):
-    """x / d, as an int when d divides x, else as a Fraction."""
-    return Fraction(x, d) if x % d else x // d
-
-
-def _solve(adj: Matrix, det: int, m: Matrix) -> Matrix:
-    """G^-1 m for int matrices m and adj = det * G^-1."""
-    return [[_quotient(x, det) for x in row] for row in linalg.mat_mul(adj, m)]
+def _solve(adj: Matrix, det: int, m: Matrix) -> tuple[Matrix, int]:
+    """(N, d) with N / d = G^-1 m in lowest terms, for int matrices m and
+    adj = det * G^-1: N = adj m, with N and det divided by their gcd."""
+    n = linalg.mat_mul(adj, m)
+    g = gcd(det, *chain.from_iterable(n))
+    return ([[x // g for x in row] for row in n] if g > 1 else n), det // g
 
 
 class _IrrepBuilder:
     """Builds V(hw) on raw f-monomials.  Gram entries are ints.  At each
     (i, nu), with sigma = nu + alpha_i, the int pairing P[b][v] = <f_i b, v>
     of V_sigma with V_nu is a block of the Gram matrix at nu; f_i is
-    G_nu^-1 P^T, and e_i, its contravariant adjoint, is G_sigma^-1 P.  Raw
-    blocks are ints when integral, Fractions otherwise."""
+    G_nu^-1 P^T, and e_i, its contravariant adjoint, is G_sigma^-1 P.  Each
+    raw block is a pair (N, d) from _solve, an int matrix N over an int d."""
 
     def __init__(self, t: LieType, hw: Weight):
         self.t = t
@@ -468,9 +467,9 @@ class _IrrepBuilder:
         # rows of the candidate Gram matrix, adj G, det G) for the chosen block G
         self.gram: dict[Coords, tuple[dict[Word, int], Matrix, Matrix, int]] = {
             top: ({(): 0}, [[1]], [[1]], 1)}
-        # raw blocks keyed as in Irrep, kept where the block's target is a weight
-        self.eblocks: dict[tuple[int, Coords], Matrix] = {}
-        self.fblocks: dict[tuple[int, Coords], Matrix] = {}
+        # raw blocks (N, d) keyed as in Irrep, kept where the block's target is a weight
+        self.eblocks: dict[tuple[int, Coords], tuple[Matrix, int]] = {}
+        self.fblocks: dict[tuple[int, Coords], tuple[Matrix, int]] = {}
 
     def _add_shifts(self, nu: Coords):
         self.up[nu], self.down[nu] = (
@@ -506,20 +505,22 @@ class _IrrepBuilder:
         _, j, tau2, b2 = c2
         idx, rows, _, _ = self.gram[tau1]
         row = rows[b1]
-        total = 0
-        if i == j and tau1 == tau2:
-            # <wt(b'), coroot_i> S(b, b')
-            total += tau2[i - 1] * row[idx[self.basis[tau1][b2]]]
+        total, d = 0, 1  # the form is total / d
         sigma = self.up[tau2][i - 1]
         if sigma in self.basis:
-            eb = self.eblocks[(i, tau2)]
+            eb, d = self.eblocks[(i, tau2)]
             for k, bk in enumerate(self.basis[sigma]):
                 gamma = eb[k][b2]
                 if gamma:
                     total += gamma * row[idx[(j,) + bk]]
-        if total.denominator != 1:  # the form is integral on f-monomials
-            raise RepError(f"contravariant form {total} on f-monomials is not an integer")
-        return total.numerator
+        if i == j and tau1 == tau2:
+            # <wt(b'), coroot_i> S(b, b')
+            total += d * tau2[i - 1] * row[idx[self.basis[tau1][b2]]]
+        value, rem = divmod(total, d)
+        if rem:  # the form is integral on f-monomials
+            raise RepError(f"contravariant form {Fraction(total, d)} on f-monomials"
+                           " is not an integer")
+        return value
 
     def _candidate_gram(self, cands) -> Matrix:
         n = len(cands)
@@ -574,21 +575,20 @@ class _IrrepBuilder:
         # by its run-length factorials so that repeated letters act as divided
         # powers (f_i^k v becomes f_i^k/k! v).  This is the normalization in
         # which the rank-1 reflection coefficients appear verbatim as matrix
-        # entries.  An entry x of a block V_nu -> V_target becomes
-        # x * ft / fs, where fs and ft are the run-length factorial products of
-        # the source and target words: one Fraction per nonzero stored entry,
-        # reduced only where ft != fs.
+        # entries.  An entry x of a raw block (N, d) of V_nu -> V_target
+        # becomes x * ft / (d * fs), where fs and ft are the run-length
+        # factorial products of the source and target words: one Fraction per
+        # nonzero stored entry.
         fact = {nu: [prod(factorial(n) for _, n in _runs(w)) for w in words]
                 for nu, words in self.basis.items()}
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(raw, shifts):  # the blocks (i, nu) whose target shifts[nu][i - 1] is a weight
-            return {(i, weight[nu]): [[(Fraction(x) if ft == fs else
-                                        Fraction(x.numerator * ft, x.denominator * fs))
-                                       if x else linalg.ZERO for x, fs in zip(row, fact[nu])]
-                                      for row, ft in zip(raw[(i, nu)], fact[target])]
+            return {(i, weight[nu]): [[Fraction(x * ft, d * fs) if x else linalg.ZERO
+                                       for x, fs in zip(row, fact[nu])]
+                                      for row, ft in zip(n, fact[target])]
                     for nu in self.basis for i, target in enumerate(shifts[nu], 1)
-                    if target in self.basis}
+                    if target in self.basis for n, d in [raw[(i, nu)]]}
 
         return Irrep(type=self.t, hw=self.hw,
                      basis={weight[nu]: words for nu, words in self.basis.items()},

@@ -26,7 +26,10 @@ BUDGETS = {
                         "divide_out": 204, "value_at_h0": 102, "invert": 38},
     ("F4", "0,0,0,1"): {"imat_mul": 1_072, "term_products": 2_663_164,
                         "divide_out": 60, "value_at_h0": 40, "invert": 40},
+    ("A5", "1,0,0,0,1"): {"imat_mul": 702, "term_products": 16_462_122,
+                          "divide_out": 390, "value_at_h0": 145, "invert": 39},
 }
+SLOW_BUDGETS = {("A5", "1,0,0,0,1")}  # about 5 s of CPU, so under -m slow
 
 # (algebra, highest weight): budget for _IrrepBuilder._shap calls, the Gram
 # entries of the L2 build.  linalg.nullspace is not called by `verify rep`,
@@ -93,7 +96,9 @@ def _count_work(monkeypatch, capsys, algebra, hw):
     return counts
 
 
-@pytest.mark.parametrize("algebra,hw", list(BUDGETS), ids=[f"{a}({h})" for a, h in BUDGETS])
+@pytest.mark.parametrize("algebra,hw", [
+    pytest.param(a, h, id=f"{a}({h})", marks=[pytest.mark.slow] if (a, h) in SLOW_BUDGETS else [])
+    for a, h in BUDGETS])
 def test_cocycle_work_within_budget(monkeypatch, capsys, algebra, hw):
     counts = _count_work(monkeypatch, capsys, algebra, hw)
     budget = BUDGETS[algebra, hw]

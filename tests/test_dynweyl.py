@@ -782,16 +782,17 @@ CONTRAVARIANT_IRREPS = [
 ]
 
 
-def _contravariant_sweep(irreps):
+def _contravariant_sweep(irreps, every_weight=True):
     """(checks, failures) of the identity for the first 3 reduced words of
-    w0 at every dominant mu, with G from _contravariant_forms."""
+    w0 at every weight mu (or every dominant one), with G from
+    _contravariant_forms."""
     checks = failures = 0
     for name, hw in irreps:
         t = LieType.parse(name)
         V, nx = build_irrep(t, Weight(hw)), t.rank
         forms = {nu: [[RatFun.const(c, nx) for c in row] for row in g]
                  for nu, g in _contravariant_forms(V).items()}
-        for mu in [nu for nu in V.weights() if nu.is_dominant()]:
+        for mu in [nu for nu in V.weights() if every_weight or nu.is_dominant()]:
             twist = [DegreeOneForm.make([-int(a == j) for a in range(nx)], mu[j] - 2)
                      for j in range(nx)]
             for w in all_reduced_words(t, longest_element(t), cap=3):
@@ -805,13 +806,22 @@ def _contravariant_sweep(irreps):
 
 
 def test_contravariant_form_identity():
-    assert _contravariant_sweep(CONTRAVARIANT_IRREPS) == (51, 0)
+    # 51 of the 254 checks are at a dominant mu
+    assert _contravariant_sweep(CONTRAVARIANT_IRREPS) == (254, 0)
 
 
 def test_contravariant_form_identity_needs_the_rho_shift(monkeypatch):
     monkeypatch.setattr(dynweyl, "_step_variable",
                         lambda gamma: DegreeOneForm.make(gamma.coords, 0))
     for irrep, checks in ((("A2", (1, 1)), 4), (("B2", (1, 1)), 4), (("G2", (1, 0)), 6)):
+        # each on a fresh irrep
+        done, failures = _contravariant_sweep([irrep], every_weight=False)
+        assert done == checks and failures > 0, irrep
+
+
+def test_contravariant_form_identity_rejects_the_mirror_continuation(monkeypatch):
+    monkeypatch.setattr(dynweyl, "rank1_coefficient", _mirror_coefficient)
+    for irrep, checks in ((("A2", (2, 1)), 24), (("B2", (1, 1)), 24), (("G2", (1, 0)), 26)):
         done, failures = _contravariant_sweep([irrep])  # each on a fresh irrep
         assert done == checks and failures > 0, irrep
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -281,6 +282,24 @@ def test_golden_output_and_fraction_entries():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+@pytest.mark.parametrize("t,hw,counts", ((B2, (2, 2), (459, 61)), (G2, (1, 1), (284, 58))),
+                         ids=str)
+def test_raw_blocks_are_int_matrices_over_one_denominator(t, hw, counts, monkeypatch):
+    # every raw e/f block is (N, d): N an int matrix, d > 0 an int, and N / d
+    # in lowest terms; counts is (nonzero entries, entries that d does not divide)
+    builder = rep._IrrepBuilder(t, Weight(hw))
+    monkeypatch.setattr(rep._IrrepBuilder, "_assemble", lambda self: None)
+    builder.build()  # every level, and no rescale
+    nonzero = nonintegral = 0
+    for n, d in [*builder.eblocks.values(), *builder.fblocks.values()]:
+        entries = [x for row in n for x in row]
+        assert type(d) is int and d > 0 and {type(x) for x in entries} <= {int}
+        assert math.gcd(d, *entries) == 1
+        nonzero += sum(1 for x in entries if x)
+        nonintegral += sum(1 for x in entries if x % d)
+    assert (nonzero, nonintegral) == counts
+
+
 def test_weight_multiset_weyl_invariant():
     V = build_irrep(B2, Weight((1, 1)))
     for nu in V.weights():
@@ -496,11 +515,17 @@ def _break_invariant(name: str, patch):
         # (2/3) alpha_1 + (1/3) alpha_2
         return lambda: rep.Irrep(A2, Weight((1, 0)), {Weight((1, 0)): [()], Weight((0, 0)): []},
                                  {}, {})
-    if name == "shap":
-        patch("_quotient", lambda x, d: Fraction(x, 3 * d))  # generator entries divided by 3
-        return lambda: build_irrep(A1, Weight((2,)))
-    if name == "positive_definite":
-        patch("_quotient", lambda x, d: -Fraction(x, d))  # generator entries negated
+    if name in ("shap", "positive_definite"):
+        # generator entries divided by 3 (a denominator 3 times too large), or
+        # negated (negated numerators)
+        scale, sign = (3, 1) if name == "shap" else (1, -1)
+        solve = rep._solve
+
+        def broken_solve(adj, det, m):
+            n, d = solve(adj, det, m)
+            return [[sign * x for x in row] for row in n], scale * d
+
+        patch("_solve", broken_solve)
         return lambda: build_irrep(A1, Weight((2,)))
     if name == "string_fill":
         # a kernel that misses its first vector leaves V_0 of the adjoint
