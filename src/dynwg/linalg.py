@@ -1,12 +1,12 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fractions or ints (a Cartan matrix, an
-integer weight block).  invert and nullspace return Fractions; mat_mul keeps
-int matrices int.  Everything here is small (weight-space dimensions), so
-plain Gauss-Jordan is fine: invert, nullspace and rank share one, _reduce,
-which eliminates on ints to row echelon form with zeros above and below each
-pivot and leaves the pivots unnormalized; a caller makes a Fraction only for
-an entry it returns.
+Matrices are lists of row lists of Fractions or ints (a Cartan matrix, the
+int matrix N of a generator block (N, d)).  invert and nullspace return
+Fractions; mat_mul keeps int matrices int.  Everything here is small
+(weight-space dimensions), so plain Gauss-Jordan is fine: invert, nullspace
+and rank share one, _reduce, which eliminates on ints to row echelon form
+with zeros above and below each pivot and leaves the pivots unnormalized; a
+caller makes a Fraction only for an entry it returns.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ Vector = list[Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

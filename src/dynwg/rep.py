@@ -14,10 +14,9 @@ adjugate of the chosen Gram block by bordering (one Schur complement per
 pick, with exact integer division as in Bareiss's elimination).  Both
 generators are read off one int pairing P = <f_i V_{nu+alpha_i}, V_nu>, a
 block of the Gram matrix: f_i = G^-1 P^T, and e_i is its contravariant
-adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Each
-raw block is an int matrix over one int denominator, in lowest terms; the
-final rescale to divided powers makes the only Fractions, one per nonzero
-stored generator entry.
+adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Every
+block, raw or rescaled to divided powers, is an int matrix N over one int
+d > 0 in lowest terms, as the Irrep keeps it: no Fraction is made for it.
 
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
 implemented without reference to the constructed matrices.  Both run on
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +65,7 @@ from .rootdata import (
 
 Word = tuple[int, ...]  # f_{i1} f_{i2} ... f_{ik} v, leftmost applied last
 Coords = tuple[int, ...]  # the coordinates of a Weight
+Block = tuple[Matrix, int]  # (N, d): the matrix N / d, N an int matrix and d > 0 an int
 
 
 class RepError(Exception):
@@ -260,21 +261,21 @@ class Irrep:
 
     Basis vectors are labelled by f-monomial words; per-weight blocks of the
     generators are kept separately (weights never mix under e_i, f_i, h_i).
+    Each block is a Block (N, d) in lowest terms: gcd(d, entries of N) = 1.
     """
 
     type: LieType
     hw: Weight
     basis: dict[Weight, list[Word]]
-    e_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu+alpha_i}
-    f_blocks: dict[tuple[int, Weight], Matrix]  # (i, nu): V_nu -> V_{nu-alpha_i}
+    e_blocks: dict[tuple[int, Weight], Block]  # (i, nu): V_nu -> V_{nu+alpha_i}
+    f_blocks: dict[tuple[int, Weight], Block]  # (i, nu): V_nu -> V_{nu-alpha_i}
     weight_order: list[Weight] = field(default_factory=list)
     # (i, nu) -> sl2_strings(V, i, nu), which only sl2_strings reads and
     # writes; kept as long as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (i, w) -> the kernel of e_i at w and each primitive's f_i-walk, and
-    # (i, w) -> f_i on V_w scaled to ints, for sl2_strings (_primitive_walks)
+    # (i, w) -> the kernel of e_i at w and each primitive's f_i-walk, for
+    # sl2_strings (_primitive_walks)
     string_walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    f_ints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # mu -> [step products, reduced product] of the last word that
     # dynweyl.word_operator_block composed at mu, for the next word to reuse
     word_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -300,17 +301,17 @@ class Irrep:
         return ["*".join([f"f{i}" if n == 1 else f"f{i}^({n})" for i, n in _runs(word)] + ["v"])
                 for word in self.basis.get(nu, [])]
 
-    def e_block(self, i: int, nu: Weight) -> Matrix:
+    def e_block(self, i: int, nu: Weight) -> Block:
         return self._block(self.e_blocks, weight_add, i, nu)
 
-    def f_block(self, i: int, nu: Weight) -> Matrix:
+    def f_block(self, i: int, nu: Weight) -> Block:
         return self._block(self.f_blocks, weight_sub, i, nu)
 
-    def _block(self, blocks, shift, i: int, nu: Weight) -> Matrix:
-        blk = blocks.get((i, nu))  # else zeros: V_nu -> V_{shift(nu, alpha_i)}
+    def _block(self, blocks, shift, i: int, nu: Weight) -> Block:
+        blk = blocks.get((i, nu))  # else zeros over 1: V_nu -> V_{shift(nu, alpha_i)}
         if blk is None:
-            target = shift(nu, simple_root(self.type, i))
-            blk = linalg.zeros(self.weight_dim(target), self.weight_dim(nu))
+            rows = self.weight_dim(shift(nu, simple_root(self.type, i)))
+            blk = [[0] * self.weight_dim(nu) for _ in range(rows)], 1
         return blk
 
 
@@ -334,29 +335,21 @@ Operator = dict[int, dict[int, int]]
 
 def _scaled_operators(V: Irrep, blocks, sign: int, offset: dict) -> dict[int, tuple[int, Operator]]:
     """i -> (D, D * g_i) for the e (sign +1) or f (sign -1) generators, D the lcm
-    of the denominators of g_i's nonzero entries; V_nu starts at global index
-    offset[nu].  One pass over the blocks gathers the entries and their
-    denominators, and a second over the entries scales them."""
+    of the denominators d of g_i's blocks (N, d), so that an entry x of N
+    becomes x * (D / d); V_nu starts at global index offset[nu]."""
     alphas = _simple_roots(V.type)
-    ops: dict[int, Operator] = {i: {} for i in range(1, len(alphas) + 1)}
-    dens: dict[int, set[int]] = {i: set() for i in ops}
-    for (i, nu), blk in blocks.items():
-        op, den = ops[i], dens[i]
+    dens = {i: lcm(*(d for (j, _), (_, d) in blocks.items() if j == i))
+            for i in range(1, len(alphas) + 1)}
+    ops: dict[int, Operator] = {i: {} for i in dens}
+    for (i, nu), (n, d) in blocks.items():
+        op, scale = ops[i], dens[i] // d
         source = offset[nu.coords]
         target = offset.get(tuple(x + sign * y for x, y in zip(nu.coords, alphas[i - 1])))
-        for r, row in enumerate(blk):
+        for r, row in enumerate(n):
             for c, x in enumerate(row):
                 if x:
-                    op.setdefault(source + c, {})[target + r] = x
-                    den.add(x.denominator)
-    out = {}
-    for i, op in ops.items():
-        d = lcm(*dens[i])
-        for col in op.values():
-            for r, x in col.items():
-                col[r] = x.numerator * (d // x.denominator)
-        out[i] = (d, op)
-    return out
+                    op.setdefault(source + c, {})[target + r] = x * scale
+    return {i: (dens[i], op) for i, op in ops.items()}
 
 
 def _bracket(a: Operator, b: Operator) -> Operator:
@@ -389,11 +382,12 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
     """Verify the defining relations on the generator matrices exactly.
 
     Returns a list of human-readable failure descriptions (empty = all good).
-    Each e_i and f_i is scaled to integers once, as one sparse Operator over
-    global basis indices.  h_i acts by the weight grading, the scalar nu_i on
-    V_nu, and every block of e_j (f_j) is keyed V_nu -> V_{nu + alpha_j}
-    (V_{nu - alpha_j}); so [h_i, e_j] = a_ij e_j and [h_i, f_j] = -a_ij f_j
-    hold by how the blocks are keyed.
+    Each e_i and f_i is scaled to ints once, over the lcm of its blocks'
+    denominators, as one sparse Operator over global basis indices.  h_i acts
+    by the weight grading, the scalar nu_i on V_nu, and every block of e_j
+    (f_j) is keyed V_nu -> V_{nu + alpha_j} (V_{nu - alpha_j}); so
+    [h_i, e_j] = a_ij e_j and [h_i, f_j] = -a_ij f_j hold by how the blocks
+    are keyed.
 
     The rank^2 relations [e_i, f_j] = delta_ij h_i are checked first.  When
     they all hold, so do the Serre relations, and no Serre bracket is
@@ -437,12 +431,15 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
 # construction
 
 
-def _solve(adj: Matrix, det: int, m: Matrix) -> tuple[Matrix, int]:
-    """(N, d) with N / d = G^-1 m in lowest terms, for int matrices m and
-    adj = det * G^-1: N = adj m, with N and det divided by their gcd."""
-    n = linalg.mat_mul(adj, m)
-    g = gcd(det, *chain.from_iterable(n))
-    return ([[x // g for x in row] for row in n] if g > 1 else n), det // g
+def _lowest(n: Matrix, d: int) -> Block:
+    """(n, d), an int matrix over an int d > 0, divided by their gcd."""
+    g = gcd(d, *chain.from_iterable(n))
+    return ([[x // g for x in row] for row in n] if g > 1 else n), d // g
+
+
+def _solve(adj: Matrix, det: int, m: Matrix) -> Block:
+    """(N, d) = G^-1 m in lowest terms, for int matrices m and adj = det * G^-1."""
+    return _lowest(linalg.mat_mul(adj, m), det)
 
 
 class _IrrepBuilder:
@@ -468,8 +465,8 @@ class _IrrepBuilder:
         self.gram: dict[Coords, tuple[dict[Word, int], Matrix, Matrix, int]] = {
             top: ({(): 0}, [[1]], [[1]], 1)}
         # raw blocks (N, d) keyed as in Irrep, kept where the block's target is a weight
-        self.eblocks: dict[tuple[int, Coords], tuple[Matrix, int]] = {}
-        self.fblocks: dict[tuple[int, Coords], tuple[Matrix, int]] = {}
+        self.eblocks: dict[tuple[int, Coords], Block] = {}
+        self.fblocks: dict[tuple[int, Coords], Block] = {}
 
     def _add_shifts(self, nu: Coords):
         self.up[nu], self.down[nu] = (
@@ -577,16 +574,17 @@ class _IrrepBuilder:
         # which the rank-1 reflection coefficients appear verbatim as matrix
         # entries.  An entry x of a raw block (N, d) of V_nu -> V_target
         # becomes x * ft / (d * fs), where fs and ft are the run-length
-        # factorial products of the source and target words: one Fraction per
-        # nonzero stored entry.
+        # factorial products of the source and target words: over d * F, with
+        # F the lcm of the fs at nu, its numerator is x * ft * (F / fs).
         fact = {nu: [prod(factorial(n) for _, n in _runs(w)) for w in words]
                 for nu, words in self.basis.items()}
+        lcms = {nu: lcm(*fs) for nu, fs in fact.items()}
+        cofact = {nu: [lcms[nu] // fs for fs in fact[nu]] for nu in fact}  # F / fs
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(raw, shifts):  # the blocks (i, nu) whose target shifts[nu][i - 1] is a weight
-            return {(i, weight[nu]): [[Fraction(x * ft, d * fs) if x else linalg.ZERO
-                                       for x, fs in zip(row, fact[nu])]
-                                      for row, ft in zip(n, fact[target])]
+            return {(i, weight[nu]): _lowest([[x * ft * c for x, c in zip(row, cofact[nu])]
+                                              for row, ft in zip(n, fact[target])], d * lcms[nu])
                     for nu in self.basis for i, target in enumerate(shifts[nu], 1)
                     if target in self.basis for n, d in [raw[(i, nu)]]}
 
@@ -647,21 +645,17 @@ def _primitive_walks(V: Irrep, i: int, w: Weight, depth: int) -> tuple[list[Vect
     """The kernel of e_i at w, and each primitive u's f_i-walk: walk[j] is
     (ints, d) with f_i^j u == ints / d, for j <= depth.  Kept on V and
     extended on demand, so every weight on the alpha_i-string shares it;
-    each f_i block is scaled to ints once."""
+    each step multiplies by the int matrix of an f_i block (N, d)."""
     data = V.string_walks.get((i, w))
     if data is None:
-        kernel = linalg.nullspace(V.e_block(i, w), V.weight_dim(w))
+        kernel = linalg.nullspace(V.e_block(i, w)[0], V.weight_dim(w))
         data = V.string_walks[(i, w)] = kernel, [[linalg.int_vector(u)] for u in kernel]
     alpha = simple_root(V.type, i).coords
     for walk in data[1]:
         while len(walk) <= depth:
             j = len(walk) - 1
-            key = (i, Weight(tuple(c - j * a for c, a in zip(w.coords, alpha))))
-            if key not in V.f_ints:
-                blk = V.f_block(*key)
-                d = lcm(*(x.denominator for row in blk for x in row))
-                V.f_ints[key] = [[x.numerator * (d // x.denominator) for x in r] for r in blk], d
-            (f, d), (v, den) = V.f_ints[key], walk[-1]
+            f, d = V.f_block(i, Weight(tuple(c - j * a for c, a in zip(w.coords, alpha))))
+            v, den = walk[-1]
             walk.append(([sum(map(mul, row, v)) for row in f], den * d))
     return data
 
@@ -705,23 +699,32 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
 # cache
 
 CACHE_VERSION = 1
+_ENTRY = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # p or p/q, as irrep_to_json writes it
 
 
 def cache_filename(t: LieType, hw: Weight) -> str:
     return f"{t}__{'_'.join(str(c) for c in hw.coords)}.v{CACHE_VERSION}.json"
 
 
-def _matrix_to_triplets(m: Matrix):
-    return [[r, c, str(v)] for r, row in enumerate(m) for c, v in enumerate(row) if v]
+def _matrix_to_triplets(n: Matrix, d: int):
+    return [[r, c, str(Fraction(x, d))] for r, row in enumerate(n) for c, x in enumerate(row) if x]
 
 
-def _triplets_to_matrix(tr, rows: int, cols: int) -> Matrix:
-    m = linalg.zeros(rows, cols)
+def _triplets_to_matrix(tr, rows: int, cols: int) -> Block:
+    """The block (N, d) in lowest terms, read from entries p or p/q with no Fraction."""
+    entries = []
     for r, c, v in tr:
         if not (0 <= r < rows and 0 <= c < cols):
             raise RepError(f"corrupt cache entry: index ({r}, {c}) outside a {rows}x{cols} block")
-        m[r][c] = Fraction(v)
-    return m
+        m = _ENTRY.fullmatch(v) if isinstance(v, str) else None  # not a float, nor "1e99999"
+        if m is None:
+            raise RepError(f"corrupt cache entry: {v!r} is not a string p or p/q with q > 0")
+        entries.append((r, c, int(m[1]), int(m[2] or 1)))
+    d = lcm(*(q for _, _, _, q in entries))
+    n = [[0] * cols for _ in range(rows)]
+    for r, c, p, q in entries:
+        n[r][c] = p * (d // q)
+    return _lowest(n, d)
 
 
 def irrep_to_json(V: Irrep) -> dict:
@@ -729,7 +732,7 @@ def irrep_to_json(V: Irrep) -> dict:
                for nu in V.weight_order]
     gens = {}
     for kind, blocks in (("e", V.e_blocks), ("f", V.f_blocks)):
-        gens[kind] = [{"i": i, "weight": list(nu.coords), "entries": _matrix_to_triplets(blk)}
+        gens[kind] = [{"i": i, "weight": list(nu.coords), "entries": _matrix_to_triplets(*blk)}
                       for (i, nu), blk in sorted(blocks.items(),
                                                  key=lambda kv: (kv[0][0], kv[0][1].coords))]
     return {
@@ -748,8 +751,8 @@ def irrep_from_json(obj: dict) -> Irrep:
     basis = {
         Weight.make(w["coords"]): [tuple(word) for word in w["words"]] for w in obj["weights"]
     }
-    e_blocks: dict[tuple[int, Weight], Matrix] = {}
-    f_blocks: dict[tuple[int, Weight], Matrix] = {}
+    e_blocks: dict[tuple[int, Weight], Block] = {}
+    f_blocks: dict[tuple[int, Weight], Block] = {}
     for kind, store in (("e", e_blocks), ("f", f_blocks)):
         for item in obj["generators"][kind]:
             i = int(item["i"])
@@ -792,9 +795,9 @@ def save_irrep(V: Irrep, cache_dir: str):
 def load_cached_irrep(t: LieType, hw: Weight, cache_dir: str) -> Irrep | None:
     """The cached V(hw), or None if there is none.  Entries are published by an atomic
     rename (save_irrep), so the entry is read as it stands.  An entry that cannot be
-    read, is not JSON (or nests past the decoder's limit), does not decode (a zero
-    denominator included), or holds another type, highest weight or format version
-    counts as missing, so that build_irrep rebuilds and replaces it."""
+    read, is not JSON (or nests past the decoder's limit), does not decode (an entry
+    not a string p or p/q with q > 0 included), or holds another type, highest weight
+    or format version counts as missing, so that build_irrep rebuilds and replaces it."""
     path = os.path.join(cache_dir, cache_filename(t, hw))
     try:
         with open(path) as fh:

@@ -106,6 +106,37 @@ def test_cocycle_work_within_budget(monkeypatch, capsys, algebra, hw):
     assert {k: counts[k] for k in budget if counts[k] > budget[k]} == {}, dict(counts)
 
 
+# word_operator_block's memo (V.word_steps[mu]) with one of its two reuses
+# switched off before each call, and a count of _count_work that the mutant
+# takes over its budget, per (algebra, highest weight)
+MEMO_MUTANTS = {
+    "no-suffix-sharing": ("imat_mul", [("A3", "2,0,2"), ("D4", "0,1,0,0"), ("F4", "0,0,0,1")]),
+    "no-product-reuse": ("divide_out", [("B2", "2,2"), ("G2", "1,1")]),
+}
+FAST_MUTANTS = {("no-suffix-sharing", "A3"), ("no-product-reuse", "B2")}  # the rest: -m slow
+
+
+@pytest.mark.parametrize("mutant,algebra,hw", [
+    pytest.param(m, a, h, id=f"{m}-{a}({h})",
+                 marks=[] if (m, a) in FAST_MUTANTS else [pytest.mark.slow])
+    for m, (_, irreps) in MEMO_MUTANTS.items() for a, h in irreps])
+def test_cocycle_budget_catches_a_memo_mutant(monkeypatch, capsys, mutant, algebra, hw):
+    original = dynweyl.word_operator_block
+
+    def mutated(V, word, mu):
+        if (memo := V.word_steps.get(mu)) is not None:
+            if mutant == "no-suffix-sharing":
+                memo[0].clear()  # every word composes from its first letter
+            else:
+                memo[1] = None  # no word gets the last word's entries
+        return original(V, word, mu)
+
+    monkeypatch.setattr(dynweyl, "word_operator_block", mutated)
+    count = MEMO_MUTANTS[mutant][0]
+    counts = _count_work(monkeypatch, capsys, algebra, hw)
+    assert counts[count] > BUDGETS[algebra, hw][count], dict(counts)
+
+
 @pytest.mark.parametrize("algebra,hw", list(REP_BUDGETS),
                          ids=[f"{a}({h})" for a, h in REP_BUDGETS])
 def test_rep_work_within_budget(monkeypatch, capsys, algebra, hw):

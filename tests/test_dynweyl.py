@@ -41,6 +41,7 @@ from dynwg.rootdata import (
     pairing,
     simple_root,
 )
+from irrep_blocks import dense
 from ratfun_text import parse_ratfun, var
 
 A1 = LieType.parse("A1")
@@ -189,9 +190,9 @@ def _divided_power(V, i, nu, k, raising):
     alpha, out = simple_root(V.type, i), [[int(r == c) for c in range(n)] for r in range(n)]
     for _ in range(k):
         if raising:
-            out, nu = linalg.mat_mul(V.e_block(i, nu), out), weight_add(nu, alpha)
+            out, nu = linalg.mat_mul(dense(V.e_block(i, nu)), out), weight_add(nu, alpha)
         else:
-            out, nu = linalg.mat_mul(V.f_block(i, nu), out), weight_sub(nu, alpha)
+            out, nu = linalg.mat_mul(dense(V.f_block(i, nu)), out), weight_sub(nu, alpha)
     return [[Fraction(c, factorial(k)) for c in row] for row in out]
 
 
@@ -292,8 +293,8 @@ def _contravariant_forms(V):
         for i in range(1, V.type.rank + 1):
             sigma = weight_add(nu, simple_root(V.type, i))
             if sigma in forms:
-                ft += linalg.transpose(V.f_block(i, sigma))
-                he += linalg.mat_mul(forms[sigma], V.e_block(i, nu))
+                ft += linalg.transpose(dense(V.f_block(i, sigma)))
+                he += linalg.mat_mul(forms[sigma], dense(V.e_block(i, nu)))
         f = linalg.transpose(ft)
         g = linalg.mat_mul(linalg.invert(linalg.mat_mul(f, ft)), linalg.mat_mul(f, he))
         assert linalg.mat_mul(ft, g) == he, f"no form at {nu} makes e adjoint to f"
@@ -322,8 +323,9 @@ def test_e_blocks_are_contravariant_adjoints_of_f_blocks():
 def test_contravariant_oracle_fails_on_a_scaled_e_block(nu, scale, message):
     V = build_irrep(A2, Weight((1, 1)))
     key = (1, Weight(nu))
-    bad = dataclasses.replace(V, e_blocks={**V.e_blocks, key: [[scale * x for x in row]
-                                                               for row in V.e_blocks[key]]})
+    n, d = V.e_blocks[key]
+    bad = dataclasses.replace(V, e_blocks={**V.e_blocks, key: ([[scale * x for x in row]
+                                                                for row in n], d)})
     with pytest.raises(AssertionError, match=message):
         _contravariant_forms(bad)
 

@@ -41,6 +41,7 @@ from dynwg.rootdata import (
     rho,
     simple_root,
 )
+from irrep_blocks import dense, pair
 from test_rootdata import dominant_representative, weyl_orbit
 
 A1 = LieType.parse("A1")
@@ -260,9 +261,18 @@ GOLDEN_IRREPS = (("A2", (1, 1)), ("A2", (2, 1)), ("A3", (1, 0, 1)), ("A3", (1, 1
 GOLDEN_SHA256 = "92536c4be08ad4e509c9ef618029f16b182c59f3f37824cb8ec39424a98ec351"
 
 
-def _entries(V):
-    return [x for blocks in (V.e_blocks, V.f_blocks) for blk in blocks.values()
-            for row in blk for x in row]
+def _int_pairs(blocks) -> tuple[int, int]:
+    """(nonzero entries, entries that their block's d does not divide) of the
+    blocks (N, d), after asserting that each is an int matrix N over an int
+    d > 0, in lowest terms."""
+    nonzero = nonintegral = 0
+    for n, d in blocks:
+        entries = [x for row in n for x in row]
+        assert type(d) is int and d > 0 and {type(x) for x in entries} == {int}
+        assert math.gcd(d, *entries) == 1
+        nonzero += sum(1 for x in entries if x)
+        nonintegral += sum(1 for x in entries if x % d)
+    return nonzero, nonintegral
 
 
 def test_golden_output_and_fraction_entries():
@@ -274,30 +284,31 @@ def test_golden_output_and_fraction_entries():
         digest.update(json.dumps(obj, sort_keys=True).encode())
         digest.update(json.dumps([freudenthal_multiplicity(t, lam, nu)
                                   for nu in V.weight_order]).encode())
-        # fresh and cache-loaded irreps hold the same values of the same type
+        # fresh and cache-loaded irreps hold the same values of the same type:
+        # every stored block is an int matrix N over an int d > 0
         W = irrep_from_json(obj)
         assert W.e_blocks == V.e_blocks and W.f_blocks == V.f_blocks
         for U in (V, W):
-            assert {type(x) for x in _entries(U)} == {F}
+            _int_pairs([*U.e_blocks.values(), *U.f_blocks.values()])
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("t,hw,counts", ((B2, (2, 2), (459, 61)), (G2, (1, 1), (284, 58))),
                          ids=str)
 def test_raw_blocks_are_int_matrices_over_one_denominator(t, hw, counts, monkeypatch):
-    # every raw e/f block is (N, d): N an int matrix, d > 0 an int, and N / d
-    # in lowest terms; counts is (nonzero entries, entries that d does not divide)
+    # every raw e/f block, and every block of the assembled Irrep, is (N, d):
+    # N an int matrix, d > 0 an int, and N / d in lowest terms; counts is
+    # _int_pairs' count of the raw blocks
     builder = rep._IrrepBuilder(t, Weight(hw))
+    assemble = rep._IrrepBuilder._assemble
     monkeypatch.setattr(rep._IrrepBuilder, "_assemble", lambda self: None)
     builder.build()  # every level, and no rescale
-    nonzero = nonintegral = 0
-    for n, d in [*builder.eblocks.values(), *builder.fblocks.values()]:
-        entries = [x for row in n for x in row]
-        assert type(d) is int and d > 0 and {type(x) for x in entries} <= {int}
-        assert math.gcd(d, *entries) == 1
-        nonzero += sum(1 for x in entries if x)
-        nonintegral += sum(1 for x in entries if x % d)
-    assert (nonzero, nonintegral) == counts
+    assert _int_pairs([*builder.eblocks.values(), *builder.fblocks.values()]) == counts
+    V = assemble(builder)  # the rescale to divided powers keeps the nonzero entries
+    assert _int_pairs([*V.e_blocks.values(), *V.f_blocks.values()]) == (counts[0],
+                                                                       {B2: 26, G2: 27}[t])
+    W = irrep_from_json(irrep_to_json(V))
+    assert W.e_blocks == V.e_blocks and W.f_blocks == V.f_blocks
 
 
 def test_weight_multiset_weyl_invariant():
@@ -323,7 +334,7 @@ def _global_index(V) -> dict:
 def _dense_generator(V, kind: str, i: int):
     """The full dim x dim matrix of e_i, f_i or h_i in the basis of _global_index."""
     idx = _global_index(V)
-    m = linalg.zeros(V.dim, V.dim)
+    m = [[F(0)] * V.dim for _ in range(V.dim)]
     alpha = simple_root(V.type, i)
     for nu in V.weight_order:
         if kind == "h":
@@ -333,7 +344,7 @@ def _dense_generator(V, kind: str, i: int):
         target = weight_add(nu, alpha) if kind == "e" else weight_sub(nu, alpha)
         if target not in V.basis:
             continue
-        blk = V.e_block(i, nu) if kind == "e" else V.f_block(i, nu)
+        blk = dense(V.e_block(i, nu) if kind == "e" else V.f_block(i, nu))
         for r, row in enumerate(blk):
             for c, x in enumerate(row):
                 m[idx[(target, r)]][idx[(nu, c)]] = x
@@ -348,7 +359,7 @@ def _dense_chevalley_serre(V) -> list[str]:
     E = {i: _dense_generator(V, "e", i) for i in gens}
     Fm = {i: _dense_generator(V, "f", i) for i in gens}
     H = {i: _dense_generator(V, "h", i) for i in gens}
-    zero = linalg.zeros(V.dim, V.dim)
+    zero = [[F(0)] * V.dim for _ in range(V.dim)]
 
     def bracket(x, y):
         xy, yx = linalg.mat_mul(x, y), linalg.mat_mul(y, x)
@@ -386,7 +397,7 @@ def _corrupted_copies(V, rng):
     """Copies of V with one entry of an e- or f-block changed by +1, by +1/3,
     or set to 0 (a nonzero entry)."""
     for kind in ("e_blocks", "f_blocks"):
-        blocks = getattr(V, kind)
+        blocks = {key: dense(blk) for key, blk in getattr(V, kind).items()}
         cells = [(key, r, c) for key in sorted(blocks, key=lambda k: (k[0], k[1].coords))
                  for r, row in enumerate(blocks[key]) for c in range(len(row))]
         nonzero = [(key, r, c) for key, r, c in cells if blocks[key][r][c]]
@@ -395,7 +406,7 @@ def _corrupted_copies(V, rng):
             key, r, c = rng.choice(pool)
             copy = {k: [list(row) for row in blk] for k, blk in blocks.items()}
             copy[key][r][c] = change(copy[key][r][c])
-            yield dataclasses.replace(V, **{kind: copy})
+            yield dataclasses.replace(V, **{kind: {k: pair(blk) for k, blk in copy.items()}})
 
 
 DIFFERENTIAL_IRREPS = (
@@ -420,7 +431,7 @@ def _edited_copy(V, rng):
     """A copy of V with one to three random edits of its e- and f-blocks:
     shift one entry by a small Fraction, scale a whole block, zero a whole
     block, or swap two rows of a block."""
-    copies = {kind: {k: [list(row) for row in blk] for k, blk in getattr(V, kind).items()}
+    copies = {kind: {k: dense(blk) for k, blk in getattr(V, kind).items()}
               for kind in ("e_blocks", "f_blocks")}
     for _ in range(rng.randint(1, 3)):
         blocks = copies[rng.choice(sorted(copies))]
@@ -440,7 +451,8 @@ def _edited_copy(V, rng):
         else:
             p, q = rng.sample(range(len(blk)), 2)
             blk[p], blk[q] = blk[q], blk[p]
-    return dataclasses.replace(V, **copies)
+    return dataclasses.replace(V, **{kind: {k: pair(blk) for k, blk in blocks.items()}
+                                     for kind, blocks in copies.items()})
 
 
 SWEEP_IRREPS = ((A2, (1, 1)), (B2, (1, 1)), (G2, (1, 0)), (A3, (1, 0, 1)), (B3, (0, 0, 1)),
@@ -486,8 +498,9 @@ def test_serre_brackets_run_only_when_an_ef_relation_fails(t, hw, monkeypatch):
     assert len(calls) == t.rank ** 2  # the [e_i, f_j], and no Serre bracket
     calls.clear()
     key = (1, V.hw)  # f_1 on the highest weight space, where hw_1 > 0
-    bad = dataclasses.replace(V, f_blocks={**V.f_blocks, key: [[2 * x for x in row]
-                                                               for row in V.f_blocks[key]]})
+    n, d = V.f_blocks[key]
+    bad = dataclasses.replace(V, f_blocks={**V.f_blocks, key: ([[2 * x for x in row] for row in n],
+                                                               d)})
     assert "[e_1, f_1] != h_1" in check_chevalley_serre(bad)
     a = cartan_matrix(t)
     serre = sum(2 * (1 - a[i][j]) for i in range(t.rank) for j in range(t.rank) if i != j)
@@ -690,7 +703,7 @@ def test_string_primitives_killed_by_e():
         by_k = {c.k: c for c in sl2_strings(V, i, nu)}
         for k in range(max(by_k) + 1):
             if k in by_k:
-                blk = V.e_block(i, w)
+                blk = dense(V.e_block(i, w))
                 for u in by_k[k].primitives:
                     assert not any(_mat_vec(blk, u))
             w = weight_add(w, alpha)
@@ -774,12 +787,25 @@ def _fault_zero_denominator(text):
     return json.dumps(obj)
 
 
+def _fault_entry(value):
+    def fault(text):
+        obj = json.loads(text)
+        obj["generators"]["e"][0]["entries"][0][2] = value
+        return json.dumps(obj)
+    return fault
+
+
 def _fault_nested_past_the_decoder(text):
     # json raises RecursionError, not ValueError, on nesting this deep
     return text[:-1] + ', "extra": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 CACHE_FAULTS = {
+    # a JSON number, which Fraction would read as the float's binary value,
+    # and a string that irrep_to_json never writes, which Fraction would read
+    # as 1000 (and, with a long exponent, take unbounded time and memory)
+    "float-entry": _fault_entry(0.1),
+    "exponent-entry": _fault_entry("1e3"),
     "nested-past-the-decoder": _fault_nested_past_the_decoder,
     "negative-index": _fault_negative_index,
     "non-integer-weight": _fault_non_integer_weight,
