@@ -34,9 +34,12 @@ brackets are computed only to name the failures of an irrep that fails.
 A broken invariant of the oracles or the builder raises RepError.
 
 sl2_strings owns the sl(2)-string data of a weight space, and keeps it on the
-irrep once per (i, nu).  It reads each primitive's column and image from the
-primitive's int f_i-walk, which the irrep keeps per (i, w) for every weight
-on the alpha_i-string to share.
+irrep once per (i, nu).  Each string's transfer map is rho * f_i^n * Pi
+(e_i^-n for n = <nu, coroot_i> < 0), an int product of the generator blocks,
+with Pi the projection onto the string.  Pi is the identity when V_nu is one
+string; otherwise a change of basis is inverted, whose columns f_i^k u are
+read from the primitives' int f_i-walks, kept per (i, w) for every weight on
+the alpha_i-string to share and walked to depth k only there.
 """
 
 from __future__ import annotations
@@ -632,7 +635,12 @@ class StringComponent:
     nu + k*alpha_i and inject via the divided power f_i^(k).  transfer sends
     each column f_i^(k) u to the image f_i^(m-k) u in V_{s_i nu} and every
     other string's columns to 0, so that A_{s_i}(xi) on V_nu is the sum of
-    c(m,k,xi) * transfer.
+    c(m,k,xi) * transfer.  It is rho * F * Pi, with n = <nu, coroot_i>:
+    F = f_i^n (n >= 0) or e_i^-n (n < 0), Pi the projection onto this
+    string's columns along the other strings', and rho = k!/(m-k)! (n >= 0)
+    or (m-k)!/k! (n < 0), by the sl(2) relations on plain powers
+    f_i^n f_i^k u = f_i^{m-k} u and e_i^-n f_i^k u = (k!/(m-k)!)^2 f_i^{m-k} u.
+    Its nonzero entries are Fractions, and its zero entries int 0.
     """
 
     m: int
@@ -645,15 +653,17 @@ def _primitive_walks(V: Irrep, i: int, w: Weight, depth: int) -> tuple[list[Vect
     """The kernel of e_i at w, and each primitive u's f_i-walk: walk[j] is
     (ints, d) with f_i^j u == ints / d, for j <= depth.  Kept on V and
     extended on demand, so every weight on the alpha_i-string shares it;
-    each step multiplies by the int matrix of an f_i block (N, d)."""
+    each step multiplies by the int matrix of an f_i block (N, d).  A walk
+    goes only as deep as a change of basis reads it: depth k, for the
+    column f_i^k u at a weight that holds two strings or more."""
     data = V.string_walks.get((i, w))
     if data is None:
         kernel = linalg.nullspace(V.e_block(i, w)[0], V.weight_dim(w))
         data = V.string_walks[(i, w)] = kernel, [[linalg.int_vector(u)] for u in kernel]
-    alpha = simple_root(V.type, i).coords
-    for walk in data[1]:
+    for walk in data[1] if depth else ():  # walk[0] is there from the start
         while len(walk) <= depth:
             j = len(walk) - 1
+            alpha = simple_root(V.type, i).coords
             f, d = V.f_block(i, Weight(tuple(c - j * a for c, a in zip(w.coords, alpha))))
             v, den = walk[-1]
             walk.append(([sum(map(mul, row, v)) for row in f], den * d))
@@ -663,34 +673,57 @@ def _primitive_walks(V: Irrep, i: int, w: Weight, depth: int) -> tuple[list[Vect
 def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
     """Decompose V_nu into sl(2)_i strings: V_nu = (+)_k f_i^(k)(ker e_i at nu+k*alpha_i).
 
-    The column f_i^(k) u of the change of basis and the image f_i^(m-k) u
-    of each primitive u are read from its int walk, so the change of basis
-    is inverted on ints.  None of it depends on xi, so the list is kept on
-    V, once per (i, nu), and every caller shares it."""
+    Walks up the alpha_i-string from k = max(0, -n), n = <nu, coroot_i>,
+    until the primitives fill V_nu.  At w = nu + k*alpha_i, e_i is onto
+    V_{w+alpha_i}, so the kernel of e_i at w must hold dim V_w -
+    dim V_{w+alpha_i} primitives.  Each transfer map is rho * F * Pi (see
+    StringComponent), formed on ints with one Fraction per nonzero entry.
+    Pi is the identity when V_nu is one string.  Otherwise Pi = C_k R_k:
+    C has the int columns f_i^k u of the primitives' walks, R = C^-1 is the
+    one change of basis that is inverted, and its rows are scaled to ints.
+    None of it depends on xi, so the list is kept on V, once per (i, nu),
+    and every caller shares it."""
     if (strings := V.string_parts.get((i, nu))) is not None:
         return strings
-    if nu not in V.basis:
+    if nu not in (basis := V.basis):
         raise RepError(f"{nu} is not a weight of V({V.hw})")
-    alpha = simple_root(V.type, i)
-    found = []  # (m, k, primitives, walks)
-    k, w = 0, nu
-    while w in V.basis:
-        m = nu[i - 1] + 2 * k
-        if k <= m and (data := _primitive_walks(V, i, w, max(k, m - k)))[0]:
-            found.append((m, k, *data))
-        k += 1
-        w = weight_add(w, alpha)
-    cols = [walk[k][0] for _, k, _, walks in found for walk in walks]
-    if len(cols) != V.weight_dim(nu):
+    n, alpha, dim = nu[i - 1], simple_root(V.type, i), len(basis[nu])
+    found = []  # (m, k, w, primitives)
+    k, filled = max(0, -n), 0
+    w = Weight(tuple(c + k * a for c, a in zip(nu.coords, alpha.coords))) if k else nu
+    while filled < dim and (here := basis.get(w)) is not None:
+        above = weight_add(w, alpha)
+        if count := len(here) - len(basis.get(above, ())):
+            if len(kernel := _primitive_walks(V, i, w, 0)[0]) != count:
+                break
+            filled += count
+            found.append((n + 2 * k, k, w, kernel))
+        k, w = k + 1, above
+    if filled != dim:
         raise RepError("sl(2)-string decomposition does not fill the weight space")
-    rows = iter(linalg.invert(linalg.transpose(cols)))  # raises if singular
+    block, step = (V.f_block, weight_sub) if n >= 0 else (V.e_block, weight_add)
+    f, d, w = None, 1, nu  # F = f / d
+    for _ in range(abs(n)):
+        (blk, e), w = block(i, w), step(w, alpha)
+        f, d = blk if f is None else linalg.mat_mul(blk, f), d * e
+    if f is None:  # n = 0: F is the identity
+        f = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    parts = [(f, 1)]  # (t, D) per string, F Pi = t / (d D); Pi = 1 on one string
+    if len(found) > 1:
+        C = linalg.transpose([walk[k][0] for _, k, w, _ in found
+                              for walk in _primitive_walks(V, i, w, k)[1]])
+        R = linalg.invert(C)  # raises if singular
+        FC, parts, end = linalg.mat_mul(f, C), [], 0
+        for _, _, _, kernel in found:  # (F C_k) R_k, with R_k's rows over their lcm D
+            start, end = end, end + len(kernel)
+            D = lcm(*(x.denominator for row in R[start:end] for x in row))
+            r = [[x.numerator * (D // x.denominator) for x in row] for row in R[start:end]]
+            parts.append((linalg.mat_mul([row[start:end] for row in FC], r), D))
     components = []
-    for m, k, kernel, walks in found:
-        # column walk[k] / (d_k k!), image walk[m-k] / (d_(m-k) (m-k)!)
-        scaled = [[Fraction(walk[k][1] * factorial(k), walk[m - k][1] * factorial(m - k)) * x
-                   for x in next(rows)] for walk in walks]
-        images = linalg.transpose([walk[m - k][0] for walk in walks])
-        components.append(StringComponent(m, k, kernel, linalg.mat_mul(images, scaled)))
+    for (m, k, _, kernel), (t, D) in zip(found, parts):
+        den = d * D * factorial(max(k, m - k)) // factorial(min(k, m - k))  # rho F Pi = t / den
+        components.append(StringComponent(m, k, kernel, [[Fraction(x, den) if x else 0
+                                                          for x in row] for row in t]))
     V.string_parts[(i, nu)] = components
     return components
 

@@ -6,6 +6,11 @@ every hash seed, so it shows a change of cost that a timing on a shared host
 cannot resolve.  Each budget is the count at the time it was set: a change
 that lowers a count lowers its budget in the same diff, and a budget is never
 raised to let a slower change pass.
+
+L3 work is counted twice: the string decompositions, one per (i, weight)
+that a run decomposes, and the linalg.invert calls among them.  Only a
+weight space that holds two strings or more inverts a change of basis, so
+invert is well below decompositions.
 """
 
 import collections
@@ -17,17 +22,23 @@ from dynwg import cli, dynweyl, linalg, ratfun, rep
 # (algebra, highest weight): budget for each count of _count_work
 BUDGETS = {
     ("G2", "1,1"): {"imat_mul": 50, "term_products": 39_254,
-                    "divide_out": 402, "value_at_h0": 254, "invert": 35},
+                    "divide_out": 402, "value_at_h0": 254,
+                    "invert": 17, "decompositions": 35},
     ("B2", "2,2"): {"imat_mul": 48, "term_products": 63_022,
-                    "divide_out": 1_025, "value_at_h0": 447, "invert": 43},
+                    "divide_out": 1_025, "value_at_h0": 447,
+                    "invert": 23, "decompositions": 43},
     ("A3", "2,0,2"): {"imat_mul": 378, "term_products": 1_961_148,
-                      "divide_out": 1_208, "value_at_h0": 335, "invert": 99},
+                      "divide_out": 1_208, "value_at_h0": 335,
+                      "invert": 24, "decompositions": 99},
     ("D4", "0,1,0,0"): {"imat_mul": 540, "term_products": 2_625_885,
-                        "divide_out": 204, "value_at_h0": 102, "invert": 38},
+                        "divide_out": 204, "value_at_h0": 102,
+                        "invert": 4, "decompositions": 38},
     ("F4", "0,0,0,1"): {"imat_mul": 1_072, "term_products": 2_663_164,
-                        "divide_out": 60, "value_at_h0": 40, "invert": 40},
+                        "divide_out": 60, "value_at_h0": 40,
+                        "invert": 2, "decompositions": 40},
     ("A5", "1,0,0,0,1"): {"imat_mul": 702, "term_products": 16_462_122,
-                          "divide_out": 390, "value_at_h0": 145, "invert": 39},
+                          "divide_out": 390, "value_at_h0": 145,
+                          "invert": 5, "decompositions": 39},
 }
 SLOW_BUDGETS = {("A5", "1,0,0,0,1")}  # about 5 s of CPU, so under -m slow
 
@@ -57,7 +68,10 @@ def _count_work(monkeypatch, capsys, algebra, hw):
     - divide_out, value_at_h0: Polynomial.divide_by_form calls (L1 trial
       divisions) made within ratfun._divide_out (reductions) and within
       dynweyl._value_at_h0 (the h = 0 limit), the only two callers;
-    - invert: linalg.invert calls (one per L3 string decomposition)."""
+    - invert: linalg.invert calls (one per L3 string decomposition of a
+      weight space that holds two strings or more);
+    - decompositions: the L3 string decompositions, the entries that the
+      irrep keeps in string_parts after the run."""
     counts = collections.Counter()
     within = [None]  # the innermost running caller of divide_by_form
 
@@ -93,6 +107,7 @@ def _count_work(monkeypatch, capsys, algebra, hw):
         dynweyl.rank1_coefficient.cache_clear()
     out, _ = capsys.readouterr()
     assert code == 0 and "cases pass" in out
+    counts["decompositions"] = len(cli._irrep_memo[1].string_parts)
     return counts
 
 

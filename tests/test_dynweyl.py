@@ -384,7 +384,7 @@ def test_primitive_walks_are_int_walks_shared_along_the_string():
     kernel, walks = _primitive_walks(V, 1, Weight((2,)), 2)
     assert kernel == [[1]] and walks == [[([1], 1), ([1], 1), ([2], 1)]]
     assert {type(x) for walk in walks for v, d in walk for x in v + [d]} == {int}
-    for nu in V.weights():  # every weight of the string reads the one walk
+    for nu in V.weights():  # every weight of the string shares the one entry
         sl2_strings(V, 1, nu)
     assert V.string_walks[(1, Weight((2,)))][1] is walks and len(walks[0]) == 3
     # G2: f_i^j u == ints / d for every kept walk, against the dense powers
@@ -400,7 +400,7 @@ def test_primitive_walks_are_int_walks_shared_along_the_string():
                 dense = [factorial(j) * x for x in _dense_f_power(V, i, w, j, u)]
                 assert [F(x, d) for x in ints] == dense
                 checked += 1
-    assert checked == 128
+    assert checked == 104
 
 
 def test_simple_reflection_block_checks_the_index_first():
@@ -826,6 +826,73 @@ def test_contravariant_form_identity_rejects_the_mirror_continuation(monkeypatch
     for irrep, checks in ((("A2", (2, 1)), 24), (("B2", (1, 1)), 24), (("G2", (1, 0)), 26)):
         done, failures = _contravariant_sweep([irrep])  # each on a fresh irrep
         assert done == checks and failures > 0, irrep
+
+
+# ---------------------------------------------------------------------------
+# the closed form at the extremal weights mu in W(lambda): each weight space
+# along the word is V_{w' mu} for a prefix w', of dimension one on a single
+# alpha_i-string, where k = 0 or k = m; c(m, 0, xi) = 1 and c(m, m, xi) =
+# (-1)^m (xi + (m + 1) h) / (xi + h), so at xi = <x, g> + (ht(g) - 1) h
+#
+#   A_w(x) on V_mu = eps * prod over g in N(w) with <mu, g> < 0 of
+#                    (<x, g> + (ht(g) - <mu, g>) h) / (<x, g> + ht(g) h),
+#
+# eps = classical_limit of the block.  The right side reads only the
+# crossing coroots N(w), so it checks L3 and L4 against the root data, in
+# every rank: w0 up to rank 3, and a reduced word on the E6 adjoint
+
+
+E6_WORD = (1, 3, 4, 2, 5, 4)
+EXTREMAL_CASES = [("A2", (2, 1), None), ("B2", (2, 2), None), ("G2", (1, 1), None),
+                  ("A3", (2, 0, 2), None), ("E6", (0, 1, 0, 0, 0, 0), E6_WORD)]
+
+
+def _weyl_orbit(t, lam):
+    orbit, todo = {lam}, [lam]
+    while todo:
+        mu = todo.pop()
+        for i in range(1, t.rank + 1):
+            if (nu := simple_reflection(t, i, mu)) not in orbit:
+                orbit.add(nu)
+                todo.append(nu)
+    return sorted(orbit, key=lambda w: w.coords)
+
+
+def _extremal_sweep(cases):
+    """(blocks, failures) of the closed form at every extremal weight of
+    each (algebra, highest weight, word), the word None meaning w0."""
+    blocks = failures = 0
+    for name, hw, word in cases:
+        t = LieType.parse(name)
+        V = build_irrep(t, Weight(hw))
+        word = longest_element(t) if word is None else word
+        for mu in _weyl_orbit(t, V.hw):
+            blk = word_operator_block(V, word, mu)
+            crossed = [(g, pairing(mu, g)) for g in crossing_coroots(t, word) if pairing(mu, g) < 0]
+            closed = RatFun.from_factors(classical_limit(blk)[0][0],
+                                         [DegreeOneForm.make(g.coords, g.height() - p)
+                                          for g, p in crossed],
+                                         [DegreeOneForm.make(g.coords, g.height())
+                                          for g, _ in crossed], t.rank)
+            blocks += 1
+            failures += blk.matrix != [[closed]]
+    return blocks, failures
+
+
+def test_extremal_weight_closed_form():
+    assert _extremal_sweep(EXTREMAL_CASES) == (6 + 8 + 12 + 12 + 72, 0)
+
+
+@pytest.mark.parametrize("mutant", ["no-rho-shift", "mirror"])
+@pytest.mark.parametrize("case", [EXTREMAL_CASES[0], EXTREMAL_CASES[-1]], ids=lambda c: c[0])
+def test_extremal_weight_closed_form_rejects_a_mutant(monkeypatch, mutant, case):
+    if mutant == "no-rho-shift":  # xi = <x, gamma>, the (ht(gamma) - 1) h shift dropped
+        monkeypatch.setattr(dynweyl, "_step_variable",
+                            lambda gamma: DegreeOneForm.make(gamma.coords, 0))
+    else:
+        monkeypatch.setattr(dynweyl, "rank1_coefficient", _mirror_coefficient)
+    blocks, failures = _extremal_sweep([case])  # on a fresh irrep
+    assert failures > 0, (blocks, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -540,12 +540,15 @@ def _break_invariant(name: str, patch):
 
         patch("_solve", broken_solve)
         return lambda: build_irrep(A1, Weight((2,)))
-    if name == "string_fill":
-        # a kernel that misses its first vector leaves V_0 of the adjoint
-        # representation of A2 without its two sl(2)_1-strings
+    if name in ("string_fill", "string_surplus"):
+        # V_0 of the adjoint representation of A2 holds two sl(2)_1-strings,
+        # with one primitive at 0 and one at alpha_1: a kernel that misses its
+        # first vector (string_fill) or holds it twice (string_surplus) is not
+        # the size of the drop in multiplicity
         V = build_irrep(A2, Weight((1, 1)))
+        edit = (lambda b: b[1:]) if name == "string_fill" else (lambda b: b + b[:1])
         patch("linalg", SimpleNamespace(**dict(
-            vars(linalg), nullspace=lambda a, cols: linalg.nullspace(a, cols)[1:])))
+            vars(linalg), nullspace=lambda a, cols: edit(linalg.nullspace(a, cols)))))
         return lambda: sl2_strings(V, 1, Weight((0, 0)))
     raise KeyError(name)
 
@@ -558,6 +561,7 @@ INVARIANT_CHECKS = {
     "shap": "contravariant form 4/3 on f-monomials is not an integer",
     "positive_definite": "^contravariant form is not positive definite$",
     "string_fill": r"^sl\(2\)-string decomposition does not fill the weight space$",
+    "string_surplus": r"^sl\(2\)-string decomposition does not fill the weight space$",
 }
 
 _BREAK_INVARIANT = """
@@ -663,11 +667,10 @@ def test_sl2_strings_keeps_each_decomposition_on_the_irrep(monkeypatch):
 
 def test_string_data_is_pinned_bit_for_bit():
     # (m, k, primitives, transfer) at every (i, nu) of the 62 irreps of A2,
-    # B2, G2 and A3 of dim <= 48, hashed by repr, so each entry's type (a
-    # Fraction, or an int 0 where no string term lands) counts as well as its
-    # value; the digest is that of the Fraction elimination and the dense
-    # divided-power walk that the int walks replaced
-    digest, components = hashlib.sha256(), 0
+    # B2, G2 and A3 of dim <= 48, hashed by value (each entry as a Fraction,
+    # so an int 0 and Fraction(0) hash alike); the change of basis inverted
+    # at every (i, nu), which rho * F * Pi replaced, gives the same digest
+    digest, components, kinds = hashlib.sha256(), 0, set()
     for algebra in ("A2", "B2", "G2", "A3"):
         t = LieType.parse(algebra)
         for hw in dominant_weights_up_to_dim(t, 48):
@@ -676,10 +679,15 @@ def test_string_data_is_pinned_bit_for_bit():
                 for nu in V.weights():
                     for c in sl2_strings(V, i, nu):
                         digest.update(repr((algebra, hw.coords, i, nu.coords, c.m, c.k,
-                                            c.primitives, c.transfer)).encode())
+                                            [[Fraction(x) for x in u] for u in c.primitives],
+                                            [[Fraction(x) for x in row] for row in c.transfer])
+                                           ).encode())
                         components += 1
+                        kinds |= {(type(x), bool(x)) for row in c.transfer for x in row}
     assert components == 2942
-    assert digest.hexdigest() == "85c33acdeb28e91a1210c78ddda6d100e66b4216f7d81e0776e5cb11cd999ccb"
+    assert digest.hexdigest() == "d119936809f4e3432ad4a4590808045c280674bd9f234839d6a146ed1cf53b6b"
+    # a nonzero transfer entry is a Fraction, and a zero one an int 0
+    assert kinds == {(Fraction, True), (int, False)}
 
 
 def test_strings_fill_weight_space():
