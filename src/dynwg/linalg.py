@@ -1,24 +1,23 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are lists of row lists of Fractions or ints (a Cartan matrix, the
-int matrix N of a generator block (N, d)).  invert and nullspace return
-Fractions; mat_mul keeps int matrices int.  Everything here is small
-(weight-space dimensions), so plain Gauss-Jordan is fine: invert, nullspace
-and rank share one, _reduce, which eliminates on ints to row echelon form
-with zeros above and below each pivot and leaves the pivots unnormalized; a
-caller makes a Fraction only for an entry it returns.
+int matrix N of a generator block (N, d)).  Exact results are ints over one
+denominator: invert returns a Block (N, d), and nullspace each kernel vector
+as (ints, d), both in lowest terms; mat_mul keeps int matrices int.
+Everything here is small (weight-space dimensions), so plain Gauss-Jordan is
+fine: invert, nullspace and rank share one, _reduce, which eliminates on ints
+to row echelon form with zeros above and below each pivot and leaves the
+pivots unnormalized.  No Fraction is made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Block = tuple[Matrix, int]  # (N, d): the matrix N / d, N an int matrix and d > 0 an int
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -39,10 +38,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def int_vector(v: Vector) -> tuple[list[int], int]:
-    """(ints, d) with v == ints / d, d > 0 the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+def lowest(n: Matrix, d: int) -> Block:
+    """(n, d), an int matrix over an int d > 0, divided by their gcd."""
+    g = gcd(d, *chain.from_iterable(n))
+    return ([[x // g for x in row] for row in n] if g > 1 else n), d // g
 
 
 def _reduce(m: Matrix, cols: int) -> list[int]:
@@ -54,7 +53,8 @@ def _reduce(m: Matrix, cols: int) -> list[int]:
     Fraction-free (Bareiss, Math. Comp. 1968): the rows are scaled to ints,
     and a row is cleared by an int combination with the pivot row and
     divided by its gcd.  No Fraction is made."""
-    m[:] = [int_vector(row)[0] for row in m]
+    m[:] = [[x.numerator * (d // x.denominator) for x in row]
+            for row in m for d in [lcm(*(x.denominator for x in row))]]
     pivots: list[int] = []
     rows = len(m)
     for c in range(cols):
@@ -77,31 +77,33 @@ def _reduce(m: Matrix, cols: int) -> list[int]:
     return pivots
 
 
-def invert(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan on [a | I]; raises ValueError on non-square
-    or singular input."""
+def invert(a: Matrix) -> Block:
+    """The inverse as a Block in lowest terms, by Gauss-Jordan on [a | I];
+    raises ValueError on non-square or singular input."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     if len(_reduce(aug, n)) < n:
         raise ValueError("singular matrix")
-    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(aug)]
+    d = lcm(*(row[r] for r, row in enumerate(aug)))  # row r / its pivot is row r of a^-1
+    return lowest([[x * (d // row[r]) for x in row[n:]] for r, row in enumerate(aug)], d)
 
 
-def nullspace(a: Matrix, cols: int) -> list[Vector]:
+def nullspace(a: Matrix, cols: int) -> list[tuple[list[int], int]]:
     """Deterministic basis of the kernel of the (rows x cols) matrix a: one
-    vector per non-pivot column f, with 1 at f."""
+    vector ints / d per non-pivot column f, with 1 at f, in lowest terms."""
     m = [list(row) for row in a]
     pivots = _reduce(m, cols)
-    free = [c for c in range(cols) if c not in pivots]
+    d = lcm(*(row[p] for row, p in zip(m, pivots)))
     basis = []
-    for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = d
         for row, p in zip(m, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(v)
+            v[p] = -row[f] * (d // row[p])
+        g = gcd(d, *v)
+        basis.append(([x // g for x in v], d // g))
     return basis
 
 

@@ -36,10 +36,12 @@ A broken invariant of the oracles or the builder raises RepError.
 sl2_strings owns the sl(2)-string data of a weight space, and keeps it on the
 irrep once per (i, nu).  Each string's transfer map is rho * f_i^n * Pi
 (e_i^-n for n = <nu, coroot_i> < 0), an int product of the generator blocks,
-with Pi the projection onto the string.  Pi is the identity when V_nu is one
-string; otherwise a change of basis is inverted, whose columns f_i^k u are
-read from the primitives' int f_i-walks, kept per (i, w) for every weight on
-the alpha_i-string to share and walked to depth k only there.
+with Pi the projection onto the string.  The primitives are the kernel of e_i
+at the string's top w, from linalg.nullspace as int pairs (ints, d), kept per
+(i, w) for every weight on the alpha_i-string to share.  Pi is the identity
+when V_nu is one string; otherwise a change of basis is inverted, whose
+columns are the kernel's int vectors times k of f_i's int matrices N: f_i^k u
+up to a scalar per column, which leaves each string's projection as it is.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby
-from math import factorial, gcd, lcm, prod
-from operator import mul
+from itertools import groupby
+from math import factorial, lcm, prod
 
 from . import linalg
-from .linalg import Matrix, Vector
+from .linalg import Block, Matrix, lowest
 from .rootdata import (
     LieType,
     RootDataError,
@@ -68,7 +69,6 @@ from .rootdata import (
 
 Word = tuple[int, ...]  # f_{i1} f_{i2} ... f_{ik} v, leftmost applied last
 Coords = tuple[int, ...]  # the coordinates of a Weight
-Block = tuple[Matrix, int]  # (N, d): the matrix N / d, N an int matrix and d > 0 an int
 
 
 class RepError(Exception):
@@ -152,12 +152,10 @@ def _root_frame(t: LieType) -> tuple[int, tuple[Coords, ...], int, Coords]:
     adj maps fundamental coordinates to D times simple-root coordinates, and
     the W-invariant inner product is (mu, nu) = sum_j (adj nu)_j dl_j mu_j / (D L).
     """
-    inv = linalg.invert(cartan_matrix(t))
-    D = lcm(*(x.denominator for row in inv for x in row))
+    adj, D = linalg.invert(cartan_matrix(t))
     d = _symmetrizers(t)
     L = lcm(*(x.denominator for x in d))
-    return (D, tuple(tuple(int(x * D) for x in row) for row in inv),
-            L, tuple(int(x * L) for x in d))
+    return D, tuple(map(tuple, adj)), L, tuple(int(x * L) for x in d)
 
 
 def _scaled_root_coords(t: LieType, coords: Coords) -> list[int]:
@@ -276,9 +274,9 @@ class Irrep:
     # (i, nu) -> sl2_strings(V, i, nu), which only sl2_strings reads and
     # writes; kept as long as this irrep
     string_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (i, w) -> the kernel of e_i at w and each primitive's f_i-walk, for
-    # sl2_strings (_primitive_walks)
-    string_walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (i, w) -> linalg.nullspace of e_i at w, the primitives that sl2_strings
+    # reads there for every weight below w on the alpha_i-string
+    kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # mu -> [step products, reduced product] of the last word that
     # dynweyl.word_operator_block composed at mu, for the next word to reuse
     word_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -434,15 +432,9 @@ def check_chevalley_serre(V: Irrep) -> list[str]:
 # construction
 
 
-def _lowest(n: Matrix, d: int) -> Block:
-    """(n, d), an int matrix over an int d > 0, divided by their gcd."""
-    g = gcd(d, *chain.from_iterable(n))
-    return ([[x // g for x in row] for row in n] if g > 1 else n), d // g
-
-
 def _solve(adj: Matrix, det: int, m: Matrix) -> Block:
     """(N, d) = G^-1 m in lowest terms, for int matrices m and adj = det * G^-1."""
-    return _lowest(linalg.mat_mul(adj, m), det)
+    return lowest(linalg.mat_mul(adj, m), det)
 
 
 class _IrrepBuilder:
@@ -586,8 +578,8 @@ class _IrrepBuilder:
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
 
         def rescale(raw, shifts):  # the blocks (i, nu) whose target shifts[nu][i - 1] is a weight
-            return {(i, weight[nu]): _lowest([[x * ft * c for x, c in zip(row, cofact[nu])]
-                                              for row, ft in zip(n, fact[target])], d * lcms[nu])
+            return {(i, weight[nu]): lowest([[x * ft * c for x, c in zip(row, cofact[nu])]
+                                             for row, ft in zip(n, fact[target])], d * lcms[nu])
                     for nu in self.basis for i, target in enumerate(shifts[nu], 1)
                     if target in self.basis for n, d in [raw[(i, nu)]]}
 
@@ -632,42 +624,23 @@ class StringComponent:
 
     m is the highest sl(2)-weight of the string, k the depth (m - 2k is the
     sl(2)-weight at the decomposed space); primitives live at weight
-    nu + k*alpha_i and inject via the divided power f_i^(k).  transfer sends
-    each column f_i^(k) u to the image f_i^(m-k) u in V_{s_i nu} and every
-    other string's columns to 0, so that A_{s_i}(xi) on V_nu is the sum of
-    c(m,k,xi) * transfer.  It is rho * F * Pi, with n = <nu, coroot_i>:
-    F = f_i^n (n >= 0) or e_i^-n (n < 0), Pi the projection onto this
-    string's columns along the other strings', and rho = k!/(m-k)! (n >= 0)
-    or (m-k)!/k! (n < 0), by the sl(2) relations on plain powers
-    f_i^n f_i^k u = f_i^{m-k} u and e_i^-n f_i^k u = (k!/(m-k)!)^2 f_i^{m-k} u.
-    Its nonzero entries are Fractions, and its zero entries int 0.
+    nu + k*alpha_i and inject via the divided power f_i^(k).  Each primitive
+    u is a pair (ints, d) with u = ints / d in lowest terms, as
+    linalg.nullspace returns it.  transfer sends each column f_i^(k) u to
+    the image f_i^(m-k) u in V_{s_i nu} and every other string's columns to
+    0, so that A_{s_i}(xi) on V_nu is the sum of c(m,k,xi) * transfer.  It
+    is rho * F * Pi, with n = <nu, coroot_i>: F = f_i^n (n >= 0) or e_i^-n
+    (n < 0), Pi the projection onto this string's columns along the other
+    strings', and rho = k!/(m-k)! (n >= 0) or (m-k)!/k! (n < 0), by the
+    sl(2) relations on plain powers f_i^n f_i^k u = f_i^{m-k} u and
+    e_i^-n f_i^k u = (k!/(m-k)!)^2 f_i^{m-k} u.  Its nonzero entries are
+    Fractions, and its zero entries int 0.
     """
 
     m: int
     k: int
-    primitives: list[Vector]
+    primitives: list[tuple[list[int], int]]
     transfer: Matrix
-
-
-def _primitive_walks(V: Irrep, i: int, w: Weight, depth: int) -> tuple[list[Vector], list]:
-    """The kernel of e_i at w, and each primitive u's f_i-walk: walk[j] is
-    (ints, d) with f_i^j u == ints / d, for j <= depth.  Kept on V and
-    extended on demand, so every weight on the alpha_i-string shares it;
-    each step multiplies by the int matrix of an f_i block (N, d).  A walk
-    goes only as deep as a change of basis reads it: depth k, for the
-    column f_i^k u at a weight that holds two strings or more."""
-    data = V.string_walks.get((i, w))
-    if data is None:
-        kernel = linalg.nullspace(V.e_block(i, w)[0], V.weight_dim(w))
-        data = V.string_walks[(i, w)] = kernel, [[linalg.int_vector(u)] for u in kernel]
-    for walk in data[1] if depth else ():  # walk[0] is there from the start
-        while len(walk) <= depth:
-            j = len(walk) - 1
-            alpha = simple_root(V.type, i).coords
-            f, d = V.f_block(i, Weight(tuple(c - j * a for c, a in zip(w.coords, alpha))))
-            v, den = walk[-1]
-            walk.append(([sum(map(mul, row, v)) for row in f], den * d))
-    return data
 
 
 def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
@@ -676,25 +649,30 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
     Walks up the alpha_i-string from k = max(0, -n), n = <nu, coroot_i>,
     until the primitives fill V_nu.  At w = nu + k*alpha_i, e_i is onto
     V_{w+alpha_i}, so the kernel of e_i at w must hold dim V_w -
-    dim V_{w+alpha_i} primitives.  Each transfer map is rho * F * Pi (see
-    StringComponent), formed on ints with one Fraction per nonzero entry.
-    Pi is the identity when V_nu is one string.  Otherwise Pi = C_k R_k:
-    C has the int columns f_i^k u of the primitives' walks, R = C^-1 is the
-    one change of basis that is inverted, and its rows are scaled to ints.
-    None of it depends on xi, so the list is kept on V, once per (i, nu),
-    and every caller shares it."""
+    dim V_{w+alpha_i} primitives; it is kept on V per (i, w), for every
+    weight below w on the alpha_i-string to share.  Each transfer map is
+    rho * F * Pi (see StringComponent), formed on ints with one Fraction per
+    nonzero entry.  Pi is the identity when V_nu is one string.  Otherwise
+    Pi_k = C_k R_k, R = C^-1 the one change of basis inverted: C_k is the
+    kernel's int vectors times k int matrices N of f_i's blocks (N, d), so
+    each column is f_i^k u up to a scalar, which leaves Pi_k as it is.  None
+    of it depends on xi, so the list is kept on V, once per (i, nu), and
+    every caller shares it."""
     if (strings := V.string_parts.get((i, nu))) is not None:
         return strings
+    alpha = simple_root(V.type, i)  # raises on an index out of range
     if nu not in (basis := V.basis):
         raise RepError(f"{nu} is not a weight of V({V.hw})")
-    n, alpha, dim = nu[i - 1], simple_root(V.type, i), len(basis[nu])
-    found = []  # (m, k, w, primitives)
+    n, dim = nu[i - 1], len(basis[nu])
+    found = []  # (m, k, w, kernel)
     k, filled = max(0, -n), 0
     w = Weight(tuple(c + k * a for c, a in zip(nu.coords, alpha.coords))) if k else nu
     while filled < dim and (here := basis.get(w)) is not None:
         above = weight_add(w, alpha)
         if count := len(here) - len(basis.get(above, ())):
-            if len(kernel := _primitive_walks(V, i, w, 0)[0]) != count:
+            if (kernel := V.kernels.get((i, w))) is None:
+                kernel = V.kernels[i, w] = linalg.nullspace(V.e_block(i, w)[0], len(here))
+            if len(kernel) != count:
                 break
             filled += count
             found.append((n + 2 * k, k, w, kernel))
@@ -710,15 +688,17 @@ def sl2_strings(V: Irrep, i: int, nu: Weight) -> list[StringComponent]:
         f = [[int(r == c) for c in range(dim)] for r in range(dim)]
     parts = [(f, 1)]  # (t, D) per string, F Pi = t / (d D); Pi = 1 on one string
     if len(found) > 1:
-        C = linalg.transpose([walk[k][0] for _, k, w, _ in found
-                              for walk in _primitive_walks(V, i, w, k)[1]])
-        R = linalg.invert(C)  # raises if singular
-        FC, parts, end = linalg.mat_mul(f, C), [], 0
-        for _, _, _, kernel in found:  # (F C_k) R_k, with R_k's rows over their lcm D
-            start, end = end, end + len(kernel)
-            D = lcm(*(x.denominator for row in R[start:end] for x in row))
-            r = [[x.numerator * (D // x.denominator) for x in row] for row in R[start:end]]
-            parts.append((linalg.mat_mul([row[start:end] for row in FC], r), D))
+        C = []  # C_k per string
+        for _, k, w, kernel in found:
+            c = linalg.transpose([u for u, _ in kernel])
+            for _ in range(k):
+                c, w = linalg.mat_mul(V.f_block(i, w)[0], c), weight_sub(w, alpha)
+            C.append(c)
+        R, D = linalg.invert([sum(rows, []) for rows in zip(*C)])  # raises if singular
+        parts, end = [], 0
+        for c in C:  # F Pi_k = (F C_k) R_k / D
+            start, end = end, end + len(c[0])
+            parts.append((linalg.mat_mul(linalg.mat_mul(f, c), R[start:end]), D))
     components = []
     for (m, k, _, kernel), (t, D) in zip(found, parts):
         den = d * D * factorial(max(k, m - k)) // factorial(min(k, m - k))  # rho F Pi = t / den
@@ -757,7 +737,7 @@ def _triplets_to_matrix(tr, rows: int, cols: int) -> Block:
     n = [[0] * cols for _ in range(rows)]
     for r, c, p, q in entries:
         n[r][c] = p * (d // q)
-    return _lowest(n, d)
+    return lowest(n, d)
 
 
 def irrep_to_json(V: Irrep) -> dict:

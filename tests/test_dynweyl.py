@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -19,10 +19,10 @@ from dynwg.dynweyl import (
     simple_reflection_block,
     word_operator_block,
 )
+from dynwg.geomsatake import levi_restriction_check
 from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
 from dynwg.rep import (
     RepError,
-    _primitive_walks,
     build_irrep,
     sl2_strings,
     weight_add,
@@ -41,7 +41,7 @@ from dynwg.rootdata import (
     pairing,
     simple_root,
 )
-from irrep_blocks import dense
+from irrep_blocks import dense, dense_vector
 from ratfun_text import parse_ratfun, var
 
 A1 = LieType.parse("A1")
@@ -211,8 +211,9 @@ def _dense_string_walks(V, i, nu):
     alpha, walks = simple_root(V.type, i), []
     for comp in sl2_strings(V, i, nu):
         w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
-        walks.append((comp, [_dense_f_power(V, i, w, comp.k, u) for u in comp.primitives],
-                      [_dense_f_power(V, i, w, comp.m - comp.k, u) for u in comp.primitives]))
+        primitives = [dense_vector(u) for u in comp.primitives]
+        walks.append((comp, [_dense_f_power(V, i, w, comp.k, u) for u in primitives],
+                      [_dense_f_power(V, i, w, comp.m - comp.k, u) for u in primitives]))
     return walks
 
 
@@ -296,7 +297,7 @@ def _contravariant_forms(V):
                 ft += linalg.transpose(dense(V.f_block(i, sigma)))
                 he += linalg.mat_mul(forms[sigma], dense(V.e_block(i, nu)))
         f = linalg.transpose(ft)
-        g = linalg.mat_mul(linalg.invert(linalg.mat_mul(f, ft)), linalg.mat_mul(f, he))
+        g = linalg.mat_mul(dense(linalg.invert(linalg.mat_mul(f, ft))), linalg.mat_mul(f, he))
         assert linalg.mat_mul(ft, g) == he, f"no form at {nu} makes e adjoint to f"
         assert g == linalg.transpose(g), f"the form at {nu} is not symmetric"
         pivots = [list(row) for row in g]  # Gaussian elimination without swaps
@@ -352,7 +353,7 @@ def test_string_data_matches_dense_divided_powers():
             for nu in [nu for nu in V.weights() if nu[i - 1] >= 0]:
                 walks = _dense_string_walks(V, i, nu)
                 change = linalg.transpose([col for _, columns, _ in walks for col in columns])
-                rows = iter(linalg.invert(change))
+                rows = iter(dense(linalg.invert(change)))
                 expected = [[RatFun.zero(t.rank)] * V.weight_dim(nu)
                             for _ in range(V.weight_dim(nu))]
                 for comp, _, images in walks:
@@ -377,30 +378,40 @@ def test_string_data_matches_dense_divided_powers():
     assert (compared, one_letter) == (223, 46)
 
 
-def test_primitive_walks_are_int_walks_shared_along_the_string():
-    # V(2) of A1 in the basis v, f v, f^(2) v: f sends v to f v and f v to
-    # 2 f^(2) v, so the walk of the primitive v is v, f v, 2 f^(2) v
+def test_each_kernel_is_computed_once_and_shared_along_the_string(monkeypatch):
+    # the kernel of e_i at a string's top w is kept on V per (i, w), and every
+    # weight on the string, w - j alpha_i for j = 0 .. <w, coroot_i>, reads
+    # that one list as the string's primitives
+    calls, nullspace = [], linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda a, cols: calls.append(cols) or nullspace(a, cols))
+    # V(2) of A1: v spans the kernel of e at the top weight 2, and the weights
+    # 2, 0 and -2 all lie on its one string
     V = build_irrep(A1, Weight((2,)))
-    kernel, walks = _primitive_walks(V, 1, Weight((2,)), 2)
-    assert kernel == [[1]] and walks == [[([1], 1), ([1], 1), ([2], 1)]]
-    assert {type(x) for walk in walks for v, d in walk for x in v + [d]} == {int}
-    for nu in V.weights():  # every weight of the string shares the one entry
-        sl2_strings(V, 1, nu)
-    assert V.string_walks[(1, Weight((2,)))][1] is walks and len(walks[0]) == 3
-    # G2: f_i^j u == ints / d for every kept walk, against the dense powers
+    for nu in V.weights():
+        (comp,) = sl2_strings(V, 1, nu)
+        assert comp.primitives is V.kernels[(1, Weight((2,)))]
+    assert V.kernels == {(1, Weight((2,))): [([1], 1)]} and calls == [1]
+    # G2 (1,1), every (i, nu): a kernel at each (i, w) where the multiplicity
+    # drops, computed once, killed by e_i, and read by each weight of its string
     G2 = LieType.parse("G2")
-    V = build_irrep(G2, Weight((1, 1)))
+    V, calls[:] = build_irrep(G2, Weight((1, 1))), []
+    readers = {}
     for i in (1, 2):
+        alpha = simple_root(G2, i)
         for nu in V.weights():
-            sl2_strings(V, i, nu)
-    checked = 0
-    for (i, w), data in V.string_walks.items():
-        for u, walk in zip(*data):
-            for j, (ints, d) in enumerate(walk):
-                dense = [factorial(j) * x for x in _dense_f_power(V, i, w, j, u)]
-                assert [F(x, d) for x in ints] == dense
-                checked += 1
-    assert checked == 104
+            for comp in sl2_strings(V, i, nu):
+                w = Weight(tuple(c + comp.k * a for c, a in zip(nu.coords, alpha.coords)))
+                assert comp.primitives is V.kernels[(i, w)]
+                readers[(i, w)] = readers.get((i, w), 0) + 1
+    tops = {(i, w) for i in (1, 2) for w in V.weights()
+            if V.weight_dim(w) > V.weight_dim(weight_add(w, simple_root(G2, i)))}
+    assert set(V.kernels) == set(readers) == tops and len(calls) == len(tops) == 32
+    assert all(n == w[i - 1] + 1 for (i, w), n in readers.items())
+    for (i, w), kernel in V.kernels.items():
+        e = dense(V.e_block(i, w))
+        for ints, d in kernel:
+            assert d > 0 and gcd(d, *ints) == 1 and not any(_mat_vec(e, dense_vector((ints, d))))
 
 
 def test_simple_reflection_block_checks_the_index_first():
@@ -410,6 +421,11 @@ def test_simple_reflection_block_checks_the_index_first():
         for nu in (Weight((2, -1)), Weight((1, 1)), Weight((-1, 2))):
             with pytest.raises(RootDataError):
                 simple_reflection_block(V, i, nu, xi)
+            with pytest.raises(RootDataError):
+                sl2_strings(V, i, nu)
+        for mu in (Weight((1, 1)), Weight((0, 0))):  # dominant, as levi_restriction_check needs
+            with pytest.raises(RootDataError):
+                levi_restriction_check(V, i, mu)
 
 
 def test_block_preconditions():
@@ -592,7 +608,8 @@ def _oracle_simple_block(V, i, nu, xi):
     walks = _dense_string_walks(V, i, nu)
     rows, dim = V.weight_dim(simple_reflection(V.type, i, nu)), V.weight_dim(nu)
     matrix = [[RatFun.zero(nx) for _ in range(dim)] for _ in range(rows)]
-    p_rows = iter(linalg.invert(linalg.transpose([col for _, cols, _ in walks for col in cols])))
+    change = linalg.transpose([col for _, cols, _ in walks for col in cols])
+    p_rows = iter(dense(linalg.invert(change)))
     for comp, _, images in walks:
         c = rank1_coefficient(comp.m, comp.k, xi)
         for image in images:
@@ -839,12 +856,18 @@ def test_contravariant_form_identity_rejects_the_mirror_continuation(monkeypatch
 #
 # eps = classical_limit of the block.  The right side reads only the
 # crossing coroots N(w), so it checks L3 and L4 against the root data, in
-# every rank: w0 up to rank 3, and a reduced word on the E6 adjoint
+# every rank: w0 up to rank 5, and a reduced word of length 6 on each of the
+# E6, E7 and E8 adjoints
 
 
 E6_WORD = (1, 3, 4, 2, 5, 4)
+E7_WORD = (1, 3, 4, 5, 4, 3)
+E8_WORD = (8, 7, 6, 7, 8, 5)
 EXTREMAL_CASES = [("A2", (2, 1), None), ("B2", (2, 2), None), ("G2", (1, 1), None),
-                  ("A3", (2, 0, 2), None), ("E6", (0, 1, 0, 0, 0, 0), E6_WORD)]
+                  ("A3", (2, 0, 2), None), ("E6", (0, 1, 0, 0, 0, 0), E6_WORD),
+                  ("D4", (0, 1, 0, 0), None), ("F4", (0, 0, 0, 1), None),
+                  ("A5", (1, 0, 0, 0, 1), None), ("E7", (1, 0, 0, 0, 0, 0, 0), E7_WORD),
+                  ("E8", (0, 0, 0, 0, 0, 0, 0, 1), E8_WORD)]
 
 
 def _weyl_orbit(t, lam):
@@ -880,11 +903,11 @@ def _extremal_sweep(cases):
 
 
 def test_extremal_weight_closed_form():
-    assert _extremal_sweep(EXTREMAL_CASES) == (6 + 8 + 12 + 12 + 72, 0)
+    assert _extremal_sweep(EXTREMAL_CASES) == (6 + 8 + 12 + 12 + 72 + 24 + 24 + 30 + 126 + 240, 0)
 
 
 @pytest.mark.parametrize("mutant", ["no-rho-shift", "mirror"])
-@pytest.mark.parametrize("case", [EXTREMAL_CASES[0], EXTREMAL_CASES[-1]], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", EXTREMAL_CASES[:1] + EXTREMAL_CASES[4:], ids=lambda c: c[0])
 def test_extremal_weight_closed_form_rejects_a_mutant(monkeypatch, mutant, case):
     if mutant == "no-rho-shift":  # xi = <x, gamma>, the (ht(gamma) - 1) h shift dropped
         monkeypatch.setattr(dynweyl, "_step_variable",

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dynwg import linalg
+from irrep_blocks import dense, dense_vector
 
 F = Fraction
 
 
 def test_invert_and_solve():
     a = [[F(2), F(1)], [F(1), F(1)]]
-    inv = linalg.invert(a)
+    inv = dense(linalg.invert(a))
     assert linalg.mat_mul(a, inv) == [[1, 0], [0, 1]]
     # a x = (3, 2) is solved by x = a^-1 (3, 2)
     assert linalg.mat_mul(inv, [[F(3)], [F(2)]]) == [[F(1)], [F(1)]]
@@ -91,6 +93,11 @@ def _random_matrix(rng, rows, cols):
     return a
 
 
+def _lowest_int_pair(ints, d):
+    """Whether ints / d is an int pair in lowest terms: d > 0, gcd(d, ints) = 1."""
+    return {type(x) for x in ints + [d]} == {int} and d > 0 and gcd(d, *ints) == 1
+
+
 def test_fraction_free_elimination_matches_fraction_gauss_jordan():
     rng = random.Random(20261019)
     singular = 0
@@ -107,11 +114,12 @@ def test_fraction_free_elimination_matches_fraction_gauss_jordan():
                 with pytest.raises(ValueError, match=str(err)):
                     linalg.invert(a)
             else:
-                got = linalg.invert(a)
-                assert got == expected and {type(x) for row in got for x in row} == {F}
+                n, d = linalg.invert(a)
+                assert dense((n, d)) == expected
+                assert _lowest_int_pair([x for row in n for x in row], d)
         got = linalg.nullspace(a, cols)
-        assert got == _oracle_nullspace(a, cols)
-        assert all(type(x) is F for v in got for x in v)
+        assert [dense_vector(v) for v in got] == _oracle_nullspace(a, cols)
+        assert all(_lowest_int_pair(ints, d) for ints, d in got)
         assert linalg.rank(a, cols) == len(_fraction_reduce([list(r) for r in a], cols))
         assert a == before
     assert singular > 200
@@ -122,12 +130,12 @@ def test_nullspace_known_kernel():
     a = [[F(1), F(2)]]
     basis = linalg.nullspace(a, 2)
     assert len(basis) == 1
-    v = basis[0]
+    v = dense_vector(basis[0])
     assert v[0] + 2 * v[1] == 0 and any(v)
 
 
 def test_nullspace_full_and_trivial():
-    assert linalg.nullspace([], 3) == [
+    assert [dense_vector(v) for v in linalg.nullspace([], 3)] == [
         [F(1), F(0), F(0)],
         [F(0), F(1), F(0)],
         [F(0), F(0), F(1)],
@@ -161,11 +169,12 @@ def test_elimination_makes_only_the_fractions_it_returns(monkeypatch):
     assert {type(x) for row in m for x in row} == {int}
     assert all(m[r][c] == 0 for r in range(3) for c in range(3) if r != c)
     assert all(m[r][r] for r in range(3))
-    assert linalg.invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    assert len(made) == 4  # the right half of [a | I] only
-    made.clear()
-    assert linalg.nullspace([[1, 2, 3]], 3) == [[-2, 1, 0], [-3, 0, 1]]
-    assert len(made) == 2  # one per pivot and free column
+    # invert and nullspace return ints over one denominator
+    assert linalg.invert([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert linalg.invert([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+    assert linalg.nullspace([[1, 2, 3]], 3) == [([-2, 1, 0], 1), ([-3, 0, 1], 1)]
+    assert linalg.nullspace([[2, 1, 0], [0, 3, 1]], 3) == [([1, -2, 6], 6)]
+    assert made == []
 
 
 def test_transpose():

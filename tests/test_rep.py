@@ -41,7 +41,7 @@ from dynwg.rootdata import (
     rho,
     simple_root,
 )
-from irrep_blocks import dense, pair
+from irrep_blocks import dense, dense_vector, pair
 from test_rootdata import dominant_representative, weyl_orbit
 
 A1 = LieType.parse("A1")
@@ -150,7 +150,7 @@ def _mat_vec(a, v):
 
 
 def _oracle_root_coords(t, mu):
-    inv = linalg.invert([[F(x) for x in row] for row in cartan_matrix(t)])
+    inv = dense(linalg.invert([[F(x) for x in row] for row in cartan_matrix(t)]))
     return _mat_vec(inv, [F(c) for c in mu.coords])
 
 
@@ -679,7 +679,7 @@ def test_string_data_is_pinned_bit_for_bit():
                 for nu in V.weights():
                     for c in sl2_strings(V, i, nu):
                         digest.update(repr((algebra, hw.coords, i, nu.coords, c.m, c.k,
-                                            [[Fraction(x) for x in u] for u in c.primitives],
+                                            [dense_vector(u) for u in c.primitives],
                                             [[Fraction(x) for x in row] for row in c.transfer])
                                            ).encode())
                         components += 1
@@ -713,7 +713,7 @@ def test_string_primitives_killed_by_e():
             if k in by_k:
                 blk = dense(V.e_block(i, w))
                 for u in by_k[k].primitives:
-                    assert not any(_mat_vec(blk, u))
+                    assert not any(_mat_vec(blk, dense_vector(u)))
             w = weight_add(w, alpha)
 
 
