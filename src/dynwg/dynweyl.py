@@ -126,7 +126,9 @@ def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> 
     component's transfer map: the column f_i^(k) u of the change of basis
     goes to c(m,k,xi) f_i^(m-k) u.
     """
-    target = simple_reflection(V.type, i, nu)  # raises on an index out of range
+    if xi.nx != V.type.rank:
+        raise DynWeylError(f"xi has {xi.nx} variables, but {V.type} has rank {V.type.rank}")
+    target = simple_reflection(V.type, i, nu)  # raises on an index or a weight of the wrong rank
     matrix = [[None] * V.weight_dim(nu) for _ in range(V.weight_dim(target))]
     for comp in sl2_strings(V, i, nu):
         c = rank1_coefficient(comp.m, comp.k, xi)

@@ -62,6 +62,7 @@ from .rootdata import (
     RootDataError,
     Weight,
     cartan_matrix,
+    check_rank,
     positive_coroots,
     positive_roots_in_simple_basis,
     simple_root,
@@ -91,13 +92,8 @@ def weight_sub(a: Weight, b: Weight) -> Weight:
 # oracles
 
 
-def _check_rank(t: LieType, w: Weight):
-    if len(w.coords) != t.rank:
-        raise RepError(f"weight ({w}) has {len(w.coords)} coordinates, but {t} has rank {t.rank}")
-
-
 def _check_highest_weight(t: LieType, lam: Weight):
-    _check_rank(t, lam)
+    check_rank(t, lam)
     if not lam.is_dominant():
         raise RepError(f"highest weight {lam} is not dominant")
 
@@ -187,7 +183,7 @@ def _freudenthal_roots(t: LieType) -> tuple[tuple[Coords, Coords, Coords], ...]:
 def freudenthal_multiplicity(t: LieType, lam: Weight, mu: Weight) -> int:
     """Weight multiplicity of mu in V(lam) by the Freudenthal recursion."""
     _check_highest_weight(t, lam)
-    _check_rank(t, mu)
+    check_rank(t, mu)
     return _freudenthal(t, lam.coords, _dominant(t, mu.coords))
 
 

@@ -174,9 +174,16 @@ def _check_index(t: LieType, i: int):
         raise RootDataError(f"simple-reflection index {i} out of range for {t}")
 
 
+def check_rank(t: LieType, mu: Weight):
+    if len(mu.coords) != t.rank:
+        raise RootDataError(f"weight ({mu}) has {len(mu.coords)} coordinates,"
+                            f" but {t} has rank {t.rank}")
+
+
 def simple_reflection(t: LieType, i: int, mu: Weight) -> Weight:
     """s_i(mu) = mu - <mu, alphacheck_i> alpha_i."""
     _check_index(t, i)
+    check_rank(t, mu)
     c = mu.coords[i - 1]
     if not c:
         return mu
@@ -186,6 +193,7 @@ def simple_reflection(t: LieType, i: int, mu: Weight) -> Weight:
 
 def act(t: LieType, word: WeylWord, mu: Weight) -> Weight:
     """Apply the word as a composition of reflections: the last letter acts first."""
+    check_rank(t, mu)  # also for the empty word
     for i in reversed(word):
         mu = simple_reflection(t, i, mu)
     return mu
@@ -198,15 +206,24 @@ def pairing(mu: Weight, gamma: CorootVector) -> int:
 
 def crossing_coroots(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
     """gamma_t = s_{i_1}...s_{i_{t-1}}(alphacheck_{i_t}) for the stored word
-    (i_l, ..., i_1); all positive and distinct iff the word is reduced."""
-    if not is_reduced(t, word):
+    (i_l, ..., i_1); raises RootDataError if the word is not reduced."""
+    gammas = _walk(t, tuple(word))
+    if gammas is None:
         raise RootDataError(f"word {list(word)} is not reduced")
-    return _crossing_coroots_raw(t, tuple(word))
+    return gammas
+
+
+def is_reduced(t: LieType, word: WeylWord) -> bool:
+    return _walk(t, tuple(word)) is not None
 
 
 @lru_cache(maxsize=None)
-def _crossing_coroots_raw(t: LieType, word: WeylWord) -> tuple[CorootVector, ...]:
-    """s_j acts on the coroot lattice as g -> g - <alpha_j, g> alphacheck_j."""
+def _walk(t: LieType, word: WeylWord) -> tuple[CorootVector, ...] | None:
+    """The crossing coroots of the word, or None if one is not positive, as
+    l(u s_i) > l(u) iff u(alphacheck_i) > 0: that is, if the word is not
+    reduced.  s_j acts on coroots as g -> g - <alpha_j, g> alphacheck_j."""
+    for i in word:
+        _check_index(t, i)
     a = cartan_matrix(t)
     applied = tuple(reversed(word))  # i_1 first
     gammas = []
@@ -215,19 +232,7 @@ def _crossing_coroots_raw(t: LieType, word: WeylWord) -> tuple[CorootVector, ...
         for j in reversed(applied[:idx]):
             g[j - 1] -= sum(c * a[k][j - 1] for k, c in enumerate(g))
         gammas.append(CorootVector(tuple(g)))
-    return tuple(gammas)
-
-
-def is_reduced(t: LieType, word: WeylWord) -> bool:
-    return _is_reduced(t, tuple(word))
-
-
-@lru_cache(maxsize=None)
-def _is_reduced(t: LieType, word: WeylWord) -> bool:
-    for i in word:
-        _check_index(t, i)
-    gammas = _crossing_coroots_raw(t, word)
-    return len(set(gammas)) == len(gammas) and all(g.is_positive() for g in gammas)
+    return tuple(gammas) if all(g.is_positive() for g in gammas) else None
 
 
 @lru_cache(maxsize=None)
@@ -271,29 +276,27 @@ def rho(t: LieType) -> Weight:
 
 @lru_cache(maxsize=None)
 def longest_element(t: LieType) -> WeylWord:
-    """Lex-smallest reduced word of w0, read off w0(rho) = -rho: each letter is
-    the first left descent i, <w(rho), alphacheck_i> < 0, of the remaining w."""
-    letters = []
-    cur = Weight((-1,) * t.rank)
-    while not cur.is_dominant():
-        i = next(k + 1 for k, c in enumerate(cur.coords) if c < 0)
-        letters.append(i)
-        cur = simple_reflection(t, i, cur)
-    return tuple(letters)
+    """Lex-smallest reduced word of w0: the first word that the descent
+    search finds from w0(rho) = -rho."""
+    return _descent_words(t, Weight((-1,) * t.rank), 1)[0]
 
 
 def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylWord]:
     """The first cap reduced words, in lexicographic order, of the element
-    the word represents.
+    the word represents."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    crossing_coroots(t, word)  # raises on a non-reduced word
+    return _descent_words(t, act(t, word, rho(t)), cap)
+
+
+def _descent_words(t: LieType, w_rho: Weight, cap: int) -> list[WeylWord]:
+    """The first cap reduced words of w, in lexicographic order, from w(rho).
 
     Depth-first by first letter: i starts a reduced word of w iff i is a left
     descent of w, that is <w(rho), alphacheck_i> < 0, and the rest is then a
     reduced word of s_i w.  Every branch ends in a reduced word, so the search
     stops after cap words, whatever the number of reduced words of w."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if not is_reduced(t, word):
-        raise RootDataError(f"word {list(word)} is not reduced")
     words: list[WeylWord] = []
     prefix: list[int] = []
 
@@ -307,6 +310,5 @@ def all_reduced_words(t: LieType, word: WeylWord, cap: int = 1000) -> list[WeylW
                 extend(simple_reflection(t, i, w_rho))
                 prefix.pop()
 
-    extend(act(t, word, rho(t)))
+    extend(w_rho)
     return words
-

@@ -428,6 +428,21 @@ def test_simple_reflection_block_checks_the_index_first():
                 levi_restriction_check(V, i, mu)
 
 
+def test_wrong_rank_weight_or_form_is_rejected():
+    # a third coordinate was dropped (s_1 gave -1,1), a short weight was
+    # indexed past its end, and a xi in 3 or 1 variables gave a block whose
+    # entries mixed variable counts
+    with pytest.raises(RootDataError, match=r"^weight \(1,0,0\) has 3 coordinates, but A2"):
+        act(A2, (1,), Weight((1, 0, 0)))
+    with pytest.raises(RootDataError, match=r"^weight \(1\) has 1 coordinates, but A2"):
+        act(A2, (2,), Weight((1,)))
+    V = build_irrep(A2, Weight((1, 1)))
+    for xcoeffs in ([1, 0, 0], [1]):
+        with pytest.raises(DynWeylError, match=rf"^xi has {len(xcoeffs)} variables, but A2 has"
+                                               r" rank 2$"):
+            simple_reflection_block(V, 1, Weight((0, 0)), DegreeOneForm.make(xcoeffs, 0))
+
+
 def test_block_preconditions():
     # any weight of V is a source, <nu, coroot_i> < 0 included; a weight
     # outside V is not

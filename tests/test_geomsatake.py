@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from dynwg import dynweyl
+from dynwg.dynweyl import classical_limit, rho_shift_images, word_operator_block
 from dynwg.geomsatake import (
     GeomSatakeError,
     costalk_weights,
@@ -12,8 +14,16 @@ from dynwg.geomsatake import (
 )
 from dynwg.ratfun import DegreeOneForm, RatFun
 from dynwg.rep import build_irrep
-from dynwg.rootdata import LieType, Weight
+from dynwg.rootdata import (
+    LieType,
+    Weight,
+    crossing_coroots,
+    longest_element,
+    simple_reflection,
+    simple_root,
+)
 from ratfun_text import parse_ratfun
+from test_dynweyl import E6_WORD, E7_WORD, E8_WORD
 
 A2 = LieType.parse("A2")
 B2 = LieType.parse("B2")
@@ -167,3 +177,94 @@ def test_levi_cases_are_shared_and_frozen():
     assert all(a is b for a, b in zip(first, second, strict=True))
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].equal = False
+
+
+# ---------------------------------------------------------------------------
+# the identification beyond rank one, at every weight mu of multiplicity one:
+# each weight space along the word is V_{nu_t}, nu_t = s_{i_{t-1}} ... s_{i_1}
+# mu, of dimension one on the whole alpha_{i_t}-string through nu_t, which
+# is one string (m_t, k_t), with m_t = p_t + q_t and k_t = p_t for p_t and q_t
+# the steps up and down that weight string.  With T(m, m - 2k, xi) the ratio
+# of costalk products that hyperbolic_transition forms,
+#
+#   A_w(sigma x) on V_mu = eps * (-1)^(sum_t k_t) * prod_t T(m_t, m_t - 2k_t, <x, gamma_t>),
+#
+# sigma the rho-shift and eps the block's classical limit.  The steps take
+# the equivariant variable <x, gamma_t>, with no height shift.
+
+
+def _costalk_ratio(m, k, xi):
+    """T(m, m - 2k, xi) by the costalk formula itself, which holds on the
+    whole string, m - 2k < 0 included, where costalk_weights rejects it."""
+    s = [xi.shift_h(-j) for j in range(1, k + 1)]
+    e = [DegreeOneForm.make([-c for c in xi.xcoeffs], -xi.hcoeff + j - 1 - m + k)
+         for j in range(1, k + 1)]
+    return RatFun.from_factors(1, s, e, xi.nx)
+
+
+def test_costalk_ratio_is_the_hyperbolic_transition():
+    for xi in XI_SWEEP:
+        for lam, mu in rank1_pairs(8):
+            assert _costalk_ratio(lam, (lam - mu) // 2, xi) == hyperbolic_transition(lam, mu, xi)
+
+
+def _string_through(V, i, nu):
+    """(m, k) of the alpha_i-string of weights of V through nu."""
+    alpha = simple_root(V.type, i).coords
+    steps = [0, 0]
+    for side, sign in enumerate((1, -1)):
+        while Weight(tuple(c + sign * (steps[side] + 1) * a
+                           for c, a in zip(nu.coords, alpha))) in V.basis:
+            steps[side] += 1
+    return steps[0] + steps[1], steps[0]
+
+
+def _multiplicity_one_sweep(name, hw, word, stop_at_failure=False):
+    """(blocks, failures) of the identity at every multiplicity-one weight of
+    V(hw), on a fresh irrep, for the word (None meaning w0)."""
+    t = LieType.parse(name)
+    V = build_irrep(t, Weight(hw))
+    word = longest_element(t) if word is None else word
+    gammas = crossing_coroots(t, word)
+    blocks = failures = 0
+    for mu in V.weights():
+        if V.weight_dim(mu) != 1:
+            continue
+        blk = word_operator_block(V, word, mu)
+        geometric, nu, ksum = RatFun.from_factors(classical_limit(blk)[0][0], [], [], t.rank), mu, 0
+        for letter, gamma in zip(reversed(word), gammas):
+            m, k = _string_through(V, letter, nu)
+            xi = DegreeOneForm.make(gamma.coords, 0)
+            geometric = geometric * (hyperbolic_transition(m, m - 2 * k, xi) if m >= 2 * k
+                                     else _costalk_ratio(m, k, xi))
+            nu, ksum = simple_reflection(t, letter, nu), ksum + k
+        if ksum % 2:
+            geometric = -geometric
+        blocks += 1
+        failures += blk.matrix[0][0].substitute(rho_shift_images(t.rank)) != geometric
+        if failures and stop_at_failure:
+            break
+    return blocks, failures
+
+
+# (algebra, highest weight, word, blocks): w0 on every row but the E-rows,
+# which take the words of tests/test_dynweyl.py's extremal sweep
+MULTIPLICITY_ONE_ROWS = [pytest.param(*row, id=row[0]) for row in [
+    ("A2", (2, 1), None, 9), ("B2", (2, 2), None, 16), ("G2", (1, 0), None, 12),
+    ("A3", (2, 0, 2), None, 42), ("D4", (0, 1, 0, 0), None, 24),
+    ("A5", (1, 0, 0, 0, 1), None, 30), ("E6", (0, 1, 0, 0, 0, 0), E6_WORD, 72),
+    ("E7", (1, 0, 0, 0, 0, 0, 0), E7_WORD, 126), ("E8", (0, 0, 0, 0, 0, 0, 0, 1), E8_WORD, 240),
+]]
+
+
+@pytest.mark.parametrize("name, hw, word, blocks", MULTIPLICITY_ONE_ROWS + [
+    pytest.param("F4", (0, 0, 0, 1), None, 24, marks=pytest.mark.slow, id="F4")])
+def test_identification_at_multiplicity_one_weights(name, hw, word, blocks):
+    assert _multiplicity_one_sweep(name, hw, word) == (blocks, 0)
+
+
+@pytest.mark.parametrize("name, hw, word, blocks", MULTIPLICITY_ONE_ROWS)
+def test_identification_rejects_the_dropped_shift(monkeypatch, name, hw, word, blocks):
+    # xi = <x, gamma>: the kernel's (ht(gamma) - 1) h shift dropped
+    monkeypatch.setattr(dynweyl, "_step_variable", lambda gamma: DegreeOneForm.make(gamma.coords, 0))
+    assert _multiplicity_one_sweep(name, hw, word, stop_at_failure=True)[1] == 1

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 from dynwg import linalg, rep
+from dynwg.dynweyl import simple_reflection_block
+from dynwg.ratfun import DegreeOneForm
 from dynwg.rep import (
     DimensionCapError,
     RepError,
@@ -33,7 +35,9 @@ from dynwg.rep import (
 )
 from dynwg.rootdata import (
     LieType,
+    RootDataError,
     Weight,
+    act,
     cartan_matrix,
     pairing,
     positive_coroots,
@@ -604,6 +608,10 @@ def test_errors():
 
 
 WRONG_RANK_CALLS = {
+    "act": lambda w: act(A2, (1,), w),
+    "act_empty_word": lambda w: act(A2, (), w),
+    "simple_reflection_block": lambda w: simple_reflection_block(
+        build_irrep(A2, Weight((1, 1))), 1, w, DegreeOneForm.make([1, 0], 0)),
     "weyl_dimension": lambda w: weyl_dimension(A2, w),
     "build_irrep": lambda w: build_irrep(A2, w),
     "freudenthal_lam": lambda w: freudenthal_multiplicity(A2, w, Weight((0, 0))),
@@ -615,8 +623,8 @@ WRONG_RANK_CALLS = {
 @pytest.mark.parametrize("coords", [(1,), (1, 0, 0), (0,), (1, 1, 0)], ids=str)
 def test_wrong_rank_weight_is_rejected(call, coords):
     w = Weight(coords)
-    with pytest.raises(RepError, match=rf"weight \({w}\) has {len(coords)} coordinates, "
-                                       r"but A2 has rank 2"):
+    with pytest.raises(RootDataError, match=rf"^weight \({w}\) has {len(coords)} coordinates, "
+                                            r"but A2 has rank 2$"):
         WRONG_RANK_CALLS[call](w)
 
 

@@ -1,10 +1,11 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from dynwg import rep
+from dynwg import rep, rootdata
 from dynwg.rootdata import (
     _RANK_RULES,
     CorootVector,
@@ -30,6 +31,7 @@ A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
 A3 = LieType.parse("A3")
 B2 = LieType.parse("B2")
+D5 = LieType.parse("D5")
 G2 = LieType.parse("G2")
 
 
@@ -88,6 +90,31 @@ def test_crossing_coroots_memo_keeps_rejecting_non_reduced():
     assert isinstance(gammas, tuple) and gammas is crossing_coroots(A2, (1, 2))
     with pytest.raises(RootDataError):
         crossing_coroots(A2, (1, 3))  # no simple root 3
+
+
+def test_one_walk_decides_reducedness_and_keeps_the_coroots():
+    # is_reduced and crossing_coroots read one memo entry per (type, word)
+    word, walk = (5, 3, 4, 2, 1, 3), rootdata._walk
+    walk.cache_clear()
+    assert is_reduced(D5, word)
+    gammas = crossing_coroots(D5, list(word))
+    assert walk.cache_info().currsize == 1 and walk.cache_info().misses == 1
+    assert gammas is crossing_coroots(D5, word) and len(set(gammas)) == len(word)
+
+
+# sha256 of the repr of the list of longest_element words, taken before the
+# search behind all_reduced_words also found longest_element's word
+W0_TYPES = "A1 A2 A3 A4 A5 B2 B3 B4 C3 D4 D5 E6 E7 E8 F4 G2".split()
+W0_DIGEST = "bf129254e935c5373e2583112e67022760332bbab09a06668e2cad2658465275"
+
+
+def test_longest_element_is_the_first_reduced_word():
+    words = [longest_element(LieType.parse(name)) for name in W0_TYPES]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == W0_DIGEST
+    for name, w0 in zip(W0_TYPES, words):
+        t = LieType.parse(name)
+        assert all_reduced_words(t, w0, cap=1) == [w0], name
+        assert act(t, w0, rho(t)) == Weight((-1,) * t.rank), name
 
 
 def test_simple_root_memo_keeps_rejecting_bad_indices():
