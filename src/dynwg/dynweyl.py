@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import linalg
 from .ratfun import MAX_DEGREE, DegreeOneForm, Polynomial, RatFun
@@ -103,20 +103,24 @@ def rank1_coefficient(m: int, k: int, xi: DegreeOneForm) -> RatFun:
     The numerator shifts 2..k+1 and the denominator shifts k-m+1..2k-m share
     2..2k-m, so in lowest terms its denominator forms are xi + s*h,
     s <= min(1, 2k - m).  Distinct shifts of an xi with an x-part are coprime,
-    so the rest is built with no trial division; an h-only xi goes through
-    RatFun.from_factors, which reduces it and rejects a zero form.  Kept for
-    the last 4096 (m, k, xi) (about 2 KB each); callers share the result.
+    so the rest is built with no trial division.  At an h-only xi = c*h, it is
+    the constant (-1)^k prod (c + s) / prod (c + s') over the kept shifts: 0 at
+    a zero, and a DynWeylError at a pole.  Kept for the last 4096 (m, k, xi)
+    (about 2 KB each); callers share the result.
     """
     if k < 0 or k > m:
         raise DynWeylError(f"string component (m={m}, k={k}) needs 0 <= k <= m")
+    nums, dens = range(max(2, 2 * k - m + 1), k + 2), range(k - m + 1, min(1, 2 * k - m) + 1)
     if not any(xi.xcoeffs):
-        return RatFun.from_factors((-1) ** k, [xi.shift_h(j + 1) for j in range(1, k + 1)],
-                                   [xi.shift_h(j - m + k) for j in range(1, k + 1)], xi.nx)
+        c = xi.hcoeff
+        if -c in dens:
+            raise DynWeylError(f"string component (m={m}, k={k}) has a pole at xi = {xi}")
+        return RatFun.const(Fraction((-1) ** k * prod(c + s for s in nums),
+                                     prod(c + s for s in dens)), xi.nx)
     num = Polynomial.const((-1) ** k, xi.nx)
-    for s in range(max(2, 2 * k - m + 1), k + 2):
+    for s in nums:
         num = num * xi.shift_h(s).to_polynomial()
-    den = [(xi.shift_h(s), 1) for s in range(k - m + 1, min(1, 2 * k - m) + 1)]
-    return RatFun._over_forms(num, den, ())
+    return RatFun._over_forms(num, [(xi.shift_h(s), 1) for s in dens], ())
 
 
 def simple_reflection_block(V: Irrep, i: int, nu: Weight, xi: DegreeOneForm) -> OperatorBlock:

@@ -8,15 +8,17 @@ an echelon sweep in a fixed monomial order picks the quotient basis.  The form
 is positive definite on the irreducible quotient, so Gram rank equals the
 weight-space dimension.
 
-On raw f-monomials the form takes integer values (Kostant's Z-form), so the
-Gram entries are ints.  The sweep grows the determinant and the integer
+The candidates and the basis are divided-power monomials f_{i1}^(n1) ...
+f_{is}^(ns) v, on which the form takes integer values (Kostant's Z-form), so
+the Gram entries are ints.  The sweep grows the determinant and the integer
 adjugate of the chosen Gram block by bordering (one Schur complement per
 pick, with exact integer division as in Bareiss's elimination).  Both
 generators are read off one int pairing P = <f_i V_{nu+alpha_i}, V_nu>, a
-block of the Gram matrix: f_i = G^-1 P^T, and e_i is its contravariant
-adjoint, G^-1 P one level up (Shapovalov, Funct. Anal. Appl. 1972).  Every
-block, raw or rescaled to divided powers, is an int matrix N over one int
-d > 0 in lowest terms, as the Irrep keeps it: no Fraction is made for it.
+block of the Gram matrix scaled by run lengths (f_i takes a monomial whose
+first run is f_i^(n-1) to n times a monomial): f_i = G^-1 P^T, and e_i is
+its contravariant adjoint, G^-1 P one level up (Shapovalov, Funct. Anal.
+Appl. 1972).  Each block is reduced once, to the int matrix N over one int
+d > 0 in lowest terms that the Irrep keeps, and no rescale follows.
 
 Independent oracles (Weyl dimension formula and Freudenthal recursion) are
 implemented without reference to the constructed matrices.  Both run on
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from math import factorial, lcm, prod
+from math import factorial, lcm
 
 from . import linalg
 from .linalg import Block, Matrix, lowest
@@ -256,9 +258,10 @@ def dominant_weights_up_to_dim(t: LieType, dim_cap: int) -> list[Weight]:
 class Irrep:
     """V(hw) with exact generator matrices, graded by weight.
 
-    Basis vectors are labelled by f-monomial words; per-weight blocks of the
-    generators are kept separately (weights never mix under e_i, f_i, h_i).
-    Each block is a Block (N, d) in lowest terms: gcd(d, entries of N) = 1.
+    Basis vectors are divided-power monomials, labelled by their words
+    (basis_labels); per-weight blocks of the generators are kept separately
+    (weights never mix under e_i, f_i, h_i).  Each block is a Block (N, d) in
+    lowest terms: gcd(d, entries of N) = 1.
     """
 
     type: LieType
@@ -434,11 +437,13 @@ def _solve(adj: Matrix, det: int, m: Matrix) -> Block:
 
 
 class _IrrepBuilder:
-    """Builds V(hw) on raw f-monomials.  Gram entries are ints.  At each
-    (i, nu), with sigma = nu + alpha_i, the int pairing P[b][v] = <f_i b, v>
-    of V_sigma with V_nu is a block of the Gram matrix at nu; f_i is
-    G_nu^-1 P^T, and e_i, its contravariant adjoint, is G_sigma^-1 P.  Each
-    raw block is a pair (N, d) from _solve, an int matrix N over an int d."""
+    """Builds V(hw) on divided-power monomials u_w, where f_i u_b = lead(w) u_w
+    for w = (i,) + b, lead(w) the length of w's first run.  Gram entries are
+    ints.  At each (i, nu), with sigma = nu + alpha_i, the int pairing
+    P[b][v] = <f_i u_b, u_v> of V_sigma with V_nu is the Gram entry at nu of
+    the candidate (i,) + b times its lead; f_i is G_nu^-1 P^T, and e_i, its
+    contravariant adjoint, is G_sigma^-1 P.  Each is the Irrep's block (N, d),
+    reduced once by _solve."""
 
     def __init__(self, t: LieType, hw: Weight):
         self.t = t
@@ -451,11 +456,11 @@ class _IrrepBuilder:
         # every weight with a nonzero weight space, filled level by level,
         # each in coordinate order: Irrep's weight order
         self.basis: dict[Coords, list[Word]] = {top: [()]}
-        # per weight of the last two levels: (each candidate's index, the chosen
-        # rows of the candidate Gram matrix, adj G, det G) for the chosen block G
-        self.gram: dict[Coords, tuple[dict[Word, int], Matrix, Matrix, int]] = {
-            top: ({(): 0}, [[1]], [[1]], 1)}
-        # raw blocks (N, d) keyed as in Irrep, kept where the block's target is a weight
+        # per weight of the last two levels: (each candidate's index and lead, the
+        # chosen rows of the candidate Gram matrix, adj G, det G) for the chosen block G
+        self.gram: dict[Coords, tuple[dict[Word, int], list[int], Matrix, Matrix, int]] = {
+            top: ({(): 0}, [1], [[1]], [[1]], 1)}
+        # the Irrep's blocks (N, d), keyed by coordinates, where the block's target is a weight
         self.eblocks: dict[tuple[int, Coords], Block] = {}
         self.fblocks: dict[tuple[int, Coords], Block] = {}
 
@@ -480,45 +485,49 @@ class _IrrepBuilder:
         new_weights = []
         for nu in sorted(groups):
             cands = sorted(groups[nu], key=lambda c: c[0])
-            if self._select(nu, [c[0] for c in cands], self._candidate_gram(cands)):
+            lead = [_runs(c[0])[0][1] for c in cands]
+            if self._select(nu, [c[0] for c in cands], lead, self._candidate_gram(cands, lead)):
                 new_weights.append(nu)
                 self._pair(nu)
         for tau in prev_weights:  # the level below is built
             del self.gram[tau]
         return new_weights
 
-    def _shap(self, c1, c2) -> int:
-        """Contravariant form of two candidates via the previous level's data."""
+    def _shap(self, c1, c2, leads: int) -> int:
+        """<u_w1, u_w2> for candidates f_i u_b1 = lead(w1) u_w1 and f_j u_b2 =
+        lead(w2) u_w2, with leads = lead(w1) lead(w2), from <f_i u_b1, f_j u_b2>
+        = <u_b1, e_i f_j u_b2> on the previous level's data."""
         _, i, tau1, b1 = c1
         _, j, tau2, b2 = c2
-        idx, rows, _, _ = self.gram[tau1]
+        idx, lead, rows, _, _ = self.gram[tau1]
         row = rows[b1]
-        total, d = 0, 1  # the form is total / d
+        total, d = 0, 1  # <f_i u_b1, f_j u_b2> is total / d
         sigma = self.up[tau2][i - 1]
         if sigma in self.basis:
             eb, d = self.eblocks[(i, tau2)]
             for k, bk in enumerate(self.basis[sigma]):
                 gamma = eb[k][b2]
                 if gamma:
-                    total += gamma * row[idx[(j,) + bk]]
+                    c = idx[(j,) + bk]
+                    total += gamma * lead[c] * row[c]  # gamma <u_b1, f_j u_bk>
         if i == j and tau1 == tau2:
             # <wt(b'), coroot_i> S(b, b')
             total += d * tau2[i - 1] * row[idx[self.basis[tau1][b2]]]
-        value, rem = divmod(total, d)
-        if rem:  # the form is integral on f-monomials
+        value, rem = divmod(total, d * leads)
+        if rem:  # the form is integral on divided-power monomials (Kostant's Z-form)
             raise RepError(f"contravariant form {Fraction(total, d)} on f-monomials"
-                           " is not an integer")
+                           f" is not an integer multiple of {leads}")
         return value
 
-    def _candidate_gram(self, cands) -> Matrix:
+    def _candidate_gram(self, cands, lead: list[int]) -> Matrix:
         n = len(cands)
         g = [[0] * n for _ in range(n)]
         for p in range(n):
             for q in range(p, n):
-                g[p][q] = g[q][p] = self._shap(cands[p], cands[q])
+                g[p][q] = g[q][p] = self._shap(cands[p], cands[q], lead[p] * lead[q])
         return g
 
-    def _select(self, nu: Coords, words: list[Word], gram: Matrix) -> list[int]:
+    def _select(self, nu: Coords, words: list[Word], lead: list[int], gram: Matrix) -> list[int]:
         """Pick candidates in order while the chosen Gram block G stays
         nonsingular, keeping det G and the integer adjugate adj G = det G * G^-1.
         Bordering G by a column v and a diagonal entry g gives, with w = adj G v,
@@ -543,46 +552,29 @@ class _IrrepBuilder:
         if chosen:
             self._add_shifts(nu)
             self.basis[nu] = [words[c] for c in chosen]
-            self.gram[nu] = ({w: k for k, w in enumerate(words)}, [gram[c] for c in chosen],
-                             adj, det)
+            self.gram[nu] = ({w: k for k, w in enumerate(words)}, lead,
+                             [gram[c] for c in chosen], adj, det)
         return chosen
 
     def _pair(self, nu: Coords):
         """f_i on V_sigma and e_i on V_nu, for each weight sigma = nu + alpha_i,
-        from P^T[v][b] = <v, f_i b>, the Gram rows at nu at the candidates f_i b."""
-        idx, rows, adj, det = self.gram[nu]
+        from P^T[v][b] = <u_v, f_i u_b>, the Gram rows at nu at the candidates
+        (i,) + b times their leads."""
+        idx, lead, rows, adj, det = self.gram[nu]
         for i, sigma in enumerate(self.up[nu], 1):
             if sigma in self.basis:
-                pt = [[row[idx[(i,) + b]] for b in self.basis[sigma]] for row in rows]
-                _, _, adj_up, det_up = self.gram[sigma]
+                cols = [idx[(i,) + b] for b in self.basis[sigma]]
+                pt = [[row[c] * lead[c] for c in cols] for row in rows]
+                _, _, _, adj_up, det_up = self.gram[sigma]
                 self.fblocks[(i, sigma)] = _solve(adj, det, pt)
                 self.eblocks[(i, nu)] = _solve(adj_up, det_up, linalg.transpose(pt))
 
     def _assemble(self) -> Irrep:
-        # The echelon pivoting picks raw f-monomials; rescale each basis word
-        # by its run-length factorials so that repeated letters act as divided
-        # powers (f_i^k v becomes f_i^k/k! v).  This is the normalization in
-        # which the rank-1 reflection coefficients appear verbatim as matrix
-        # entries.  An entry x of a raw block (N, d) of V_nu -> V_target
-        # becomes x * ft / (d * fs), where fs and ft are the run-length
-        # factorial products of the source and target words: over d * F, with
-        # F the lcm of the fs at nu, its numerator is x * ft * (F / fs).
-        fact = {nu: [prod(factorial(n) for _, n in _runs(w)) for w in words]
-                for nu, words in self.basis.items()}
-        lcms = {nu: lcm(*fs) for nu, fs in fact.items()}
-        cofact = {nu: [lcms[nu] // fs for fs in fact[nu]] for nu in fact}  # F / fs
         weight = {nu: Weight(nu) for nu in self.basis}  # the only Weights made
-
-        def rescale(raw, shifts):  # the blocks (i, nu) whose target shifts[nu][i - 1] is a weight
-            return {(i, weight[nu]): lowest([[x * ft * c for x, c in zip(row, cofact[nu])]
-                                             for row, ft in zip(n, fact[target])], d * lcms[nu])
-                    for nu in self.basis for i, target in enumerate(shifts[nu], 1)
-                    if target in self.basis for n, d in [raw[(i, nu)]]}
-
         return Irrep(type=self.t, hw=self.hw,
                      basis={weight[nu]: words for nu, words in self.basis.items()},
-                     e_blocks=rescale(self.eblocks, self.up),
-                     f_blocks=rescale(self.fblocks, self.down),
+                     e_blocks={(i, weight[nu]): blk for (i, nu), blk in self.eblocks.items()},
+                     f_blocks={(i, weight[nu]): blk for (i, nu), blk in self.fblocks.items()},
                      weight_order=list(weight.values()))
 
 

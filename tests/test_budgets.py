@@ -44,12 +44,18 @@ BUDGETS = {
 }
 SLOW_BUDGETS = {("A5", "1,0,0,0,1")}  # about 5 s of CPU, so under -m slow
 
-# (algebra, highest weight): budget for _IrrepBuilder._shap calls, the Gram
-# entries of the L2 build.  linalg.nullspace is not called by `verify rep`,
-# and check_chevalley_serre's _bracket makes exactly rank^2 calls on every
-# passing irrep, so neither measures L2 work.
-REP_BUDGETS = {("A2", "2,1"): 44, ("B2", "2,2"): 456, ("G2", "1,1"): 298,
-               ("A3", "1,1,1"): 480, ("B3", "1,0,1"): 275, ("D4", "0,1,0,0"): 160}
+# (algebra, highest weight): budgets for the L2 build of `verify rep`: shap,
+# the _IrrepBuilder._shap calls, its Gram entries; and reductions, the calls
+# of rep.lowest, one per generator block (the lru-cached root frame reduces
+# within linalg, so no cache moves this count).  linalg.nullspace is not
+# called by `verify rep`, and check_chevalley_serre's _bracket makes exactly
+# rank^2 calls on every passing irrep, so neither measures L2 work.
+REP_BUDGETS = {("A2", "2,1"): {"shap": 44, "reductions": 32},
+               ("B2", "2,2"): {"shap": 456, "reductions": 116},
+               ("G2", "1,1"): {"shap": 298, "reductions": 88},
+               ("A3", "1,1,1"): {"shap": 480, "reductions": 144},
+               ("B3", "1,0,1"): {"shap": 275, "reductions": 104},
+               ("D4", "0,1,0,0"): {"shap": 160, "reductions": 80}}
 
 
 def _count(monkeypatch, owner, name, tally):
@@ -174,7 +180,18 @@ def test_cocycle_budget_catches_a_memo_mutant(monkeypatch, capsys, mutant, algeb
 def test_rep_work_within_budget(monkeypatch, capsys, algebra, hw):
     counts = collections.Counter()
     _count(monkeypatch, rep._IrrepBuilder, "_shap", lambda *args: counts.update(["shap"]))
+    _count(monkeypatch, rep, "lowest", lambda *args: counts.update(["reductions"]))
+    built, build = [], rep.build_irrep
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rep, "build_irrep", recorded)
     code = cli.main(["verify", "rep", "--algebra", algebra, "--hw", hw, "--jobs", "1"])
     out, _ = capsys.readouterr()
     assert code == 0 and "cases pass" in out
-    assert counts["shap"] <= REP_BUDGETS[algebra, hw]
+    budget = REP_BUDGETS[algebra, hw]
+    assert {k: counts[k] for k in budget if counts[k] > budget[k]} == {}, dict(counts)
+    # each generator block is reduced once, when _solve makes it
+    assert counts["reductions"] == sum(len(V.e_blocks) + len(V.f_blocks) for V in built)

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from dynwg.ratfun import DegreeOneForm, PoleError, Polynomial, RatFun
 from dynwg.rep import (
     RepError,
     build_irrep,
+    freudenthal_multiplicity,
     sl2_strings,
     weight_add,
     weight_sub,
@@ -105,25 +107,37 @@ def test_rank1_coefficient_is_the_closed_form_at_every_xi():
         for m in range(13):
             for k in range(m + 1):
                 assert rank1_coefficient(m, k, xi) == _closed_form(m, k, xi), (m, k, xi)
-    # an h-only xi goes through from_factors, which reduces to a constant or
-    # rejects a zero factor; the value or the error is the closed form's
-    errors = 0
+    # an h-only xi = c*h gives the constant value of the reduced closed form
+    # in x1 at (x1, h) = (c, 1): 0 at a zero, and a DynWeylError at a pole
+    poles = zeros = 0
     for c in (3, 0, -3, 1, -2):
         xi = DegreeOneForm.make([0], c)
+        at = re.escape(str(xi))  # "3*h"
         for m in range(13):
             for k in range(m + 1):
                 try:
-                    expected = _closed_form(m, k, xi)
-                except ValueError as err:
-                    errors += 1
-                    with pytest.raises(ValueError) as got:
+                    expected = RatFun.const(_closed_form(m, k, X1).evaluate([c, 1]), 1)
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(DynWeylError, match=rf"^string component \(m={m}, k={k}\)"
+                                                           rf" has a pole at xi = {at}$"):
                         rank1_coefficient(m, k, xi)
-                    assert str(got.value) == str(err)
                 else:
-                    got = rank1_coefficient(m, k, xi)
-                    assert got == expected and got.num.is_constant() and not got.den
-    assert errors == 230
+                    zeros += expected.is_zero()
+                    assert rank1_coefficient(m, k, xi) == expected, (m, k, xi)
+    assert (poles, zeros) == (86, 78)
     assert rank1_coefficient(2, 1, DegreeOneForm.make([0], 3)) == RatFun.const(F(-5, 3), 1)
+
+
+def test_rank1_coefficient_at_an_h_only_xi():
+    # c(2, 1, xi) = -(xi + 2h)/xi has a pole at xi = 0, and c(2, 1), c(4, 2)
+    # and c(1, 1) vanish at xi = -2h, -3h and -2h; c(4, 3, -2h) = -1, where
+    # the unreduced closed form is 0/0
+    with pytest.raises(DynWeylError, match=r"^string component \(m=2, k=1\) has a pole at xi = 0$"):
+        rank1_coefficient(2, 1, DegreeOneForm.make([0], 0))
+    for m, k, c in ((2, 1, -2), (4, 2, -3), (1, 1, -2)):
+        assert rank1_coefficient(m, k, DegreeOneForm.make([0, 0], c)) == RatFun.zero(2)
+    assert rank1_coefficient(4, 3, DegreeOneForm.make([0], -2)) == RatFun.const(-1, 1)
 
 
 def _divided_power_coefficient(n, j, xi):
@@ -931,6 +945,94 @@ def test_extremal_weight_closed_form_rejects_a_mutant(monkeypatch, mutant, case)
         monkeypatch.setattr(dynweyl, "rank1_coefficient", _mirror_coefficient)
     blocks, failures = _extremal_sweep([case])  # on a fresh irrep
     assert failures > 0, (blocks, failures)
+
+
+# ---------------------------------------------------------------------------
+# the determinant of A_w at every weight, read off weight multiplicities: if
+# the t-th step acts with letter i on V_nu, n = <nu, coroot_i>, at the step
+# variable xi_t, its block is block-diagonal in the string bases, one c(m, k,
+# xi_t) per string, and d(nu + j alpha_i) - d(nu + (j+1) alpha_i) strings
+# have their top at nu + j alpha_i, with (m, k) = (n + 2j, j); so
+#
+#   det A_w(x) on V_mu = eps * prod over t, j >= max(0, -n) of
+#                        ct(n + 2j, j, xi_t)^(d(nu + j alpha_i) - d(nu + (j+1) alpha_i)),
+#
+# ct(m, k, xi) = prod_{j=1..k} (xi + (j+1)h) / (xi + (j-m+k)h), c without its
+# sign, and eps = det classical_limit of the block, which takes every sign
+# and every transfer map's determinant.  The right side reads only the
+# Freudenthal multiplicities and the root data, not the builder's basis.
+
+
+DETERMINANT_CASES = [
+    ("A2", (2, 2)), ("A2", (3, 2)), ("B2", (2, 1)), ("B2", (0, 5)), ("G2", (0, 2)),
+    ("A3", (1, 0, 1)), ("A3", (0, 1, 2)), ("B3", (0, 0, 2)), ("C3", (2, 0, 0)),
+    ("F4", (0, 0, 0, 1)),
+]
+# irreps with a weight space of dim 4, under -m slow
+SLOW_DETERMINANT_CASES = [("G2", (1, 1)), ("B2", (1, 3)), ("A3", (1, 1, 1)), ("D4", (0, 1, 0, 0))]
+
+
+def _det(a):
+    """The determinant of a square matrix by expansion along its first row."""
+    if len(a) == 1:
+        return a[0][0]
+    total = None
+    for c, x in enumerate(a[0]):
+        term = x * _det([row[:c] + row[c + 1:] for row in a[1:]])
+        total = term if total is None else total - term if c % 2 else total + term
+    return total
+
+
+def _determinant_sweep(cases):
+    """(blocks, blocks of dim >= 2, failures) of the determinant formula for
+    w0 at every weight of each (algebra, highest weight)."""
+    blocks = multi = failures = 0
+    for name, hw in cases:
+        t, lam = LieType.parse(name), Weight(hw)
+        V, word = build_irrep(t, lam), longest_element(t)
+        for mu in V.weights():
+            blk = word_operator_block(V, word, mu)
+            expected, nu = RatFun.const(_det(classical_limit(blk)), t.rank), mu
+            for g, i in zip(crossing_coroots(t, word), reversed(word)):
+                xi = DegreeOneForm.make(g.coords, g.height() - 1)
+                alpha, n = simple_root(t, i), nu[i - 1]
+                j = max(0, -n)
+                top = Weight(tuple(c + j * a for c, a in zip(nu.coords, alpha.coords)))
+                d = freudenthal_multiplicity(t, lam, top)
+                while d:
+                    top = weight_add(top, alpha)
+                    above = freudenthal_multiplicity(t, lam, top)
+                    for _ in range(d - above):  # ct(m, k) = (-1)^k c(m, k)
+                        expected = expected * _closed_form(n + 2 * j, j, xi).scale((-1) ** j)
+                    j, d = j + 1, above
+                nu = simple_reflection(t, i, nu)
+            blocks += 1
+            multi += len(blk.matrix) > 1
+            failures += _det(blk.matrix) != expected
+    return blocks, multi, failures
+
+
+def test_determinant_at_every_weight():
+    assert _determinant_sweep(DETERMINANT_CASES) == (240, 77, 0)
+
+
+@pytest.mark.slow
+def test_determinant_at_every_weight_of_dim_4():
+    assert _determinant_sweep(SLOW_DETERMINANT_CASES) == (126, 50, 0)
+
+
+@pytest.mark.parametrize("mutant", ["no-rho-shift", "mirror"])
+@pytest.mark.parametrize("case", [
+    *DETERMINANT_CASES, *(pytest.param(c, marks=pytest.mark.slow) for c in SLOW_DETERMINANT_CASES)],
+    ids=lambda c: f"{c[0]}({','.join(map(str, c[1]))})")
+def test_determinant_rejects_a_mutant(monkeypatch, mutant, case):
+    if mutant == "no-rho-shift":  # xi = <x, gamma>, the (ht(gamma) - 1) h shift dropped
+        monkeypatch.setattr(dynweyl, "_step_variable",
+                            lambda gamma: DegreeOneForm.make(gamma.coords, 0))
+    else:
+        monkeypatch.setattr(dynweyl, "rank1_coefficient", _mirror_coefficient)
+    blocks, multi, failures = _determinant_sweep([case])  # on a fresh irrep
+    assert failures > 0, (blocks, multi, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from dynwg.rootdata import (
 from irrep_blocks import dense, dense_vector, pair
 from test_rootdata import dominant_representative, weyl_orbit
 
+import test_dynweyl
+
 A1 = LieType.parse("A1")
 A2 = LieType.parse("A2")
 A3 = LieType.parse("A3")
@@ -297,22 +299,89 @@ def test_golden_output_and_fraction_entries():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("t,hw,counts", ((B2, (2, 2), (459, 61)), (G2, (1, 1), (284, 58))),
+@pytest.mark.parametrize("t,hw,counts", ((B2, (2, 2), (459, 26)), (G2, (1, 1), (284, 27))),
                          ids=str)
-def test_raw_blocks_are_int_matrices_over_one_denominator(t, hw, counts, monkeypatch):
-    # every raw e/f block, and every block of the assembled Irrep, is (N, d):
-    # N an int matrix, d > 0 an int, and N / d in lowest terms; counts is
-    # _int_pairs' count of the raw blocks
+def test_builder_blocks_are_int_matrices_over_one_denominator(t, hw, counts):
+    # the builder's own e/f blocks are the Irrep's, with no rescale between:
+    # each is (N, d), N an int matrix, d > 0 an int, and N / d in lowest
+    # terms; counts is _int_pairs' count of them
     builder = rep._IrrepBuilder(t, Weight(hw))
-    assemble = rep._IrrepBuilder._assemble
-    monkeypatch.setattr(rep._IrrepBuilder, "_assemble", lambda self: None)
-    builder.build()  # every level, and no rescale
-    assert _int_pairs([*builder.eblocks.values(), *builder.fblocks.values()]) == counts
-    V = assemble(builder)  # the rescale to divided powers keeps the nonzero entries
-    assert _int_pairs([*V.e_blocks.values(), *V.f_blocks.values()]) == (counts[0],
-                                                                       {B2: 26, G2: 27}[t])
+    V = builder.build()
+    assert V.e_blocks == {(i, Weight(nu)): blk for (i, nu), blk in builder.eblocks.items()}
+    assert V.f_blocks == {(i, Weight(nu)): blk for (i, nu), blk in builder.fblocks.items()}
+    assert _int_pairs([*V.e_blocks.values(), *V.f_blocks.values()]) == counts
     W = irrep_from_json(irrep_to_json(V))
     assert W.e_blocks == V.e_blocks and W.f_blocks == V.f_blocks
+
+
+# every dominant weight of dim <= 500 (A3, B2, B3, C3, D4, G2) or <= 300 (A2,
+# A4, B4, C4, F4), then E6 (1,0,0,0,0,0), the E6 and E7 adjoints and E8
+# (1,0,...,0) of dim 3875: sha256 over irrep_to_json of the 416 irreps,
+# pinned from the builder that rescaled raw f-monomials to divided powers
+# after its last level
+SWEEP_CAPS = (("A2", 300), ("A3", 500), ("B2", 500), ("B3", 500), ("C3", 500), ("D4", 500),
+              ("G2", 500), ("A4", 300), ("B4", 300), ("C4", 300), ("F4", 300))
+SWEEP_E_TYPE = (("E6", (1, 0, 0, 0, 0, 0)), ("E6", (0, 1, 0, 0, 0, 0)),
+                ("E7", (1, 0, 0, 0, 0, 0, 0)), ("E8", (1, 0, 0, 0, 0, 0, 0, 0)))
+SWEEP_SHA256 = "3aeb548cdc4625dd84527b6b669ccb3f2641efb8cc2b5ebd89a432a5db8e97d6"
+
+
+def _golden_sweep():
+    irreps = [(LieType.parse(name), lam) for name, cap in SWEEP_CAPS
+              for lam in dominant_weights_up_to_dim(LieType.parse(name), cap)]
+    irreps += [(LieType.parse(name), Weight(hw)) for name, hw in SWEEP_E_TYPE]
+    digest = hashlib.sha256()
+    for t, lam in irreps:
+        V = build_irrep(t, lam, dim_cap=3875)
+        digest.update(json.dumps(irrep_to_json(V), sort_keys=True).encode())
+    assert (len(irreps), digest.hexdigest()) == (416, SWEEP_SHA256)
+
+
+@pytest.mark.slow
+def test_golden_sweep():
+    _golden_sweep()
+
+
+# With every run length 1 the builder makes V on raw f-monomials, with no
+# error, and that V passes check_chevalley_serre, which no rescale of a
+# basis changes.  These checks read the divided-power basis, and must fail.
+RUN_LENGTH_CHECKS = {
+    "GOLDEN_SHA256": test_golden_output_and_fraction_entries,
+    "builder blocks": lambda: test_builder_blocks_are_int_matrices_over_one_denominator(
+        B2, (2, 2), (459, 26)),
+    "string data": lambda: test_string_data_is_pinned_bit_for_bit(),
+    "A1 V(4) block": lambda: test_dynweyl.test_a1_v4_block(),
+    "golden sweep": _golden_sweep,
+}
+
+
+def _unit_run_lengths(monkeypatch):
+    build = rep._IrrepBuilder.build
+
+    def mutated(self):
+        with monkeypatch.context() as m:
+            m.setattr(rep, "_runs", lambda word: [(letter, 1) for letter in word])
+            return build(self)
+
+    monkeypatch.setattr(rep._IrrepBuilder, "build", mutated)
+
+
+def test_unit_run_lengths_pass_chevalley_serre(monkeypatch):
+    irreps = [(A1, Weight((2,))), (A2, Weight((1, 1))), (B2, Weight((2, 2))), (G2, Weight((1, 1)))]
+    good = [irrep_to_json(build_irrep(t, hw)) for t, hw in irreps]
+    _unit_run_lengths(monkeypatch)
+    for (t, hw), obj in zip(irreps, good):
+        V = build_irrep(t, hw)
+        assert check_chevalley_serre(V) == [] and irrep_to_json(V) != obj
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(c, marks=[pytest.mark.slow] if c == "golden sweep" else [])
+    for c in RUN_LENGTH_CHECKS])
+def test_unit_run_lengths_fail_the_basis_checks(monkeypatch, check):
+    _unit_run_lengths(monkeypatch)
+    with pytest.raises(AssertionError):
+        RUN_LENGTH_CHECKS[check]()
 
 
 def test_weight_multiset_weyl_invariant():
